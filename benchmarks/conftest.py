@@ -11,12 +11,19 @@ conditions out over 4 worker processes and ``--no-cache`` disables the
 on-disk result cache (see the repo-root ``conftest.py`` for the options).
 """
 
+import pathlib
+import sys
 import warnings
 
 import pytest
 
 from repro.experiments.config import ExperimentConfig
 from repro.runner import DEFAULT_CACHE_DIR, ParallelRunner, ResultCache
+
+# the per-object reference switch (reference_path) lives with the tests
+_TESTS_DIR = str(pathlib.Path(__file__).resolve().parent.parent / "tests")
+if _TESTS_DIR not in sys.path:
+    sys.path.append(_TESTS_DIR)
 
 
 @pytest.fixture(scope="session")

@@ -1,21 +1,22 @@
 """Packets/sec throughput benches for the multihop/mesh columnar drivers.
 
-PR 3's fast path stopped at the two-switch pipeline; these benches track
-the paths this PR vectorizes beyond it, recorded into the same
+``test_perf_throughput.py`` times the two-switch pipeline; these benches
+track the columnar paths beyond it, recorded into the same
 ``BENCH_pipeline.json`` history:
 
-* the **cold multihop sweep** (``repro-rlir extensions multihop --batch``):
+* the **cold multihop sweep** (``repro-rlir extensions multihop``):
   every chain length of the ablation, simulation + replay, with all
   in-process caches cleared per timed run — the headline entry, gated at
   **3×** at full scale;
-* the **mesh study** (``repro-rlir extensions mesh --batch``): one shared
+* the **mesh study** (``repro-rlir extensions mesh``): one shared
   fat-tree, three measured ToR pairs, event calendar vs the layered
   columnar driver.
 
 As in ``test_perf_throughput.py``, each comparison first asserts the two
 paths produce identical results, the paths are timed in back-to-back
 pairs so machine drift hits both sides alike, and the recorded speedup is
-the best pair.
+the best pair.  The object side runs under ``tests/reference_path.py``,
+so it also pays the columnar-to-packet conversion of its fallback.
 """
 
 import gc
@@ -28,6 +29,7 @@ import numpy as np
 import pytest
 
 from conftest import print_banner
+from reference_path import reference_path
 
 from repro.experiments.extensions import run_mesh_study, run_multihop_ablation
 from repro.experiments.workloads import workload_for
@@ -124,11 +126,17 @@ def test_multihop_sweep_throughput(bench_config):
     and the per-flow replay.  At full scale the best pair must clear the
     acceptance bar of **3×**.
     """
-    def run(batch):
-        _clear_sim_caches()
+    def sweep():
         return run_multihop_ablation(
             bench_config, hops=MULTIHOP_HOPS, utilization=MULTIHOP_UTILIZATION,
-            runner=ParallelRunner(), run_seed=0, batch=batch)
+            runner=ParallelRunner(), run_seed=0)
+
+    def run(batch):
+        _clear_sim_caches()
+        if batch:
+            return sweep()
+        with reference_path():
+            return sweep()
 
     run(True)  # warm the code paths once (imports, numpy dispatch)
 
@@ -164,11 +172,16 @@ def test_mesh_study_throughput(bench_config):
     """Shared-fabric mesh study: event calendar vs layered columnar driver."""
     n_per_pair = max(5000, int(15_000 * bench_config.scale))
 
+    def study():
+        return run_mesh_study(n_packets_per_pair=n_per_pair,
+                              runner=ParallelRunner(), run_seed=0)
+
     def run(batch):
         _clear_sim_caches()
-        return run_mesh_study(n_packets_per_pair=n_per_pair,
-                              runner=ParallelRunner(), run_seed=0,
-                              batch=batch)
+        if batch:
+            return study()
+        with reference_path():
+            return study()
 
     run(True)
 

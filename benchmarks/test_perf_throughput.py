@@ -4,8 +4,10 @@ Three hot paths are timed against their per-object reference
 implementations on the Figure-4 workload at ``REPRO_SCALE``:
 
 * trace generation (columnar `generate_trace` vs. materializing packets),
-* the two-switch pipeline (`run_condition` with ``batch=True`` vs. the
-  per-object driver, on the adaptive/random/93 % fig4 condition),
+* the two-switch pipeline (`run_condition` on its default columnar path
+  vs. the per-object reference it falls back to under
+  ``tests/reference_path.py``, on the adaptive/random/93 % fig4
+  condition),
 * the interpolation batch flush (`interpolate_batch` vs. an
   `InterpolationBuffer` stream).
 
@@ -26,6 +28,7 @@ import numpy as np
 import pytest
 
 from conftest import print_banner
+from reference_path import reference_path
 
 from repro.core.interpolation import InterpolationBuffer, interpolate_batch
 from repro.experiments.workloads import run_condition, summarize_condition, workload_for
@@ -146,9 +149,12 @@ def test_pipeline_throughput_fig4_condition(bench_config, repeats):
     workload = workload_for(config_items(bench_config))
 
     def run(batch):
-        condition = run_condition(workload, "adaptive", "random", 0.93,
-                                  batch=batch)
-        return summarize_condition(condition)
+        if batch:
+            return summarize_condition(
+                run_condition(workload, "adaptive", "random", 0.93))
+        with reference_path():
+            return summarize_condition(
+                run_condition(workload, "adaptive", "random", 0.93))
 
     batch_s, batch_summary = _best_of(lambda: run(True), repeats)
     object_s, object_summary = _best_of(lambda: run(False), repeats)
@@ -175,9 +181,9 @@ def test_pipeline_throughput_fig4_sweep(bench_config):
     """The headline number: the full Figure-4(a,b) sweep, cold-started.
 
     Each timed run clears the in-process workload/trace caches first, so
-    both paths pay exactly what a fresh ``repro-rlir fig4a`` process pays —
-    trace synthesis, per-object materialization where the path needs it,
-    and all four conditions.
+    both paths pay what a fresh ``repro-rlir fig4a`` process would pay on
+    them — trace synthesis and all four conditions; the object side also
+    pays the columnar-to-packet conversion of its fallback.
 
     Measurement protocol: the two paths are timed in back-to-back
     **pairs** (batch, then object) so machine-state drift hits both sides
@@ -193,7 +199,10 @@ def test_pipeline_throughput_fig4_sweep(bench_config):
         # cold caches: later bench modules rebuild on demand as usual
         W._workload_cache.clear()
         W._trace_cache.clear()
-        return run_fig4ab(bench_config, batch=batch)
+        if batch:
+            return run_fig4ab(bench_config)
+        with reference_path():
+            return run_fig4ab(bench_config)
 
     run(True)  # warm the code paths once (imports, numpy dispatch)
     pairs = []

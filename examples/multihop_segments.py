@@ -44,14 +44,14 @@ def main():
     for hops in (1, 2, 4, 8):
         sender = RliSender(1, workload.rate_bps, StaticInjection(50))
         receiver = RliReceiver(SingleSenderDemux(1, [workload.regular_prefix]))
-        cross = {h: UniformModel(prob, seed=100 + h).arrivals(workload.cross)
+        cross = {h: UniformModel(prob, seed=100 + h).arrivals_batch(workload.cross)
                  for h in range(hops)}
         chain = SwitchChain(ChainConfig(
             n_hops=hops, rate_bps=workload.rate_bps,
             buffer_bytes=config.buffer_bytes, proc_delay=config.proc_delay))
-        result = chain.run(workload.regular.clone_packets(), cross,
-                           sender=sender, receiver=receiver,
-                           duration=config.duration)
+        result = chain.run_batch(workload.regular, cross,
+                                 sender=sender, receiver=receiver,
+                                 duration=config.duration)
         receiver.finalize()
         join = flow_mean_errors(receiver.flow_estimated, receiver.flow_true)
         ecdf = Ecdf(join.errors)

@@ -31,9 +31,9 @@ def main():
         demux=workload.make_receiver().demux,
         quantiles=(0.5, 0.95, 0.99),
     )
-    TwoSwitchPipeline(workload.pipeline_config).run(
-        regular=workload.regular.clone_packets(),
-        cross=workload.cross_arrivals("random", 0.93),
+    TwoSwitchPipeline(workload.pipeline_config).run_batch(
+        regular=workload.regular,
+        cross=workload.cross_arrivals_batch("random", 0.93),
         sender=sender,
         receiver=receiver,
         duration=config.duration,

@@ -5,11 +5,11 @@ Operator-facing entry points for the library's main workflows:
     repro-rlir generate-trace --packets 50000 --out regular.npz
     repro-rlir trace-info regular.npz
     repro-rlir convert regular.npz regular.csv
-    repro-rlir fig4a [--scale 0.1] [--jobs 4] [--batch]   # likewise fig4b/fig4c/fig5
+    repro-rlir fig4a [--scale 0.1] [--jobs 4]             # likewise fig4b/fig4c/fig5
     repro-rlir fig4a --backend distributed --jobs 2       # embedded cluster
     repro-rlir placement --k 4 8 16
-    repro-rlir extensions [multihop granularity ...] [--jobs 4 --shards 4 --batch]
-    repro-rlir localize [--demux reverse-ecmp] [--jobs 4 --shards 4 --batch]
+    repro-rlir extensions [multihop granularity ...] [--jobs 4 --shards 4]
+    repro-rlir localize [--demux reverse-ecmp] [--jobs 4 --shards 4]
     repro-rlir cache info|clear
     repro-rlir fig4a --obs [--obs-trace] [--verbose]      # telemetry artifact
     repro-rlir obs artifacts/obs/run-*.json               # summarize one
@@ -45,13 +45,14 @@ artifact under ``artifacts/obs/`` when the command finishes
 (``--obs-trace`` additionally emits a Perfetto-loadable Chrome trace).
 Experiment stdout is byte-identical with ``--obs`` on: everything the
 flag adds goes to stderr or the artifact file.  ``--verbose`` surfaces
-once-per-sweep stderr notes when a ``--batch`` run silently falls back
-to the object path (see ``docs/observability.md``).
+once-per-sweep stderr notes when a simulation falls back from the
+columnar fast path to the object path (see ``docs/observability.md``).
 
-``--batch`` runs each simulation on the columnar fast path — pipeline,
-multihop chain, or layered fat-tree driver as the study demands — again
-with byte-identical output (``docs/internals-batch.md``); the full
-operator guide lives in ``docs/running.md``.
+Each simulation runs on the columnar fast path — pipeline, multihop
+chain, or layered fat-tree driver as the study demands — wherever it
+applies, with byte-identical output either way
+(``docs/internals-batch.md``); the full operator guide lives in
+``docs/running.md``.
 """
 
 from __future__ import annotations
@@ -99,7 +100,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="workload scale (default: REPRO_SCALE or 1.0)")
         p.add_argument("--seed", type=int, default=42)
         p.add_argument("--no-plot", action="store_true")
-        _add_batch_flags(p)
         _add_runner_flags(p)
         if fig == "fig5":
             p.add_argument("--seeds", type=int, default=3,
@@ -203,7 +203,6 @@ def build_parser() -> argparse.ArgumentParser:
                      help="trace seed for pipeline-based studies")
     ext.add_argument("--run-seed", type=int, default=0,
                      help="base seed for per-run random streams")
-    _add_batch_flags(ext)
     _add_runner_flags(ext, shards=True)
 
     loc = sub.add_parser("localize", help="run the RLIR localization demo")
@@ -212,7 +211,6 @@ def build_parser() -> argparse.ArgumentParser:
     loc.add_argument("--packets", type=int, default=20_000)
     loc.add_argument("--run-seed", type=int, default=0,
                      help="base seed for the scenario's traces")
-    _add_batch_flags(loc)
     _add_runner_flags(loc, shards=True)
 
     return parser
@@ -228,16 +226,6 @@ def _positive_int(raw: str) -> int:
 # selectable study names; per-study dispatch lives in _cmd_extensions
 EXTENSION_STUDIES = ("multihop", "granularity", "memory", "ptp", "tail",
                      "mesh", "aqm")
-
-
-def _add_batch_flags(p: argparse.ArgumentParser) -> None:
-    """The columnar fast-path toggle shared by every simulation subcommand."""
-    p.add_argument("--batch", dest="batch", action="store_true",
-                   help="columnar fast path (identical numbers, several "
-                        "times the throughput)")
-    p.add_argument("--no-batch", dest="batch", action="store_false",
-                   help="per-object reference path (default)")
-    p.set_defaults(batch=False)
 
 
 def _add_runner_flags(p: argparse.ArgumentParser, shards: bool = False) -> None:
@@ -269,8 +257,8 @@ def _add_runner_flags(p: argparse.ArgumentParser, shards: bool = False) -> None:
                    help="with --obs, also write a Chrome trace-event file "
                         "(Perfetto-loadable)")
     p.add_argument("--verbose", action="store_true",
-                   help="stderr notes when a --batch sweep falls back to "
-                        "the object path (once per site+reason per sweep)")
+                   help="stderr notes when a simulation falls back from the "
+                        "columnar fast path (once per site+reason per sweep)")
 
 
 # ----------------------------------------------------------------------
@@ -370,8 +358,7 @@ def _print_fig4(curves, show_plot: bool, std: bool = False) -> None:
 def _cmd_fig4a(args) -> int:
     from .experiments.fig4 import run_fig4ab
 
-    _print_fig4(run_fig4ab(_fig_config(args), runner=_make_runner(args),
-                           batch=args.batch),
+    _print_fig4(run_fig4ab(_fig_config(args), runner=_make_runner(args)),
                 not args.no_plot)
     return 0
 
@@ -379,8 +366,7 @@ def _cmd_fig4a(args) -> int:
 def _cmd_fig4b(args) -> int:
     from .experiments.fig4 import run_fig4ab
 
-    _print_fig4(run_fig4ab(_fig_config(args), runner=_make_runner(args),
-                           batch=args.batch),
+    _print_fig4(run_fig4ab(_fig_config(args), runner=_make_runner(args)),
                 not args.no_plot, std=True)
     return 0
 
@@ -388,8 +374,7 @@ def _cmd_fig4b(args) -> int:
 def _cmd_fig4c(args) -> int:
     from .experiments.fig4 import run_fig4c
 
-    _print_fig4(run_fig4c(_fig_config(args), runner=_make_runner(args),
-                          batch=args.batch),
+    _print_fig4(run_fig4c(_fig_config(args), runner=_make_runner(args)),
                 not args.no_plot)
     return 0
 
@@ -400,7 +385,7 @@ def _cmd_fig5(args) -> int:
     from .experiments.fig5 import run_fig5
 
     rows = run_fig5(_fig_config(args), n_seeds=args.seeds,
-                    runner=_make_runner(args), batch=args.batch)
+                    runner=_make_runner(args))
     print(format_table(
         ["target util", "measured util", "baseline loss", "static diff", "adaptive diff"],
         [[f"{r.target_util:.2f}", f"{r.measured_util:.3f}", f"{r.baseline_loss:.6f}",
@@ -442,7 +427,6 @@ def _cmd_localize(args) -> int:
         runner=_make_runner(args),
         shards=args.shards,
         run_seed=args.run_seed,
-        batch=args.batch,
     )
     print(format_table(
         ["segment", "mean latency", "flows", "anomalous?"],
@@ -468,15 +452,13 @@ def _cmd_extensions(args) -> int:
     scale = cfg.scale
     runner = _make_runner(args)
     seed = args.run_seed
-    batch = args.batch
 
     def banner(title):
         print(f"\n== {title} ==")
 
     if "multihop" in studies:
         rows = ext.run_multihop_ablation(cfg, runner=runner,
-                                         shards=args.shards, run_seed=seed,
-                                         batch=batch)
+                                         shards=args.shards, run_seed=seed)
         banner("multihop: accuracy vs measured-segment length")
         print(format_table(
             ["hops", "median RE(mean)", "true mean (us)"],
@@ -484,7 +466,7 @@ def _cmd_extensions(args) -> int:
     if "granularity" in studies:
         rows = ext.run_granularity_comparison(
             n_packets=max(4000, int(20_000 * scale)), runner=runner,
-            shards=args.shards, batch=batch)
+            shards=args.shards)
         banner("granularity: full RLI vs RLIR")
         print(format_table(
             ["deployment", "instances", "segments", "culprit", "granularity"],
@@ -492,8 +474,7 @@ def _cmd_extensions(args) -> int:
               "single queue" if r.pinned_to_single_queue else "segment"]
              for r in rows]))
     if "memory" in studies:
-        rows = ext.run_memory_ablation(cfg, runner=runner, run_seed=seed,
-                                       batch=batch)
+        rows = ext.run_memory_ablation(cfg, runner=runner, run_seed=seed)
         banner("memory: receiver flow-table bound")
         print(format_table(
             ["max flows", "retained", "evicted samples", "median RE"],
@@ -506,8 +487,7 @@ def _cmd_extensions(args) -> int:
             ["jitter (us)", "mean |residual| (us)"],
             [[f"{j * 1e6:.1f}", f"{r * 1e6:.3f}"] for j, r in rows]))
     if "tail" in studies:
-        results = ext.run_tail_accuracy(cfg, runner=runner, run_seed=seed,
-                                        batch=batch)
+        results = ext.run_tail_accuracy(cfg, runner=runner, run_seed=seed)
         banner("tail: per-flow quantile accuracy")
         print(format_table(
             ["quantile", "flows", "median RE"],
@@ -516,15 +496,14 @@ def _cmd_extensions(args) -> int:
     if "mesh" in studies:
         rows = ext.run_mesh_study(
             n_packets_per_pair=max(5000, int(15_000 * scale)),
-            runner=runner, run_seed=seed, batch=batch)
+            runner=runner, run_seed=seed)
         banner("mesh: shared-core RLIR, three ToR pairs")
         print(format_table(
             ["pair", "flows (seg2)", "seg2 median RE", "e2e median RE"],
             [[pair, flows, f"{s2:.4f}", f"{e2:.4f}"]
              for pair, flows, s2, e2 in rows]))
     if "aqm" in studies:
-        rows = ext.run_aqm_comparison(cfg, runner=runner, run_seed=seed,
-                                      batch=batch)
+        rows = ext.run_aqm_comparison(cfg, runner=runner, run_seed=seed)
         banner("aqm: tail-drop vs RED bottleneck")
         print(format_table(
             ["discipline", "regular loss", "median RE", "ref drops"],
@@ -706,7 +685,7 @@ def _cmd_broker_stats(args) -> int:
         conn.close()
     if snapshot is None:
         print(f"repro-rlir broker-stats: no stats reply within "
-              f"{args.timeout}s (is the broker protocol 4+?)", file=sys.stderr)
+              f"{args.timeout}s", file=sys.stderr)
         return 1
     if args.json:
         print(json.dumps(snapshot, indent=2, sort_keys=True))

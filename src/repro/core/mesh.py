@@ -28,7 +28,6 @@ from ..sim.switch import Switch
 from ..sim.topology import FatTree
 from ..traffic.trace import Trace
 from .demux import PathClassifierDemux, UpstreamPrefixDemux
-from .flowstats import FlowStatsTable
 from .injection import InjectionPolicy, StaticInjection
 from .receiver import RliReceiver
 from .reverse_ecmp import ReverseEcmpClassifier
@@ -82,12 +81,13 @@ class RlirMesh:
     is a sequence of ((src_pod, src_edge), (dst_pod, dst_edge)) tuples, all
     inter-pod.
 
-    ``batch=True`` selects the layered columnar fast path
+    :meth:`run` takes the layered columnar fast path
     (:class:`~repro.sim.fatpath.FatTreeFastPath`) whenever every trace
     carries :class:`~repro.traffic.batch.PacketBatch` columns: results are
     **bitwise identical** to the event engine — arrival ties included,
     reconstructed exactly from event provenance — and any non-batchable
-    component falls back to the engine transparently.
+    component falls back to the engine, its reason counted under
+    ``batch.fallback``.
     """
 
     def __init__(
@@ -97,7 +97,6 @@ class RlirMesh:
         policy_factory: Callable[[], InjectionPolicy] = lambda: StaticInjection(100),
         estimator: str = "linear",
         clock_factory: Optional[Callable[[], Clock]] = None,
-        batch: bool = False,
     ):
         if not pairs:
             raise ValueError("at least one ToR pair required")
@@ -111,7 +110,6 @@ class RlirMesh:
         self.policy_factory = policy_factory
         self.estimator = estimator
         self.clock_factory = clock_factory or PerfectClock
-        self.batch = batch
         self.engine: Optional[Engine] = None
         self.tor_senders: Dict[Tuple[Tuple[int, int], int], RliSender] = {}
         self.core_receivers: Dict[str, RliReceiver] = {}
@@ -298,16 +296,16 @@ class RlirMesh:
     def run(self, traces: List[Trace], until: Optional[float] = None) -> MeshResult:
         """Inject traces, run (columnar or event engine), collect results.
 
-        With ``batch=True`` and batch-backed traces, the layered columnar
-        driver replaces the event calendar (``until`` must be None — a
-        truncated run needs the calendar); anything non-batchable falls
-        back to the engine with identical output.
+        With batch-backed traces the layered columnar driver replaces the
+        event calendar (``until`` must be None — a truncated run needs the
+        calendar); anything non-batchable falls back to the engine with
+        identical output.
         """
         engine = Engine()
         self.wire(engine)
         ft = self.fattree
-        if self.batch and try_fast_path(ft, self._sender_taps,
-                                        self._receiver_taps, traces, until):
+        if try_fast_path(ft, self._sender_taps, self._receiver_taps, traces,
+                         until):
             return self._finish()
         for trace in traces:
             packets = (trace.clone_packets() if hasattr(trace, "clone_packets")

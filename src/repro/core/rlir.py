@@ -140,15 +140,6 @@ class RlirDeployment:
         ~4× less memory, bitwise-identical replay).  Recording receivers
         run record-only — their live tables stay empty, since replay
         recomputes every estimate from the log.
-    batch:
-        Run on the layered columnar fast path
-        (:class:`~repro.sim.fatpath.FatTreeFastPath`) when every trace is
-        batch-backed: **bitwise identical** to the event engine — arrival
-        ties included, reconstructed exactly from event provenance —
-        several times the throughput.  Non-batchable configurations —
-        packet marking (the classifier reads per-packet ToS state),
-        jittered clocks, an ``until`` bound — fall back to the engine
-        transparently.
     """
 
     def __init__(
@@ -161,7 +152,6 @@ class RlirDeployment:
         estimator: str = "linear",
         clock_factory: Optional[Callable[[], Clock]] = None,
         record_observations: bool = False,
-        batch: bool = False,
     ):
         if demux_method not in ("marking", "reverse-ecmp"):
             raise ValueError(f"demux_method must be 'marking' or 'reverse-ecmp': {demux_method}")
@@ -180,7 +170,6 @@ class RlirDeployment:
         self.estimator = estimator
         self.clock_factory = clock_factory or PerfectClock
         self.record_observations = record_observations
-        self.batch = batch
         self.engine: Optional[Engine] = None
 
         self.tor_senders: Dict[int, RliSender] = {}  # uplink -> sender
@@ -373,15 +362,20 @@ class RlirDeployment:
         pairs; only flows covered by the deployment are measured — that is
         the whole point of the demultiplexers.
 
-        With ``batch=True`` and batch-backed traces the layered columnar
-        driver replaces the event calendar (bitwise-identical output);
-        non-batchable configurations fall back to the engine.
+        With batch-backed traces the layered columnar fast path
+        (:class:`~repro.sim.fatpath.FatTreeFastPath`) replaces the event
+        calendar: **bitwise identical** to the event engine — arrival ties
+        included, reconstructed exactly from event provenance — several
+        times the throughput.  Non-batchable configurations — packet
+        marking (the classifier reads per-packet ToS state), jittered
+        clocks, an ``until`` bound — fall back to the engine, their reason
+        counted under ``batch.fallback``.
         """
         engine = Engine()
         self.wire(engine)
         ft = self.fattree
-        if self.batch and try_fast_path(ft, self._sender_taps,
-                                        self._receiver_taps, traces, until):
+        if try_fast_path(ft, self._sender_taps, self._receiver_taps, traces,
+                         until):
             return self._finish()
         for trace in traces:
             packets = (trace.clone_packets() if hasattr(trace, "clone_packets")

@@ -50,7 +50,7 @@ State machine
 Every transition below runs under the broker lock; the threads (accept,
 per-peer receive, dispatch, monitor) only decide *when* a transition
 fires, never what it does — which is what lets the deterministic
-interleaving harness (:mod:`repro.distrib.chaos`) drive the identical
+interleaving harness (``tests/chaos.py``) drive the identical
 transitions single-threaded.  ``docs/architecture.md`` draws the full
 peer/chunk/sweep diagram; the invariants the suite replays orderings
 against:
@@ -317,7 +317,7 @@ class Broker:
         self.handshake_timeout = (
             float(handshake_timeout) if handshake_timeout is not None
             else max(10.0, 3.0 * heartbeat_timeout))
-        # injectable for the deterministic harness (chaos.py scripts time)
+        # injectable for the deterministic harness (tests/chaos.py scripts time)
         self._clock: Callable[[], float] = time.monotonic
         # Always-on instance registry (its own lock, never the broker's):
         # dispatch/requeue/hedge/suspect counters and the heartbeat
@@ -520,9 +520,9 @@ class Broker:
         except (EOFError, OSError):
             return
         peer_id = next(self._ids)
-        # protocol v3: the welcome carries broker metadata — workers derive
-        # their heartbeat cadence from the advertised timeout instead of
-        # guessing, so a short-timeout broker cannot race its own workers
+        # the welcome carries broker metadata — workers derive their
+        # heartbeat cadence from the advertised timeout instead of guessing,
+        # so a short-timeout broker cannot race its own workers
         meta = {
             "protocol": PROTOCOL_VERSION,
             "heartbeat_timeout": self.heartbeat_timeout,
@@ -586,11 +586,8 @@ class Broker:
                             self._idle.add(worker.id)
                             self._wake.notify_all()
                 elif tag == "result":
-                    # protocol 4: an obs-enabled worker appends its drained
-                    # span/metric buffers as a 4th element
-                    self._complete_chunk(
-                        worker, message[1], message[2],
-                        message[3] if len(message) > 3 else None)
+                    self._complete_chunk(worker, message[1], message[2],
+                                         message[3])
                 elif tag == "error":
                     self._chunk_error(worker, message[1], message[2])
         finally:
@@ -598,7 +595,7 @@ class Broker:
 
     def _complete_chunk(self, worker: _Worker, chunk_id: int,
                         results: List[tuple],
-                        obs_payload: Optional[dict] = None) -> None:
+                        obs_payload: Optional[dict]) -> None:
         self.metrics.count("distrib.chunk_complete")
         with self._wake:
             chunk = self._assignments.get(worker.id)
@@ -626,9 +623,11 @@ class Broker:
             # wins) but do not touch the live assignment and do NOT mark
             # the worker idle: re-idling a worker that still holds a chunk
             # would let dispatch overwrite — and silently lose — that chunk.
-        self._deliver(results)
         if obs_payload is not None:
+            # relay before delivering: the delivery may finish the sweep,
+            # after which the driver stops reading and the payload is lost
             self._forward_obs(results, obs_payload)
+        self._deliver(results)
 
     def _forward_obs(self, results: List[tuple],
                      obs_payload: dict) -> None:

@@ -16,7 +16,7 @@ driver→broker ``("bye",)``                                             detach
 broker→worker ``("jobs", chunk_id, [(tag, job), …])``                  assign
 broker→worker ``("cancel", chunk_id)``                                 stop chunk
 worker→broker ``("ready",)`` / ``("heartbeat",)``                      liveness
-worker→broker ``("result", chunk_id, [(tag, value), …][, obs])``       jobs out
+worker→broker ``("result", chunk_id, [(tag, value), …], obs)``         jobs out
 worker→broker ``("error", chunk_id, traceback_text)``                  job raised
 broker→driver ``("result", [(seq, value), …])``                        forward
 broker→driver ``("failed", [(seq, attempts, reason), …])``             gave up
@@ -36,25 +36,21 @@ recomputing them.  The job ``tag`` a worker echoes back is
 the driver is leaving *on purpose*, so unfinished sweeps are abandoned
 rather than kept waiting for a reattach.
 
-The ``welcome`` *meta* dict (protocol 3) carries broker configuration a
-peer should adapt to — today ``protocol`` and ``heartbeat_timeout``, from
-which workers derive their heartbeat send interval instead of using a
-hardcoded cadence.  A ``cancel`` (protocol 3) tells a worker the named
-chunk settled elsewhere (a hedge lost its race): the worker aborts
-between jobs and replies with a normal ``result`` carrying whatever
-prefix it finished — settlement is per-job and idempotent, so a partial
-result is always safe.
+The ``welcome`` *meta* dict carries broker configuration a peer should
+adapt to — today ``protocol`` and ``heartbeat_timeout``, from which
+workers derive their heartbeat send interval instead of using a
+hardcoded cadence.  A ``cancel`` tells a worker the named chunk settled
+elsewhere (a hedge lost its race): the worker aborts between jobs and
+replies with a normal ``result`` carrying whatever prefix it finished —
+settlement is per-job and idempotent, so a partial result is always safe.
 
-Protocol 4 adds the observability surface, all of it optional and
-backwards-compatible: an obs-enabled worker appends its drained
-span/metric buffers as a 4th ``result`` element (a broker reading a
-3-tuple still works — the payload slot just reads as absent); the broker
-relays such payloads to the sweep's driver as ``("obs", payload)``; and
+A worker's ``result`` always has four elements; *obs* is its drained
+span/metric buffers when telemetry is on and ``None`` otherwise.  The
+broker relays payloads to the sweep's driver as ``("obs", payload)``, and
 a driver may ask ``("stats",)`` at any time to receive ``("stats",
 snapshot)`` — the broker's lifetime counters (dispatches, requeues,
 hedges, suspect flips, heartbeat-interarrival stats) plus live occupancy
-gauges.  None of these messages affect settlement: they are telemetry,
-dropped harmlessly when a peer predates them.
+gauges.  None of these messages affect settlement: they are telemetry.
 
 ``role`` is ``"worker"`` or ``"driver"``; both are rejected when their code
 fingerprint (:func:`repro.runner.cache.code_fingerprint`) differs from the

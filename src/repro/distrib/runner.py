@@ -278,10 +278,16 @@ class DistributedRunner(ParallelRunner):
         # budget, and only a worker that *exited* is proof of failure.
         deadline = time.monotonic() + self.join_timeout
         while time.monotonic() < deadline:
-            if broker.worker_count() >= self.workers:
+            joined = broker.worker_count()
+            if joined >= self.workers:
                 return
-            if any(p.poll() is not None for p in spawned):
-                break  # a fresh worker already exited: fail fast
+            exited = sum(1 for p in spawned if p.poll() is not None)
+            if exited and joined + exited >= self.workers:
+                # a fresh worker exited and every other one has joined or
+                # exited too: fail fast, but never before a sibling still
+                # starting up had its chance to join (the error names the
+                # true count, not a snapshot of a spawn race)
+                break
             time.sleep(0.05)
         joined = broker.worker_count()
         if joined >= self.workers:

@@ -34,7 +34,7 @@ Fault-injection hooks (used by the test suite, harmless otherwise):
   worker whose chunks linger until hedging rescues them.
 
 Heartbeat cadence is *derived*, not guessed: the broker's welcome
-advertises its ``heartbeat_timeout`` (protocol 3) and the worker beats at
+advertises its ``heartbeat_timeout`` and the worker beats at
 least four times per timeout, so a broker constructed with a short
 timeout for tests can never race its own workers' heartbeat cadence.
 A broker ``cancel`` for the chunk being executed aborts it between jobs
@@ -201,8 +201,7 @@ def worker_main(
             say(f"rejected by broker at {connect}: {reply[1]}")
             return 3
         worker_id = reply[1]
-        meta = reply[3] if len(reply) > 3 and isinstance(reply[3], dict) else {}
-        interval = _heartbeat_interval(heartbeat, meta)
+        interval = _heartbeat_interval(heartbeat, reply[3])
         if obs.enabled() and not os.environ.get("REPRO_OBS_PROCESS"):
             # standalone workers label their obs buffers by broker-assigned
             # id; embedded workers get a stable label via the environment
@@ -245,8 +244,8 @@ def worker_main(
 def _heartbeat_interval(requested: float, meta: dict) -> float:
     """The effective heartbeat send interval for one connection.
 
-    Derived from the broker's advertised ``heartbeat_timeout`` (protocol
-    3 welcome metadata): beat at least four times per timeout, so a
+    Derived from the broker's advertised ``heartbeat_timeout`` (welcome
+    metadata): beat at least four times per timeout, so a
     broker constructed with a short timeout — tests, aggressive
     deployments — can never race its own workers' cadence.  The CLI's
     ``--heartbeat`` still lowers it further.  ``REPRO_WORKER_FORCE_HEARTBEAT``
@@ -356,14 +355,11 @@ def _serve_connection(conn: Connection, send_lock: Any,
                     # broker's liveness clock so the full timeout budget
                     # covers the transfer itself
                     conn.send(("heartbeat",))
-                    if obs.enabled():
-                        # protocol 4: drained span/metric buffers ride the
-                        # result message; the broker relays them to the
-                        # sweep's driver for the merged run artifact
-                        conn.send(("result", chunk_id, results,
-                                   obs.drain_payload()))
-                    else:
-                        conn.send(("result", chunk_id, results))
+                    # drained span/metric buffers ride the result message;
+                    # the broker relays them to the sweep's driver for the
+                    # merged run artifact
+                    conn.send(("result", chunk_id, results,
+                               obs.drain_payload() if obs.enabled() else None))
             except (OSError, ValueError):
                 say("broker went away while returning results; "
                     "the chunk will be re-dispatched")

@@ -27,13 +27,11 @@ of the job's ``run_seed`` and a stream label — no two conditions or streams
 can silently share an RNG stream, and the seeds sit inside the cache tokens
 so the :class:`~repro.runner.cache.ResultCache` distinguishes them.
 
-Every simulation-backed job also carries the ``batch`` knob: ``True``
-runs the condition on the columnar fast path (the chain's
+Every simulation-backed job runs on the columnar fast path (the chain's
 :meth:`~repro.sim.chain.SwitchChain.run_batch`, or the fat-tree's
-:class:`~repro.sim.fatpath.FatTreeFastPath` behind the deployments) with
-**bitwise-identical** results.  ``batch`` sits in both the cache token
-and the ``prepare_key`` — identical values either way, but memoized
-artifacts and cached timings stay honest per path.
+:class:`~repro.sim.fatpath.FatTreeFastPath` behind the deployments) where
+it applies, and on the per-object reference where it does not — with
+**bitwise-identical** results, so the path is no part of a job's identity.
 """
 
 from __future__ import annotations
@@ -197,10 +195,10 @@ class ShardedSegments:
 
 
 def _multihop_log(config: ConfigItems, n_hops: int, utilization: float,
-                  run_seed: int, batch: bool = False):
+                  run_seed: int):
     """Simulate one chain condition, returning the receiver's event log.
 
-    With ``batch=True`` the chain runs its columnar fast path
+    The chain runs its columnar fast path
     (:meth:`~repro.sim.chain.SwitchChain.run_batch`): per-hop cross
     arrivals stay columns (``arrivals_batch``, same seeded selection) and
     the recorded log is **bitwise identical** to the per-object path's.
@@ -233,18 +231,11 @@ def _multihop_log(config: ConfigItems, n_hops: int, utilization: float,
         rate_bps=workload.rate_bps,
         buffer_bytes=cfg.buffer_bytes,
         proc_delay=cfg.proc_delay,
-        batch=batch,
     ))
-    if batch:
-        chain.run(workload.regular,
-                  {hop: m.arrivals_batch(workload.cross)
-                   for hop, m in models.items()},
-                  sender=sender, receiver=receiver, duration=cfg.duration)
-    else:
-        chain.run(workload.regular.clone_packets(),
-                  {hop: m.arrivals(workload.cross)
-                   for hop, m in models.items()},
-                  sender=sender, receiver=receiver, duration=cfg.duration)
+    chain.run_batch(workload.regular,
+                    {hop: m.arrivals_batch(workload.cross)
+                     for hop, m in models.items()},
+                    sender=sender, receiver=receiver, duration=cfg.duration)
     return log
 
 
@@ -258,16 +249,15 @@ class MultihopShardJob(_ShardJobBase):
     run_seed: int = 0
     shard: int = 0
     n_shards: int = 1
-    batch: bool = False
 
     @property
     def prepare_key(self) -> tuple:
         return ("multihop", self.config, self.n_hops, self.utilization,
-                self.run_seed, self.batch)
+                self.run_seed)
 
     def _build(self):
         return _multihop_log(self.config, self.n_hops, self.utilization,
-                             self.run_seed, self.batch)
+                             self.run_seed)
 
     def _segments(self, sim) -> List[Tuple[str, list]]:
         return [("chain", sim)]
@@ -281,7 +271,6 @@ class MultihopShardJob(_ShardJobBase):
             "run_seed": self.run_seed,
             "shard": self.shard,
             "n_shards": self.n_shards,
-            "batch": self.batch,
         }
 
 
@@ -317,9 +306,9 @@ def _granularity_sim(deployment: str, n_packets: int, trace_seed: int,
 
     Both halves stay on the event engine by design: the RLIR deployment
     here uses the paper's *marking* demux (the classifier reads per-packet
-    ToS state, which no columnar pass reproduces) and full RLI's per-hop
-    segments terminate references at aggregation switches, outside the
-    layered driver's model — so this study has no ``batch`` knob.
+    ToS state, which no columnar pass reproduces, so the fast path counts a
+    fallback) and full RLI's per-hop segments terminate references at
+    aggregation switches, outside the layered driver's model.
     """
     from ..core.full_rli import FullRliDeployment
     from ..core.injection import StaticInjection
@@ -398,8 +387,7 @@ class GranularityShardJob(_ShardJobBase):
 # localization study (the CLI demo: incast across an RLIR ToR pair)
 
 
-def _localization_sim(n_packets: int, demux_method: str, run_seed: int,
-                      batch: bool = False) -> dict:
+def _localization_sim(n_packets: int, demux_method: str, run_seed: int) -> dict:
     from ..core.injection import StaticInjection
     from ..core.rlir import RlirDeployment
     from ..sim.topology import FatTree, LinkParams
@@ -420,7 +408,7 @@ def _localization_sim(n_packets: int, demux_method: str, run_seed: int,
     deployment = RlirDeployment(ft, src=(0, 0), dst=(1, 0),
                                 policy_factory=lambda: StaticInjection(50),
                                 demux_method=demux_method,
-                                record_observations="array", batch=batch)
+                                record_observations="array")
     deployment.run([measured, incast])
     return {"segments": deployment.observation_logs()}
 
@@ -434,16 +422,14 @@ class LocalizationShardJob(_ShardJobBase):
     run_seed: int = 0
     shard: int = 0
     n_shards: int = 1
-    batch: bool = False
 
     @property
     def prepare_key(self) -> tuple:
-        return ("localize", self.n_packets, self.demux_method, self.run_seed,
-                self.batch)
+        return ("localize", self.n_packets, self.demux_method, self.run_seed)
 
     def _build(self):
         return _localization_sim(self.n_packets, self.demux_method,
-                                 self.run_seed, self.batch)
+                                 self.run_seed)
 
     def _segments(self, sim) -> List[Tuple[str, list]]:
         return sim["segments"]
@@ -456,7 +442,6 @@ class LocalizationShardJob(_ShardJobBase):
             "run_seed": self.run_seed,
             "shard": self.shard,
             "n_shards": self.n_shards,
-            "batch": self.batch,
         }
 
 
@@ -512,7 +497,6 @@ class MeshJob:
     pairs: Tuple[Tuple[Tuple[int, int], Tuple[int, int]], ...]
     n_packets_per_pair: int
     run_seed: int = 0
-    batch: bool = False
 
     def cache_token(self) -> dict:
         return {
@@ -520,7 +504,6 @@ class MeshJob:
             "pairs": self.pairs,
             "n_packets_per_pair": self.n_packets_per_pair,
             "run_seed": self.run_seed,
-            "batch": self.batch,
         }
 
     def run(self) -> List[Tuple[str, int, float, float]]:
@@ -534,8 +517,7 @@ class MeshJob:
         ft = FatTree(4, LinkParams(rate_bps=40e6, buffer_bytes=256 * 1024,
                                    proc_delay=1e-6, prop_delay=0.5e-6))
         mesh = RlirMesh(ft, list(self.pairs),
-                        policy_factory=lambda: StaticInjection(20),
-                        batch=self.batch)
+                        policy_factory=lambda: StaticInjection(20))
         traces = []
         for i, (src, dst) in enumerate(self.pairs):
             host_pairs = [(ft.host_address(*src, h), ft.host_address(*dst, g))

@@ -33,11 +33,10 @@ estimation is partitioned over N flow shards
 (:mod:`repro.core.replay`), with results **bitwise identical** for every
 (jobs, shards) combination — asserted by the determinism suite.
 
-The simulation-backed studies also take ``batch=True`` — the columnar
-fast path (chain scans / the layered fat-tree driver) with bitwise-
-identical rows — which composes freely with ``runner`` backends and
-``shards``; see ``docs/internals-batch.md`` for the exactness rules and
-fallback matrix.
+The simulation-backed studies run on the columnar fast path (chain scans /
+the layered fat-tree driver) wherever it applies, with bitwise-identical
+rows; see ``docs/internals-batch.md`` for the exactness rules and the
+fallback reasons.
 """
 
 from __future__ import annotations
@@ -93,7 +92,6 @@ def run_multihop_ablation(
     runner: Optional[ParallelRunner] = None,
     shards: int = 1,
     run_seed: int = 0,
-    batch: bool = False,
 ) -> List[Tuple[int, float, float]]:
     """(n_hops, median flow-mean RE, mean true latency) per chain length.
 
@@ -101,9 +99,7 @@ def run_multihop_ablation(
     selection stream gets its own derived seed), calibrated so each hop
     runs at *utilization* — the hardest case for delay locality across a
     multi-router segment, since the segment delay is a sum of independent
-    queues.  ``batch=True`` runs each chain condition on the columnar
-    fast path (bitwise-identical rows, several times the throughput);
-    it composes with ``shards`` and any runner backend.
+    queues.
     """
     from ..runner.spec import config_items
 
@@ -111,8 +107,7 @@ def run_multihop_ablation(
     runner = runner or ParallelRunner()
     frozen = config_items(cfg)
     jobs = [
-        MultihopShardJob(frozen, n_hops, utilization, run_seed, shard, shards,
-                         batch)
+        MultihopShardJob(frozen, n_hops, utilization, run_seed, shard, shards)
         for n_hops in hops
         for shard in range(shards)
     ]
@@ -142,7 +137,6 @@ def run_granularity_comparison(
     shards: int = 1,
     trace_seed: int = 21,
     slow_factor: float = 4.0,
-    batch: bool = False,
 ) -> List[GranularityRow]:
     """Full RLI vs RLIR, one slow queue (core(0,0)→dst pod) injected.
 
@@ -151,11 +145,6 @@ def run_granularity_comparison(
     RLIR uses fewer instances (k+2 per interface pair vs per-hop pairs).
     Both deployments measure the same *trace_seed* by design (one workload,
     two architectures); the seed is part of every job's cache identity.
-    ``batch`` is accepted for driver-interface uniformity but is inert
-    here: this study's marking-demux RLIR receivers and full RLI's
-    per-hop wiring both stay on the event engine by design (see
-    ``_granularity_sim``), so the knob changes neither results nor cache
-    identity.
     """
     runner = runner or ParallelRunner()
     deployments = ("full", "rlir")
@@ -193,7 +182,6 @@ def run_memory_ablation(
     bounds: Sequence[Optional[int]] = (None, 4096, 1024, 256),
     runner: Optional[ParallelRunner] = None,
     run_seed: int = 0,
-    batch: bool = False,
 ) -> List[Tuple[Optional[int], int, int, float]]:
     """(max_flows, flows retained, samples evicted, median RE of survivors)
     per flow-table bound.
@@ -205,7 +193,7 @@ def run_memory_ablation(
     runner = runner or ParallelRunner()
     jobs = [
         JobSpec.from_config(cfg, "static", "random", utilization,
-                            run_seed=run_seed, max_flows=bound, batch=batch)
+                            run_seed=run_seed, max_flows=bound)
         for bound in bounds
     ]
     rows = []
@@ -254,7 +242,6 @@ def run_tail_accuracy(
     min_packets: int = 20,
     runner: Optional[ParallelRunner] = None,
     run_seed: int = 0,
-    batch: bool = False,
 ) -> Dict[float, Ecdf]:
     """Per-flow tail-quantile accuracy: quantile → Ecdf of relative errors.
 
@@ -267,8 +254,7 @@ def run_tail_accuracy(
     cfg = cfg or ExperimentConfig()
     runner = runner or ParallelRunner()
     job = JobSpec.from_config(cfg, "adaptive", "random", utilization,
-                              run_seed=run_seed, quantiles=tuple(quantiles),
-                              batch=batch)
+                              run_seed=run_seed, quantiles=tuple(quantiles))
     summary = runner.run_one(job)
 
     errors: Dict[float, List[float]] = {q: [] for q in quantiles}
@@ -292,7 +278,6 @@ def run_mesh_study(
     ),
     runner: Optional[ParallelRunner] = None,
     run_seed: int = 0,
-    batch: bool = False,
 ) -> List[Tuple[str, int, float, float]]:
     """Multi-pair mesh on one fabric: (pair, flows, seg2 median RE,
     e2e median RE) per measured ToR pair.
@@ -300,12 +285,9 @@ def run_mesh_study(
     All pairs share the fabric and the core measurement instances, so each
     pair's traffic is cross traffic for the others — the across-routers
     regime with realistic interference, and one irreducible simulation.
-    ``batch=True`` replaces the event calendar with the layered columnar
-    fat-tree driver (bitwise-identical rows).
     """
     runner = runner or ParallelRunner()
-    return runner.run_one(MeshJob(tuple(pairs), n_packets_per_pair, run_seed,
-                                  batch))
+    return runner.run_one(MeshJob(tuple(pairs), n_packets_per_pair, run_seed))
 
 
 def run_aqm_comparison(
@@ -313,7 +295,6 @@ def run_aqm_comparison(
     utilization: float = 0.95,
     runner: Optional[ParallelRunner] = None,
     run_seed: int = 0,
-    batch: bool = False,
 ) -> List[Tuple[str, float, float, int]]:
     """(queue discipline, regular loss rate, median flow-mean RE, refs lost)
     under tail-drop vs RED bottleneck queues on the identical workload.
@@ -330,7 +311,7 @@ def run_aqm_comparison(
     disciplines = (("tail-drop", None), ("RED", "red"))
     jobs = [
         JobSpec.from_config(cfg, "static", "random", utilization,
-                            run_seed=run_seed, aqm=aqm, batch=batch)
+                            run_seed=run_seed, aqm=aqm)
         for _, aqm in disciplines
     ]
     rows = []
@@ -353,7 +334,6 @@ def run_localization_study(
     runner: Optional[ParallelRunner] = None,
     shards: int = 1,
     run_seed: int = 0,
-    batch: bool = False,
 ) -> LocalizationReport:
     """The operator scenario behind ``repro-rlir localize``.
 
@@ -361,14 +341,13 @@ def run_localization_study(
     incast into the destination pod; the destination-side segment inflates
     and :func:`~repro.core.localization.localize` must name it.  The
     simulation runs once (per cache identity); per-flow estimation fans out
-    over *shards* × the runner's workers.  ``batch=True`` runs the
-    simulation on the layered columnar driver (the ``marking`` demux falls
-    back to the engine — its classifier reads per-packet ToS state).
+    over *shards* × the runner's workers.  The simulation runs on the
+    layered columnar driver (the ``marking`` demux falls back to the
+    engine — its classifier reads per-packet ToS state).
     """
     runner = runner or ParallelRunner()
     jobs = [
-        LocalizationShardJob(n_packets, demux_method, run_seed, shard, shards,
-                             batch)
+        LocalizationShardJob(n_packets, demux_method, run_seed, shard, shards)
         for shard in range(shards)
     ]
     merged = _merge_condition(runner.run(jobs))

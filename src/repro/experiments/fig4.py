@@ -77,14 +77,11 @@ def _curves(spec: SweepSpec, runner: Optional[ParallelRunner],
 
 
 def run_fig4ab(cfg: Optional[ExperimentConfig] = None,
-               runner: Optional[ParallelRunner] = None,
-               batch: bool = False) -> List[Fig4Curve]:
+               runner: Optional[ParallelRunner] = None) -> List[Fig4Curve]:
     """The four curves of Figures 4(a) and 4(b).
 
     Returns curves labelled ``{scheme}, {util}`` in the paper's legend
-    order: adaptive/93, static/93, adaptive/67, static/67.  ``batch=True``
-    runs every condition on the columnar pipeline fast path — identical
-    curves, several times the throughput.
+    order: adaptive/93, static/93, adaptive/67, static/67.
     """
     cfg = cfg or ExperimentConfig()
     spec = SweepSpec.from_config(
@@ -92,15 +89,13 @@ def run_fig4ab(cfg: Optional[ExperimentConfig] = None,
         schemes=("adaptive", "static"),
         models=("random",),
         utilizations=tuple(sorted(cfg.fig4ab_utilizations, reverse=True)),
-        batch=batch,
     )
     return _curves(spec, runner,
                    lambda job: f"{job.scheme}, {job.target_util:.0%}")
 
 
 def run_fig4c(cfg: Optional[ExperimentConfig] = None,
-              runner: Optional[ParallelRunner] = None,
-              batch: bool = False) -> List[Fig4Curve]:
+              runner: Optional[ParallelRunner] = None) -> List[Fig4Curve]:
     """The four curves of Figure 4(c): bursty vs random at 34 % and 67 %.
 
     The paper uses the adaptive scheme's accuracy for this comparison;
@@ -113,7 +108,6 @@ def run_fig4c(cfg: Optional[ExperimentConfig] = None,
         models=("bursty", "random"),
         utilizations=tuple(sorted(cfg.fig4c_utilizations, reverse=True)),
         axis_order=("model", "utilization", "scheme", "estimator", "run_seed"),
-        batch=batch,
     )
     return _curves(spec, runner,
                    lambda job: f"{job.model}, {job.target_util:.0%}")

@@ -62,8 +62,7 @@ class Fig5Row:
 
 
 def run_fig5(cfg: Optional[ExperimentConfig] = None, n_seeds: int = 3,
-             runner: Optional[ParallelRunner] = None,
-             batch: bool = False) -> List[Fig5Row]:
+             runner: Optional[ParallelRunner] = None) -> List[Fig5Row]:
     """The Figure-5 sweep (random cross-traffic model, utilization 82–98 %).
 
     Loss-rate differences are tiny (the paper's y-axis tops out at 7×10⁻⁴),
@@ -72,8 +71,7 @@ def run_fig5(cfg: Optional[ExperimentConfig] = None, n_seeds: int = 3,
     three runs, making the difference a paired comparison.
 
     The 3 × ``n_seeds`` × |utilizations| conditions are independent; pass a
-    parallel ``runner`` to fan them out.  ``batch=True`` selects the
-    columnar pipeline fast path (identical rows).
+    parallel ``runner`` to fan them out.
     """
     if n_seeds < 1:
         raise ValueError(f"n_seeds must be >= 1: {n_seeds}")
@@ -86,7 +84,6 @@ def run_fig5(cfg: Optional[ExperimentConfig] = None, n_seeds: int = 3,
         utilizations=tuple(cfg.fig5_utilizations),
         run_seeds=tuple(range(n_seeds)),
         axis_order=("utilization", "run_seed", "scheme", "model", "estimator"),
-        batch=batch,
     )
     summaries = iter(runner.run(spec))
     rows = []

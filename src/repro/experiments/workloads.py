@@ -215,7 +215,6 @@ def run_condition(
     max_flows: Optional[int] = None,
     quantiles: Optional[Tuple[float, ...]] = None,
     aqm: Optional[str] = None,
-    batch: bool = False,
 ) -> ConditionResult:
     """Run one pipeline condition.
 
@@ -228,10 +227,9 @@ def run_condition(
     sync-error ablation); ``max_flows``/``quantiles`` configure the
     receiver's flow tables; ``aqm="red"`` swaps both switch queues for RED.
 
-    ``batch=True`` drives the condition through the columnar pipeline fast
-    path — bitwise-identical numbers, several times the throughput; the
+    The condition runs through the columnar pipeline fast path; the
     pipeline falls back to the per-object path by itself where the fast
-    path does not apply (e.g. RED queues).
+    path does not apply (e.g. RED queues), with bitwise-identical numbers.
     """
     if scheme is None:
         contradictory = [
@@ -256,49 +254,31 @@ def run_condition(
     )
     if receiver is not None and clock_offset != 0.0:
         receiver.clock = OffsetClock(clock_offset)
-    pipeline = TwoSwitchPipeline(_pipeline_config(workload, aqm, run_seed, batch))
-    if batch:
-        result = pipeline.run_batch(
-            workload.regular,
-            workload.cross_arrivals_batch(model, target_util, seed=run_seed),
-            sender=sender,
-            receiver=receiver,
-            duration=workload.cfg.duration,
-        )
-    else:
-        result = pipeline.run(
-            regular=workload.regular.clone_packets(),
-            cross=workload.cross_arrivals(model, target_util, seed=run_seed),
-            sender=sender,
-            receiver=receiver,
-            duration=workload.cfg.duration,
-        )
+    pipeline = TwoSwitchPipeline(_pipeline_config(workload, aqm, run_seed))
+    result = pipeline.run_batch(
+        workload.regular,
+        workload.cross_arrivals_batch(model, target_util, seed=run_seed),
+        sender=sender,
+        receiver=receiver,
+        duration=workload.cfg.duration,
+    )
     if receiver is not None:
         receiver.finalize()
     return ConditionResult(scheme, model, target_util, result, receiver, sender)
 
 
 def _pipeline_config(workload: PipelineWorkload, aqm: Optional[str],
-                     run_seed: int, batch: bool = False) -> PipelineConfig:
+                     run_seed: int) -> PipelineConfig:
     """The workload's pipeline config, with *aqm* queues swapped in.
 
     ``aqm=None`` keeps the shared tail-drop config; ``"red"`` builds a RED
     bottleneck (thresholds at 1/8 and 1/2 of the buffer) whose drop-decision
-    stream is seeded from ``run_seed`` so no two conditions share it.
-    ``batch`` selects the columnar fast path (RED runs fall back inside the
-    pipeline — the vectorized scan only models tail drop).
+    stream is seeded from ``run_seed`` so no two conditions share it (RED
+    runs fall back inside the pipeline — the vectorized scan only models
+    tail drop).
     """
     if aqm is None:
-        if not batch:
-            return workload.pipeline_config
-        return PipelineConfig(
-            rate1_bps=workload.rate_bps,
-            rate2_bps=workload.rate_bps,
-            buffer1_bytes=workload.cfg.buffer_bytes,
-            buffer2_bytes=workload.cfg.buffer_bytes,
-            proc_delay=workload.cfg.proc_delay,
-            batch=True,
-        )
+        return workload.pipeline_config
     if aqm != "red":
         raise ValueError(f"unknown AQM discipline: {aqm!r}")
     from ..sim.red import RedQueue
@@ -471,6 +451,5 @@ def run_condition_job(job) -> ConditionSummary:
         max_flows=job.max_flows,
         quantiles=job.quantiles or None,
         aqm=job.aqm,
-        batch=job.batch,
     )
     return summarize_condition(condition, estimator=job.estimator, run_seed=job.run_seed)

@@ -124,8 +124,7 @@ class ParallelRunner:
     Shipped implementations: :class:`~repro.runner.spec.JobSpec`
     (pipeline conditions) and the study jobs in
     :mod:`repro.experiments.extension_jobs` — see those for worked
-    ``cache_token``/``prepare_key`` examples, including how the
-    ``batch`` (columnar fast path) knob stays part of every identity.
+    ``cache_token``/``prepare_key`` examples.
     """
 
     def __init__(

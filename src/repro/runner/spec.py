@@ -49,9 +49,7 @@ class JobSpec:
     flow tables (memory ablation); ``quantiles`` turns on streaming P²
     per-flow quantile tracking (tail-accuracy study); ``aqm="red"`` swaps
     the tail-drop bottleneck queues for RED (AQM study, drop-decision seed
-    derived from ``run_seed``); ``batch`` selects the columnar pipeline
-    fast path (bitwise-identical results; part of the cache identity so
-    timings stay honest per path).
+    derived from ``run_seed``).
     """
 
     config: ConfigItems
@@ -65,7 +63,6 @@ class JobSpec:
     max_flows: Optional[int] = None
     quantiles: Tuple[float, ...] = ()
     aqm: Optional[str] = None
-    batch: bool = False
 
     @classmethod
     def from_config(cls, cfg: Any, scheme: Optional[str], model: str,
@@ -100,25 +97,18 @@ class JobSpec:
             "max_flows": self.max_flows,
             "quantiles": self.quantiles,
             "aqm": self.aqm,
-            "batch": self.batch,
         }
 
     def prepare(self) -> None:
         """Pre-build the shared workload (traces) in the parent process.
 
         Called by the runner before forking workers so children inherit the
-        generated traces instead of regenerating them per process.  Object-
-        path jobs additionally materialize the per-object packet lists here
-        (traces are lazily columnar now) so that work is also done once,
-        pre-fork, instead of per child; batch jobs leave the traces
-        columnar — they never touch the objects.
+        generated traces instead of regenerating them per process.  The
+        traces stay columnar: the fast path never touches packet objects.
         """
         from ..experiments.workloads import workload_for
 
-        workload = workload_for(self.config)
-        if not self.batch:
-            workload.regular.packets
-            workload.cross.packets
+        workload_for(self.config)
 
     def run(self) -> Any:
         """Execute the condition; returns a picklable ConditionSummary."""
@@ -145,7 +135,6 @@ class SweepSpec:
     axis_order: Tuple[str, ...] = _AXES
     static_n: Optional[int] = None
     clock_offset: float = 0.0
-    batch: bool = False
 
     @classmethod
     def from_config(cls, cfg: Any, **axes: Any) -> "SweepSpec":
@@ -185,7 +174,6 @@ class SweepSpec:
                 run_seed=a["run_seed"],
                 static_n=self.static_n,
                 clock_offset=self.clock_offset,
-                batch=self.batch,
             )
             for a in assignments
         ]

@@ -15,16 +15,16 @@ multi-router segment an RLIR deployment measures between two instrumented
 interfaces.
 
 Like the two-switch pipeline, the chain has a columnar fast path
-(``ChainConfig(batch=True)`` / :meth:`SwitchChain.run_batch`): every hop is
-driven by the exact running-``free_at`` queue scan
+(:meth:`SwitchChain.run_batch`): every hop is driven by the exact
+running-``free_at`` queue scan
 (:meth:`~repro.sim.queue.FifoQueue.offer_batch`), the first hop inlines the
 sender's EWMA/1-and-n algebra (the
 :meth:`~repro.core.sender.RliSender.fast_scan_state` contract) with the
 hop's cross traffic interleaved into the same scan, and the receiver
 consumes the final departure stream through
 :meth:`~repro.core.receiver.RliReceiver.observe_batch` — **bitwise
-identical** to the per-object path, with transparent fallback when a
-component cannot be driven columnar.
+identical** to the per-object path (:meth:`SwitchChain.run`), which it
+falls back to when a component cannot be driven columnar.
 """
 
 from __future__ import annotations
@@ -44,15 +44,7 @@ __all__ = ["ChainConfig", "ChainResult", "SwitchChain"]
 
 
 class ChainConfig:
-    """Physical parameters of an N-switch chain (uniform by default).
-
-    ``batch=True`` selects the columnar fast path: :meth:`SwitchChain.run`
-    dispatches to :meth:`SwitchChain.run_batch` whenever the regular trace
-    and every hop's cross traffic carry (or are)
-    :class:`~repro.traffic.batch.PacketBatch` columns.  Results are
-    bitwise-identical either way; non-batchable senders/receivers fall back
-    to the per-object path inside ``run_batch``.
-    """
+    """Physical parameters of an N-switch chain (uniform by default)."""
 
     def __init__(
         self,
@@ -61,7 +53,6 @@ class ChainConfig:
         buffer_bytes: Optional[int] = 256 * 1024,
         proc_delay: float = 1e-6,
         rates_bps: Optional[Sequence[float]] = None,
-        batch: bool = False,
     ):
         if n_hops < 1:
             raise ValueError(f"need at least one hop: {n_hops}")
@@ -73,7 +64,6 @@ class ChainConfig:
             )
         self.buffer_bytes = buffer_bytes
         self.proc_delay = proc_delay
-        self.batch = batch
 
 
 class ChainResult:
@@ -117,16 +107,11 @@ class SwitchChain:
         receiver=None,
         duration: Optional[float] = None,
     ) -> ChainResult:
-        if self.config.batch:
-            reg_b = PacketBatch.coerce(regular)
-            cross_b = self._coerce_cross(cross_per_hop)
-            if reg_b is not None and cross_b is not None:
-                return self.run_batch(reg_b, cross_b, sender=sender,
-                                      receiver=receiver, duration=duration)
-            if reg_b is None:
-                obs_metrics.fallback("chain.run", "regular-not-columnar")
-            else:
-                obs_metrics.fallback("chain.run", "cross-not-columnar")
+        """Run the chain on per-object packets: the reference path.
+
+        Experiments enter through :meth:`run_batch`, which lands here only
+        when its blocker names a reason the columnar scans cannot apply.
+        """
         cfg = self.config
         cross_per_hop = cross_per_hop or {}
         unknown = set(cross_per_hop) - set(range(cfg.n_hops))
@@ -237,8 +222,9 @@ class SwitchChain:
         identical estimates, tables, counters and observation-log events.
 
         The fast path needs a batch-capable sender (or none) and receiver
-        (or none); anything else falls back to the per-object reference
-        path with identical numbers.
+        (or none); anything else falls back to :meth:`run` with identical
+        numbers, and ``_fast_path_blocker``'s reason is counted under
+        ``batch.fallback``.
         """
         reg = PacketBatch.coerce(regular)
         if reg is None:
@@ -259,12 +245,8 @@ class SwitchChain:
                 hop: [(p.ts, p) for p in batch.to_packets()]
                 for hop, batch in cross.items()
             }
-            config = ChainConfig(cfg.n_hops, buffer_bytes=cfg.buffer_bytes,
-                                 proc_delay=cfg.proc_delay,
-                                 rates_bps=cfg.rates_bps, batch=False)
-            return SwitchChain(config).run(
-                reg.to_packets(), cross_pairs, sender=sender,
-                receiver=receiver, duration=duration)
+            return self.run(reg.to_packets(), cross_pairs, sender=sender,
+                            receiver=receiver, duration=duration)
         obs_metrics.taken("chain.run_batch")
 
         queues = [

@@ -51,17 +51,10 @@ class PipelineConfig:
     Defaults model 1 Gb/s links with 256 KB tail-drop buffers and 1 µs of
     per-packet processing, giving the tens-of-µs congested delays the paper
     reports.
-
-    ``batch=True`` selects the columnar fast path: :meth:`TwoSwitchPipeline.run`
-    dispatches to :meth:`~TwoSwitchPipeline.run_batch` whenever the inputs
-    carry (or are) :class:`~repro.traffic.batch.PacketBatch` columns.  The
-    fast path produces bitwise-identical results; when a component cannot
-    be driven columnar (custom queues, senders, receivers), it silently
-    falls back to the per-object reference implementation.
     """
 
     __slots__ = ("rate1_bps", "rate2_bps", "buffer1_bytes", "buffer2_bytes",
-                 "proc_delay", "queue_factory", "batch")
+                 "proc_delay", "queue_factory")
 
     def __init__(
         self,
@@ -71,7 +64,6 @@ class PipelineConfig:
         buffer2_bytes: Optional[int] = 256 * 1024,
         proc_delay: float = 1e-6,
         queue_factory=None,
-        batch: bool = False,
     ):
         self.rate1_bps = rate1_bps
         self.rate2_bps = rate2_bps
@@ -81,7 +73,6 @@ class PipelineConfig:
         # queue_factory(rate_bps, buffer_bytes, proc_delay, name) -> queue;
         # defaults to the tail-drop FifoQueue, override e.g. with RedQueue
         self.queue_factory = queue_factory or FifoQueue
-        self.batch = batch
 
 
 class PipelineResult:
@@ -125,7 +116,10 @@ class TwoSwitchPipeline:
         receiver=None,
         duration: Optional[float] = None,
     ) -> PipelineResult:
-        """Run the pipeline.
+        """Run the pipeline on per-object packets: the reference path.
+
+        Experiments enter through :meth:`run_batch`, which lands here only
+        when its blocker names a reason the columnar scan cannot apply.
 
         Parameters
         ----------
@@ -144,18 +138,6 @@ class TwoSwitchPipeline:
             Trace span in seconds used for utilization accounting; inferred
             from the last departure if omitted.
         """
-        if self.config.batch:
-            regular_b = PacketBatch.coerce(regular)
-            cross_b = PacketBatch.coerce(cross)
-            if regular_b is not None and (cross_b is not None or not cross):
-                return self.run_batch(
-                    regular_b, cross_b or PacketBatch.empty(),
-                    sender=sender, receiver=receiver, duration=duration,
-                )
-            if regular_b is None:
-                obs_metrics.fallback("pipeline.run", "regular-not-columnar")
-            else:
-                obs_metrics.fallback("pipeline.run", "cross-not-columnar")
         cfg = self.config
         queue1 = cfg.queue_factory(cfg.rate1_bps, cfg.buffer1_bytes, cfg.proc_delay, "switch1")
         queue2 = cfg.queue_factory(cfg.rate2_bps, cfg.buffer2_bytes, cfg.proc_delay, "switch2")
@@ -206,8 +188,9 @@ class TwoSwitchPipeline:
 
         The fast path requires plain tail-drop :class:`FifoQueue` switches,
         a batch-capable sender (or none) and a batch-capable receiver (or
-        none); any other combination silently falls back to the per-object
-        reference path with identical numbers.
+        none); any other combination falls back to :meth:`run` with
+        identical numbers, and ``_fast_path_blocker``'s reason is counted
+        under ``batch.fallback``.
         """
         reg = PacketBatch.coerce(regular)
         if reg is None:

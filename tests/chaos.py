@@ -29,7 +29,7 @@ from typing import Callable, Dict, List, Optional, Tuple, cast
 
 from multiprocessing.connection import Connection
 
-from .broker import Broker, _Chunk, _Driver, _Worker
+from repro.distrib.broker import Broker, _Chunk, _Driver, _Worker
 
 __all__ = ["ScriptedConnection", "BrokerHarness", "run_random_schedule",
            "check_invariants"]
@@ -135,7 +135,8 @@ class BrokerHarness:
     def worker_result(self, worker: _Worker, chunk_id: int,
                       results: List[tuple]) -> None:
         worker.observe(self.now)
-        self.broker._complete_chunk(worker, chunk_id, results)
+        # the wire shape ("result", chunk_id, results, obs) with telemetry off
+        self.broker._complete_chunk(worker, chunk_id, results, None)
 
     def worker_error(self, worker: _Worker, chunk_id: int,
                      trace: str) -> None:

@@ -7,6 +7,9 @@ from repro.experiments.workloads import PipelineWorkload
 from repro.sim.topology import FatTree, LinkParams
 from repro.traffic.synthetic import TraceConfig, generate_trace
 
+# the per-object reference switch, as a fixture for every test module
+from reference_path import reference  # noqa: F401
+
 
 @pytest.fixture(scope="session")
 def tiny_config():

@@ -9,6 +9,10 @@ Only run this when an *intentional* change shifts the reproduction numbers
 exist precisely so refactors that should NOT move the numbers (like sweep
 parallelization) can prove they didn't.  Commit the regenerated JSON
 together with the change that moved the numbers and say why in the commit.
+
+The fixtures are always generated on the per-object reference path
+(:func:`reference_path.reference_path`); the golden tests assert the
+default columnar path reproduces them bit-for-bit.
 """
 
 import json
@@ -29,14 +33,8 @@ def golden_config():
     return ExperimentConfig(scale=GOLDEN_SCALE, seed=GOLDEN_SEED)
 
 
-def compute_fig4ab(batch=False):
-    """Figure 4(a)/4(b) summary rows (strings/ints, exact).
-
-    ``batch=True`` drives the same grid through the columnar pipeline fast
-    path; the golden tests assert it reproduces the fixture bit-for-bit
-    (the fixtures themselves are always regenerated on the reference
-    per-object path).
-    """
+def compute_fig4ab():
+    """Figure 4(a)/4(b) summary rows (strings/ints, exact)."""
     from repro.experiments.fig4 import run_fig4ab
 
     return {
@@ -44,12 +42,12 @@ def compute_fig4ab(batch=False):
         "seed": GOLDEN_SEED,
         "curves": [
             {"label": c.label, "row": c.summary_row()}
-            for c in run_fig4ab(golden_config(), batch=batch)
+            for c in run_fig4ab(golden_config())
         ],
     }
 
 
-def compute_fig5(batch=False):
+def compute_fig5():
     """Figure 5 rows (raw floats — simulation is bit-deterministic)."""
     from repro.experiments.fig5 import run_fig5
 
@@ -67,16 +65,20 @@ def compute_fig5(batch=False):
                 "static_refs": r.static_refs,
                 "adaptive_refs": r.adaptive_refs,
             }
-            for r in run_fig5(golden_config(), n_seeds=GOLDEN_FIG5_SEEDS, batch=batch)
+            for r in run_fig5(golden_config(), n_seeds=GOLDEN_FIG5_SEEDS)
         ],
     }
 
 
 def main() -> int:
+    from reference_path import reference_path
+
     GOLDEN_DIR.mkdir(exist_ok=True)
     for name, compute in (("fig4ab", compute_fig4ab), ("fig5", compute_fig5)):
         path = GOLDEN_DIR / f"{name}_scale{GOLDEN_SCALE}_seed{GOLDEN_SEED}.json"
-        path.write_text(json.dumps(compute(), indent=2) + "\n")
+        with reference_path():
+            doc = compute()
+        path.write_text(json.dumps(doc, indent=2) + "\n")
         print(f"wrote {path}")
     return 0
 

@@ -1,13 +1,14 @@
 """Batch/object equivalence: the columnar fast path must be bitwise-exact.
 
-The vectorized pipeline (`PipelineConfig(batch=True)` /
-``TwoSwitchPipeline.run_batch``) promises **bitwise-identical** results to
-the per-object reference implementation — same float-op order
-(``max(t, free_at) + size/rate``), same merge stability, same flow-table
-contents *and dict insertion order*.  These tests pin that promise at every
+The vectorized pipeline (``TwoSwitchPipeline.run_batch``) promises
+**bitwise-identical** results to the per-object reference implementation
+— same float-op order (``max(t, free_at) + size/rate``), same merge
+stability, same flow-table contents *and dict insertion order*.  These tests pin that promise at every
 layer: the queue scan, the interpolation batch flush, whole pipeline runs
 over hypothesis-generated workloads, and full experiment conditions
-(including every ablation knob and the fallback paths).
+(including every ablation knob and the fallback paths).  Driver- and
+job-level comparisons reach the per-object reference through
+``tests/reference_path.py``.
 """
 
 import pickle
@@ -29,6 +30,8 @@ from repro.sim.red import RedQueue
 from repro.experiments.workloads import run_condition, summarize_condition
 from repro.traffic.crosstraffic import BurstyModel, UniformModel
 from repro.traffic.synthetic import TraceConfig, generate_trace
+
+from reference_path import reference_path
 
 REGULAR_PREFIX = Prefix.parse("10.1.0.0/16")
 
@@ -219,7 +222,7 @@ class TestPipelineProperty:
             cfg = PipelineConfig(rate1_bps=rate, rate2_bps=rate,
                                  buffer1_bytes=buffer_bytes,
                                  buffer2_bytes=buffer_bytes,
-                                 proc_delay=1e-6, batch=batch)
+                                 proc_delay=1e-6)
             sender = make_sender(rate, scheme) if scheme else None
             receiver = RliReceiver(
                 demux=SingleSenderDemux(1, regular_prefixes=[REGULAR_PREFIX]))
@@ -254,7 +257,7 @@ class TestPipelineProperty:
         def drive(batch):
             cfg = PipelineConfig(rate1_bps=rate, rate2_bps=rate,
                                  buffer1_bytes=64 * 1024, buffer2_bytes=64 * 1024,
-                                 proc_delay=1e-6, batch=batch)
+                                 proc_delay=1e-6)
             receiver = RliReceiver(
                 demux=SingleSenderDemux(1, regular_prefixes=[REGULAR_PREFIX]),
                 collect_estimates=True)
@@ -304,16 +307,18 @@ class TestConditionEquivalence:
         scheme = knobs.pop("scheme", "adaptive")
         model = knobs.pop("model", "random")
         estimator = knobs.get("estimator", "linear")
-        summaries = []
-        for batch in (False, True):
-            condition = run_condition(tiny_workload, scheme, model, 0.93,
-                                      batch=batch, **knobs)
-            summaries.append(summarize_condition(condition, estimator=estimator))
-        assert summaries[0] == summaries[1]
+        with reference_path() as forced:
+            reference = summarize_condition(
+                run_condition(tiny_workload, scheme, model, 0.93, **knobs),
+                estimator=estimator)
+        assert forced["pipeline"] == 1
+        columnar = summarize_condition(
+            run_condition(tiny_workload, scheme, model, 0.93, **knobs),
+            estimator=estimator)
+        assert reference == columnar
 
     def test_batch_summary_survives_cache_round_trip(self, tiny_workload):
-        condition = run_condition(tiny_workload, "adaptive", "random", 0.67,
-                                  batch=True)
+        condition = run_condition(tiny_workload, "adaptive", "random", 0.67)
         summary = summarize_condition(condition)
         assert pickle.loads(pickle.dumps(summary)) == summary
 
@@ -338,7 +343,7 @@ class TestConditionEquivalence:
                 rate1_bps=tiny_workload.rate_bps, rate2_bps=tiny_workload.rate_bps,
                 buffer1_bytes=tiny_workload.cfg.buffer_bytes,
                 buffer2_bytes=tiny_workload.cfg.buffer_bytes,
-                proc_delay=tiny_workload.cfg.proc_delay, batch=batch))
+                proc_delay=tiny_workload.cfg.proc_delay))
             cross_b = tiny_workload.cross_arrivals_batch("random", 0.67)
             if batch:
                 pipeline.run_batch(tiny_workload.regular, cross_b,
@@ -372,7 +377,7 @@ class TestConditionEquivalence:
                 rate1_bps=tiny_workload.rate_bps, rate2_bps=tiny_workload.rate_bps,
                 buffer1_bytes=tiny_workload.cfg.buffer_bytes,
                 buffer2_bytes=tiny_workload.cfg.buffer_bytes,
-                proc_delay=tiny_workload.cfg.proc_delay, batch=batch))
+                proc_delay=tiny_workload.cfg.proc_delay))
             model = UniformModel(0.5, seed=9)
             if batch:
                 pipeline.run_batch(tiny_workload.regular,
@@ -401,7 +406,7 @@ class TestConditionEquivalence:
             receiver = tiny_workload.make_receiver()
             pipeline = TwoSwitchPipeline(PipelineConfig(
                 rate1_bps=tiny_workload.rate_bps, rate2_bps=tiny_workload.rate_bps,
-                proc_delay=tiny_workload.cfg.proc_delay, batch=batch))
+                proc_delay=tiny_workload.cfg.proc_delay))
             if batch:
                 pipeline.run_batch(tiny_workload.regular,
                                    tiny_workload.cross_arrivals_batch("random", 0.67),
@@ -417,48 +422,24 @@ class TestConditionEquivalence:
 
         assert drive(False) == drive(True)
 
-    def test_run_dispatches_to_batch_when_configured(self, tiny_workload):
-        """PipelineConfig(batch=True) + batchable inputs = fast path via run()."""
-        cfg = PipelineConfig(rate1_bps=tiny_workload.rate_bps,
-                             rate2_bps=tiny_workload.rate_bps,
-                             proc_delay=tiny_workload.cfg.proc_delay, batch=True)
-        result = TwoSwitchPipeline(cfg).run(
-            tiny_workload.regular,
-            tiny_workload.cross_arrivals_batch("random", 0.67),
-            duration=tiny_workload.cfg.duration)
-        baseline = TwoSwitchPipeline(PipelineConfig(
-            rate1_bps=tiny_workload.rate_bps, rate2_bps=tiny_workload.rate_bps,
-            proc_delay=tiny_workload.cfg.proc_delay)).run(
-            tiny_workload.regular.clone_packets(),
-            tiny_workload.cross_arrivals("random", 0.67),
-            duration=tiny_workload.cfg.duration)
-        assert queue_state(result.queue2) == queue_state(baseline.queue2)
-        assert result.arrivals2 == baseline.arrivals2
-
 
 class TestBatchJobs:
     def test_batch_jobspec_summary_matches_object_jobspec(self, tiny_config):
         from repro.runner import JobSpec, ParallelRunner
 
-        runner = ParallelRunner()
-        plain = runner.run_one(JobSpec.from_config(tiny_config, "adaptive", "random", 0.67))
-        batched = runner.run_one(JobSpec.from_config(tiny_config, "adaptive", "random", 0.67,
-                                                     batch=True))
+        job = JobSpec.from_config(tiny_config, "adaptive", "random", 0.67)
+        with reference_path():
+            plain = ParallelRunner().run_one(job)
+        batched = ParallelRunner().run_one(job)
         assert plain == batched
-
-    def test_batch_flag_changes_cache_token(self, tiny_config):
-        from repro.runner import JobSpec
-
-        plain = JobSpec.from_config(tiny_config, "adaptive", "random", 0.67)
-        batched = JobSpec.from_config(tiny_config, "adaptive", "random", 0.67,
-                                      batch=True)
-        assert plain.cache_token() != batched.cache_token()
 
     def test_fig4_driver_identical_with_batch(self, tiny_config):
         from repro.experiments.fig4 import run_fig4ab
 
-        plain = run_fig4ab(tiny_config)
-        batched = run_fig4ab(tiny_config, batch=True)
+        with reference_path() as forced:
+            plain = run_fig4ab(tiny_config)
+        assert forced["pipeline"] == len(plain)
+        batched = run_fig4ab(tiny_config)
         for a, b in zip(plain, batched):
             assert a.label == b.label
             assert a.summary == b.summary

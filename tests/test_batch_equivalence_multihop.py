@@ -1,17 +1,20 @@
 """Batch/object equivalence for the multihop chain and fat-tree drivers.
 
-PR 3 pinned the two-switch pipeline's columnar fast path to the per-object
-reference implementation bit for bit; this suite does the same for the
-paths this PR vectorizes beyond it:
+``tests/test_batch_equivalence.py`` pins the two-switch pipeline's columnar
+fast path to the per-object reference implementation bit for bit; this
+suite does the same for the paths vectorized beyond it:
 
 * :meth:`repro.sim.chain.SwitchChain.run_batch` — multihop segment chains
   with per-hop cross traffic and an inlined first-hop sender scan;
 * :class:`repro.sim.fatpath.FatTreeFastPath` — the layered columnar
-  replacement for the event calendar behind ``RlirMesh(batch=True)`` and
-  ``RlirDeployment(batch=True)``, including its exact reconstruction of
+  replacement for the event calendar that ``RlirMesh.run`` and
+  ``RlirDeployment.run`` try first, including its exact reconstruction of
   the engine's ``(time, insertion seq)`` tie-break from event provenance;
-* the extension-study jobs that thread the ``batch`` knob through the
-  runner (:mod:`repro.experiments.extension_jobs`).
+* the extension-study jobs that run them through the runner
+  (:mod:`repro.experiments.extension_jobs`).
+
+The per-object side of every deployment and job comparison is reached
+through ``tests/reference_path.py``.
 
 Every comparison is exact equality on floats — same float-op order, same
 dict insertion order, same observation-log bytes — mirroring
@@ -38,6 +41,8 @@ from repro.sim.topology import FatTree, LinkParams
 from repro.traffic.batch import PacketBatch
 from repro.traffic.crosstraffic import BurstyModel, UniformModel
 from repro.traffic.synthetic import TraceConfig, generate_fattree_trace, generate_trace
+
+from reference_path import reference_path
 
 REGULAR_PREFIX = Prefix.parse("10.1.0.0/16")
 
@@ -99,7 +104,7 @@ def drive_chain(batch, reg, cross, model, n_hops, rate, buffer_bytes,
     """One chain run on either driver; returns (result, receiver, sender)."""
     chain = SwitchChain(ChainConfig(
         n_hops=n_hops, rate_bps=rate, buffer_bytes=buffer_bytes,
-        proc_delay=1e-6, batch=batch))
+        proc_delay=1e-6))
     sender = make_sender(rate, scheme, classify=classify) if scheme else None
     receiver = RliReceiver(
         demux=SingleSenderDemux(1, regular_prefixes=[REGULAR_PREFIX]),
@@ -110,8 +115,9 @@ def drive_chain(batch, reg, cross, model, n_hops, rate, buffer_bytes,
               UniformModel(model.prob, seed=model.seed + hop).arrivals(cross))
         for hop in range(n_hops)
     }
-    result = chain.run(reg if batch else reg.clone_packets(), cross_per_hop,
-                       sender=sender, receiver=receiver)
+    run = chain.run_batch if batch else chain.run
+    result = run(reg if batch else reg.clone_packets(), cross_per_hop,
+                 sender=sender, receiver=receiver)
     receiver.finalize()
     return result, receiver, sender
 
@@ -181,24 +187,6 @@ class TestChainProperty:
         assert receiver_state(rx_o) == receiver_state(rx_b)
         assert sender_state(tx_o) == sender_state(tx_b)
 
-    def test_materialized_cross_dispatches_to_the_object_path(self):
-        """ChainConfig(batch=True) with per-object cross pairs cannot be
-        coerced; run() silently keeps the reference path, same numbers."""
-        reg, cross = build_traces(7, 300, 600, 0.25)
-        rate = reg.total_bytes * 8.0 / (0.25 * 0.6)
-        model = UniformModel(0.4, seed=9)
-        results = []
-        for batch in (False, True):
-            chain = SwitchChain(ChainConfig(n_hops=2, rate_bps=rate,
-                                            buffer_bytes=64 * 1024,
-                                            proc_delay=1e-6, batch=batch))
-            receiver = RliReceiver(
-                demux=SingleSenderDemux(1, regular_prefixes=[REGULAR_PREFIX]))
-            cross_per_hop = {hop: model.arrivals(cross) for hop in range(2)}
-            chain.run(reg.clone_packets(), cross_per_hop, receiver=receiver)
-            receiver.finalize()
-            results.append(receiver_state(receiver))
-        assert results[0] == results[1]
 
 
 # ----------------------------------------------------------------------
@@ -221,11 +209,16 @@ def mesh_traces(ft, n, seed, pairs=PAIRS):
 
 
 def run_mesh(batch, n=2500, seed=0, buffer_bytes=256 * 1024, rate=40e6):
+    """One mesh run; ``batch=False`` forces the event-engine reference."""
     ft = FatTree(4, LinkParams(rate_bps=rate, buffer_bytes=buffer_bytes,
                                proc_delay=1e-6, prop_delay=0.5e-6))
-    mesh = RlirMesh(ft, list(PAIRS), policy_factory=lambda: StaticInjection(20),
-                    batch=batch)
-    mesh.run(mesh_traces(ft, n, seed))
+    mesh = RlirMesh(ft, list(PAIRS), policy_factory=lambda: StaticInjection(20))
+    traces = mesh_traces(ft, n, seed)
+    if batch:
+        mesh.run(traces)
+    else:
+        with reference_path():
+            mesh.run(traces)
     return ft, mesh
 
 
@@ -300,10 +293,13 @@ class TestMeshEquivalence:
                                        proc_delay=1e-6, prop_delay=0.5e-6))
             dep = RlirDeployment(ft, src=(0, 0), dst=(1, 0),
                                  policy_factory=lambda: StaticInjection(30),
-                                 demux_method="reverse-ecmp", batch=batch)
+                                 demux_method="reverse-ecmp")
             if batch:
                 monkeypatch.setattr(Engine, "run", _engine_disabled)
-            dep.run(traces(ft))
+                dep.run(traces(ft))
+            else:
+                with reference_path():
+                    dep.run(traces(ft))
             states.append((receiver_state(dep.dst_receiver),
                            [receiver_state(rx)
                             for rx in dep.core_receivers.values()]))
@@ -331,9 +327,12 @@ class TestRlirEquivalence:
                              policy_factory=lambda: StaticInjection(50),
                              demux_method=demux,
                              record_observations="array" if record else False,
-                             clock_factory=clock_factory,
-                             batch=batch)
-        dep.run([t1, t2], until=until)
+                             clock_factory=clock_factory)
+        if batch:
+            dep.run([t1, t2], until=until)
+        else:
+            with reference_path():
+                dep.run([t1, t2], until=until)
         return ft, dep
 
     def assert_rlir_equal(self, pair_o, pair_b, record=False):
@@ -387,7 +386,7 @@ class TestRlirEquivalence:
 class TestFastPathPreflight:
     def test_prior_queue_traffic_is_rejected(self):
         ft = FatTree(4, LinkParams(rate_bps=1e9, buffer_bytes=256 * 1024))
-        mesh = RlirMesh(ft, [((0, 0), (1, 0))], batch=True)
+        mesh = RlirMesh(ft, [((0, 0), (1, 0))])
         from repro.sim.engine import Engine
         mesh.wire(Engine())
         from repro.net.packet import Packet
@@ -400,7 +399,7 @@ class TestFastPathPreflight:
 
     def test_out_of_fabric_trace_is_rejected(self):
         ft = FatTree(4, LinkParams(rate_bps=1e9, buffer_bytes=256 * 1024))
-        mesh = RlirMesh(ft, [((0, 0), (1, 0))], batch=True)
+        mesh = RlirMesh(ft, [((0, 0), (1, 0))])
         from repro.sim.engine import Engine
         mesh.wire(Engine())
         trace = generate_trace(TraceConfig(duration=0.1, n_packets=10),
@@ -411,7 +410,7 @@ class TestFastPathPreflight:
 
 
 # ----------------------------------------------------------------------
-# extension jobs: the batch knob composes with sharding and caching
+# extension jobs: the fast path composes with sharding and caching
 
 
 class TestJobEquivalence:
@@ -420,44 +419,58 @@ class TestJobEquivalence:
         from repro.runner.spec import config_items
 
         frozen = config_items(ExperimentConfig(scale=0.01, seed=7))
-        outs = []
-        for batch in (False, True):
-            shards = [
-                MultihopShardJob(frozen, 3, 0.8, 0, shard, 2, batch).run()
-                for shard in range(2)
-            ]
-            outs.append([
+        jobs = [MultihopShardJob(frozen, 3, 0.8, 0, shard, 2)
+                for shard in range(2)]
+
+        def run_shards():
+            return [
                 [(name, flow_table_state(tables.estimated),
                   flow_table_state(tables.true))
-                 for name, tables in sharded.segments]
-                for sharded in shards
-            ])
-        assert outs[0] == outs[1]
+                 for name, tables in job.run().segments]
+                for job in jobs
+            ]
+
+        # reference_path drops the shared recorded simulation on exit, so
+        # the columnar run below simulates afresh
+        with reference_path() as forced:
+            reference = run_shards()
+        assert forced["chain"] == 1
+        assert reference == run_shards()
 
     def test_mesh_job_batch_identical(self):
         from repro.experiments.extension_jobs import MeshJob
 
-        pairs = (((0, 0), (1, 0)), ((2, 1), (3, 0)))
-        rows_o = MeshJob(pairs, 2000, 0, False).run()
-        rows_b = MeshJob(pairs, 2000, 0, True).run()
-        assert rows_o == rows_b
+        job = MeshJob((((0, 0), (1, 0)), ((2, 1), (3, 0))), 2000, 0)
+        with reference_path() as forced:
+            rows_o = job.run()
+        assert forced["fatpath"] == 1
+        assert rows_o == job.run()
 
-    def test_batch_is_part_of_every_cache_identity(self):
-        from repro.experiments.extension_jobs import (
-            LocalizationShardJob, MeshJob, MultihopShardJob)
-        from repro.experiments.extensions import run_granularity_comparison
-        from repro.runner.spec import config_items
+    def test_no_driver_or_job_selects_the_path(self):
+        """The fast path selects itself: no driver, job, config or
+        deployment takes a path knob, and no cache identity carries one."""
+        import dataclasses
         import inspect
 
+        from repro.experiments import extensions, fig4, fig5
+        from repro.experiments.extension_jobs import (
+            LocalizationShardJob, MeshJob, MultihopShardJob)
+        from repro.experiments.workloads import run_condition
+        from repro.runner.spec import JobSpec, SweepSpec, config_items
+        from repro.sim.pipeline import PipelineConfig
+
+        callables = [run_condition, fig4.run_fig4ab, fig4.run_fig4c,
+                     fig5.run_fig5, PipelineConfig, ChainConfig, RlirMesh,
+                     RlirDeployment]
+        callables += [getattr(extensions, name) for name in extensions.__all__
+                      if name.startswith("run_")]
+        for fn in callables:
+            assert "batch" not in inspect.signature(fn).parameters, fn
+        for cls in (JobSpec, SweepSpec, MultihopShardJob,
+                    LocalizationShardJob, MeshJob):
+            assert "batch" not in {f.name for f in dataclasses.fields(cls)}, cls
         frozen = config_items(ExperimentConfig(scale=0.01, seed=7))
-        for a, b in [
-            (MultihopShardJob(frozen, 2, 0.8), MultihopShardJob(frozen, 2, 0.8, batch=True)),
-            (LocalizationShardJob(100), LocalizationShardJob(100, batch=True)),
-            (MeshJob(PAIRS, 100), MeshJob(PAIRS, 100, batch=True)),
-        ]:
-            assert a.cache_token() != b.cache_token()
-            if hasattr(a, "prepare_key"):
-                assert a.prepare_key != b.prepare_key
-        # granularity's knob is documented inert (marking demux / full RLI
-        # stay on the engine by design): accepted by the driver, no fork
-        assert "batch" in inspect.signature(run_granularity_comparison).parameters
+        for job in (MultihopShardJob(frozen, 2, 0.8), LocalizationShardJob(100),
+                    MeshJob(PAIRS, 100),
+                    JobSpec(frozen, "adaptive", "random", 0.67)):
+            assert "batch" not in job.cache_token(), job

@@ -12,6 +12,7 @@ import os
 import pickle
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -429,6 +430,32 @@ class TestFaultTolerance:
                 return super().spawn_worker(extra_env)
 
         runner = OneBadSpawn(workers=2, heartbeat_interval=0.5,
+                             poll_timeout=POLL_TIMEOUT)
+        try:
+            with pytest.raises(RuntimeError,
+                               match=r"1 of 2 workers joined"):
+                runner.run(jobs)
+        finally:
+            runner.close()
+
+    def test_partial_join_waits_for_a_slow_sibling(self, jobs):
+        """A rejected worker exiting first must not cut the join short
+        while its sibling is still starting: the error counts the sibling
+        that did join ("1 of 2"), not a snapshot taken mid-spawn."""
+
+        class SlowSibling(DistributedRunner):
+            spawned = 0
+
+            def spawn_worker(self, extra_env=None):
+                SlowSibling.spawned += 1
+                if SlowSibling.spawned == 1:
+                    extra_env = dict(extra_env or {},
+                                     REPRO_WORKER_FINGERPRINT="bogus")
+                else:
+                    time.sleep(2.0)  # the bogus worker is rejected meanwhile
+                return super().spawn_worker(extra_env)
+
+        runner = SlowSibling(workers=2, heartbeat_interval=0.5,
                              poll_timeout=POLL_TIMEOUT)
         try:
             with pytest.raises(RuntimeError,

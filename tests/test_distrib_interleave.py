@@ -1,7 +1,7 @@
 """Deterministic interleaving tests for the broker's state machine.
 
 Each test drives a *real* :class:`repro.distrib.broker.Broker` —
-single-threaded, via :class:`repro.distrib.chaos.BrokerHarness` — through
+single-threaded, via :class:`chaos.BrokerHarness` — through
 one pathological message ordering that the threaded broker could only hit
 by losing a race.  The first three reproduce bugs the pre-hardening broker
 actually had:
@@ -26,7 +26,7 @@ import os
 import pytest
 
 from repro.distrib.broker import Broker
-from repro.distrib.chaos import (
+from chaos import (
     BrokerHarness,
     check_invariants,
     run_random_schedule,

@@ -13,6 +13,7 @@ import json
 import pytest
 
 from make_golden import GOLDEN_DIR, GOLDEN_SCALE, GOLDEN_SEED, compute_fig4ab
+from reference_path import reference_path
 
 FIXTURE = GOLDEN_DIR / f"fig4ab_scale{GOLDEN_SCALE}_seed{GOLDEN_SEED}.json"
 
@@ -24,7 +25,11 @@ def golden():
 
 @pytest.fixture(scope="module")
 def current():
-    return compute_fig4ab()
+    """The rows on the per-object reference path the fixture was made on."""
+    with reference_path() as forced:
+        rows = compute_fig4ab()
+    assert forced["pipeline"] > 0
+    return rows
 
 
 def test_fixture_matches_golden_parameters(golden):
@@ -46,8 +51,9 @@ def test_summary_rows_exactly_match(golden, current):
 
 
 def test_batch_fast_path_reproduces_the_golden_rows(golden):
-    """The columnar pipeline must hit the per-object fixtures bit-for-bit."""
-    batched = compute_fig4ab(batch=True)
+    """The default (columnar) path must hit the per-object fixtures
+    bit-for-bit."""
+    batched = compute_fig4ab()
     assert [c["label"] for c in batched["curves"]] == \
         [c["label"] for c in golden["curves"]]
     for got, want in zip(batched["curves"], golden["curves"]):

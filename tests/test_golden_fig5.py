@@ -16,6 +16,7 @@ from make_golden import (
     GOLDEN_SEED,
     compute_fig5,
 )
+from reference_path import reference_path
 
 FIXTURE = GOLDEN_DIR / f"fig5_scale{GOLDEN_SCALE}_seed{GOLDEN_SEED}.json"
 
@@ -27,7 +28,11 @@ def golden():
 
 @pytest.fixture(scope="module")
 def current():
-    return compute_fig5()
+    """The rows on the per-object reference path the fixture was made on."""
+    with reference_path() as forced:
+        rows = compute_fig5()
+    assert forced["pipeline"] > 0
+    return rows
 
 
 def test_fixture_matches_golden_parameters(golden):
@@ -51,9 +56,10 @@ def test_rows_exactly_match(golden, current):
 
 
 def test_batch_fast_path_reproduces_the_golden_rows(golden):
-    """The columnar pipeline must hit the per-object fixtures bit-for-bit
-    (raw-float comparison, including the scheme=None baseline runs)."""
-    batched = compute_fig5(batch=True)
+    """The default (columnar) path must hit the per-object fixtures
+    bit-for-bit (raw-float comparison, including the scheme=None baseline
+    runs)."""
+    batched = compute_fig5()
     assert len(batched["rows"]) == len(golden["rows"])
     for got, want in zip(batched["rows"], golden["rows"]):
         assert got == want, (
