@@ -133,81 +133,51 @@ class RliSender:
     def policy_pure(self) -> bool:
         """True when ``policy.gap`` is a pure function of the utilization
         estimate — which only changes at EWMA window folds, the property
-        every inlined fast scan rests on."""
+        the columnar scan rests on."""
         return type(self.policy) in (StaticInjection, AdaptiveInjection)
 
     @property
     def batch_capable(self) -> bool:
-        """True when the inlined fast scan is an exact stand-in.
+        """True when the columnar scan is an exact stand-in.
 
-        The columnar pipeline fast path carries no per-packet objects for
-        regular traffic and inlines the per-packet sender arithmetic into
-        its queue scan, so it requires (a) the default single-class
-        classifier — custom classifiers inspect the packet — and (b) a
-        known-pure injection policy (see :attr:`policy_pure`).  Anything
-        else keeps the per-object reference path.  (The fat-tree layered
-        driver lifts restriction (a) by recomputing the wiring's own
-        classifier vectorized — see :meth:`fast_scan_state_classes`.)
+        The pipeline and chain fast paths carry no per-packet objects for
+        regular traffic and run the sender's algebra inside the shared
+        tapped-queue scan (:func:`repro.sim.queue.tapped_scan`) with every
+        tapped row in class 0, so they require (a) the default
+        single-class classifier — custom classifiers inspect the packet —
+        and (b) a known-pure injection policy (see :attr:`policy_pure`).
+        Anything else keeps the per-object reference path.  (The fat-tree
+        layered driver lifts restriction (a) by recomputing the wiring's
+        own classifier vectorized into the scan's class column.)
         """
         return self._classify is _classify_single and self.policy_pure
 
     # ------------------------------------------------------------------
-    # inlined-scan state (columnar fast path)
+    # columnar scan state
 
     def fast_scan_state(self) -> tuple:
-        """Mutable scalars an inlined observation scan advances.
-
-        Returns ``(seen_any, window_start, window_bytes, estimate, count,
-        has_class0)``.  A scanner holding these as locals must apply, per
-        observed packet, exactly the update algebra of :meth:`on_regular`
-        with the default classifier (fold EWMA windows crossed by the
-        arrival, add the packet's bytes, bump the 1-and-n counter against
-        ``policy.gap(estimate)`` — which only needs re-evaluating after a
-        fold — and emit :meth:`make_reference` on trigger), then hand the
-        scalars back via :meth:`fast_scan_commit`.  The equivalence suite
-        asserts the inlined scan is bitwise-identical to per-packet
-        :meth:`on_regular` calls.
-        """
-        seen_any, wstart, wbytes, estimate, counters = \
-            self.fast_scan_state_classes()
-        return (seen_any, wstart, wbytes, estimate,
-                counters.get(0, 0), 0 in counters)
-
-    def fast_scan_commit(self, seen_any: bool, window_start: float,
-                         window_bytes: int, estimate: float, count: int,
-                         regulars_seen: int) -> None:
-        """Write an inlined scan's advanced scalars back (see
-        :meth:`fast_scan_state`)."""
-        self.fast_scan_commit_classes(
-            seen_any, window_start, window_bytes, estimate,
-            {0: count} if 0 in self._counters else {}, regulars_seen)
-
-    def fast_scan_state_classes(self) -> tuple:
-        """Multi-class variant of :meth:`fast_scan_state`.
+        """The state the columnar tapped-queue scan advances.
 
         Returns ``(seen_any, window_start, window_bytes, estimate,
-        counters)`` where ``counters`` is a mutable copy of the per-class
-        1-and-n counters.  Used by the columnar fat-tree driver, which
-        recomputes each packet's path class externally (it knows the
-        wiring that built this sender's ``classify``): per observed
-        regular packet the scan folds the EWMA windows and adds the bytes
-        exactly as :meth:`fast_scan_state` describes, then — for packets
-        whose class is a known counter key — bumps that class's counter
-        against ``policy.gap(estimate)`` and emits
-        :meth:`make_reference` for the class on trigger.  Packets with no
-        class (``None``) update only the utilization, exactly like
-        :meth:`on_regular`.
+        counters)``, where ``counters`` is a copy of the per-class 1-and-n
+        counters.  The scan applies, per observed regular packet, exactly
+        the algebra of :meth:`on_regular`, with the packet's path class
+        computed outside (vectorized) instead of by ``classify``, builds
+        references with :meth:`build_reference`, and hands the advanced
+        state back through :meth:`fast_scan_commit`.  The equivalence
+        suites assert the scan is bitwise-identical to per-packet
+        :meth:`on_regular` calls.
         """
         u = self.utilization
         return (u._seen_any, u._window_start, u._window_bytes, u._estimate,
                 dict(self._counters))
 
-    def fast_scan_commit_classes(self, seen_any: bool, window_start: float,
-                                 window_bytes: int, estimate: float,
-                                 counters: Dict[int, int],
-                                 regulars_seen: int) -> None:
-        """Write a multi-class inlined scan's advanced state back (see
-        :meth:`fast_scan_state_classes`)."""
+    def fast_scan_commit(self, seen_any: bool, window_start: float,
+                         window_bytes: int, estimate: float,
+                         counters: Dict[int, int], regulars_seen: int,
+                         refs_built: int) -> None:
+        """Write a columnar scan's advanced state back (see
+        :meth:`fast_scan_state`), counting the references it built."""
         u = self.utilization
         u._seen_any = seen_any
         u._window_start = window_start
@@ -215,9 +185,11 @@ class RliSender:
         u._estimate = estimate
         self._counters.update(counters)
         self.regulars_seen += regulars_seen
+        self.refs_injected += refs_built
 
-    def make_reference(self, path_class: int, now: float) -> Packet:
-        """Build a timestamped reference packet for *path_class*."""
+    def build_reference(self, path_class: int, now: float) -> Packet:
+        """A timestamped reference packet for *path_class*; reads the clock
+        but changes no sender state."""
         template = self.templates[path_class]
         ref = Packet(
             src=template.src,
@@ -232,6 +204,12 @@ class RliSender:
             ref_timestamp=self.clock.now(now),
         )
         ref.tap_time = now
+        return ref
+
+    def make_reference(self, path_class: int, now: float) -> Packet:
+        """Build a timestamped reference packet for *path_class* and count
+        it as injected."""
+        ref = self.build_reference(path_class, now)
         self.refs_injected += 1
         return ref
 

@@ -79,7 +79,6 @@ class Packet:
         "tos",
         "tap_time",
         "dropped",
-        "hops",
         "path",
         "_flow_key",
     )
@@ -113,7 +112,6 @@ class Packet:
         self.tap_time: Optional[float] = None  # time the packet passed the
         # upstream measurement tap of the segment under study
         self.dropped = False
-        self.hops = 0  # queues traversed so far
         self.path: Tuple[int, ...] = ()  # node ids traversed (event engine)
         self._flow_key: Optional[Tuple[int, int, int, int, int]] = None
 
@@ -149,7 +147,7 @@ class Packet:
     def clone(self) -> "Packet":
         """Return a fresh copy with identical header fields and trace time.
 
-        Bookkeeping fields (taps, drops, hops, path) are reset: a clone is a
+        Bookkeeping fields (taps, drops, path) are reset: a clone is a
         new packet on the wire, not a copy of the simulation history.
         """
         return Packet(

@@ -15,22 +15,21 @@ multi-router segment an RLIR deployment measures between two instrumented
 interfaces.
 
 Like the two-switch pipeline, the chain has a columnar fast path
-(:meth:`SwitchChain.run_batch`): every hop is driven by the exact
-running-``free_at`` queue scan
-(:meth:`~repro.sim.queue.FifoQueue.offer_batch`), the first hop inlines the
-sender's EWMA/1-and-n algebra (the
-:meth:`~repro.core.sender.RliSender.fast_scan_state` contract) with the
-hop's cross traffic interleaved into the same scan, and the receiver
+(:meth:`SwitchChain.run_batch`).  Every hop merges the through-stream with
+its cross columns (replicating ``heapq.merge`` ties) and scans the merged
+rows once: the first hop through the shared sender-tapped scan
+(:func:`~repro.sim.queue.tapped_scan`, cross rows untapped), the others
+through :meth:`~repro.sim.queue.FifoQueue.offer_batch`.  The receiver
 consumes the final departure stream through
 :meth:`~repro.core.receiver.RliReceiver.observe_batch` — **bitwise
 identical** to the per-object path (:meth:`SwitchChain.run`), which it
-falls back to when a component cannot be driven columnar.
+falls back to when a component cannot be driven columnar.  The two-switch
+pipeline's fast path is built from the same hop helpers.
 """
 
 from __future__ import annotations
 
 import heapq
-import math
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -38,9 +37,12 @@ import numpy as np
 from ..net.packet import Packet, PacketKind
 from ..obs import metrics as obs_metrics
 from ..traffic.batch import PacketBatch
-from .queue import FifoQueue, _drop_free_threshold, _scatter_merge
+from .queue import FifoQueue, tapped_scan
 
 __all__ = ["ChainConfig", "ChainResult", "SwitchChain"]
+
+_REGULAR = int(PacketKind.REGULAR)
+_CROSS = int(PacketKind.CROSS)
 
 
 class ChainConfig:
@@ -217,8 +219,8 @@ class SwitchChain:
         **bitwise-identical** to :meth:`run` on the materialized packets:
         every hop applies the same per-packet float operations in the same
         order (the first hop's scan interleaves cross arrivals and the
-        inlined sender algebra exactly as the object path's sorted merge
-        does), and the receiver folds the final departure stream with
+        sender's algebra exactly as the object path's sorted merge does),
+        and the receiver folds the final departure stream with
         identical estimates, tables, counters and observation-log events.
 
         The fast path needs a batch-capable sender (or none) and receiver
@@ -256,19 +258,16 @@ class SwitchChain:
         result = ChainResult(queues, duration or 0.0)
         result.regular_in = len(reg)
 
-        stream = self._first_hop_batch(reg, cross.get(0), queues[0], sender,
-                                       result)
+        stream, result.refs_injected = _hop(
+            _regular_stream(reg), cross.get(0), queues[0], sender)
         for hop in range(1, cfg.n_hops):
-            stream = self._middle_hop_batch(stream, cross.get(hop),
-                                            queues[hop])
+            stream, _ = _hop(stream, cross.get(hop), queues[hop])
         time_s, size_s, kind_s, hidx_s, refslot_s, ref_objs = stream
 
-        result.regular_out = int(np.count_nonzero(
-            kind_s == int(PacketKind.REGULAR)))
+        result.regular_out = int(np.count_nonzero(kind_s == _REGULAR))
         last = float(time_s[-1]) if len(time_s) else 0.0
         if receiver is not None:
-            out_refs = [ref_objs[s] for s in refslot_s[refslot_s >= 0].tolist()]
-            receiver.observe_batch(time_s, kind_s, reg, hidx_s, None, out_refs)
+            _observe(receiver, reg, time_s, kind_s, hidx_s, refslot_s, ref_objs)
         if duration is None:
             result.duration = max(last, max(q.stats.last_departure for q in queues))
         return result
@@ -279,268 +278,129 @@ class SwitchChain:
         The reason string feeds the ``batch.fallback`` counter and the
         ``--verbose`` once-per-sweep note.
         """
-        if sender is not None and not (
-            getattr(sender, "batch_capable", False)
-            and hasattr(sender, "fast_scan_state")
-        ):
-            return "sender-not-batch-capable"
-        if receiver is not None and not (
-            getattr(receiver, "batch_capable", False)
-            and hasattr(receiver, "observe_batch")
-        ):
-            return "receiver-not-batch-capable"
-        # the fast path hard-codes kinds: regular stream all REGULAR,
-        # cross streams all CROSS (anything else would reach the receiver)
-        if len(reg) and not np.all(reg.kind == int(PacketKind.REGULAR)):
-            return "mixed-regular-kinds"
-        for batch in cross.values():
-            if len(batch) and not np.all(batch.kind == int(PacketKind.CROSS)):
-                return "mixed-cross-kinds"
-        return None
+        return _component_blocker(sender, receiver, reg, cross.values())
 
-    def _merge_with_cross(self, time_s, size_s, kind_s, hidx_s, refslot_s,
-                          crs: Optional[PacketBatch]):
-        """Sorted-merge a through-stream with one hop's cross columns.
 
-        Both inputs are time-sorted; two ``searchsorted`` passes give each
-        element its merged position with ``heapq.merge``'s tie rule (the
-        through-stream is the earlier iterable, so its entries precede
-        coincident cross arrivals; original order within each stream).
-        """
-        if crs is None or not len(crs):
-            return time_s, size_s, kind_s, hidx_s, refslot_s
-        n = len(time_s)
-        m = len(crs)
-        pos_s = np.arange(n) + np.searchsorted(crs.ts, time_s, side="left")
-        pos_c = np.arange(m) + np.searchsorted(time_s, crs.ts, side="right")
-        time_m = _scatter_merge(time_s, crs.ts, pos_s, pos_c, np.float64)
-        size_m = _scatter_merge(size_s, crs.size, pos_s, pos_c, np.int64)
-        total = n + m
-        kind_m = np.full(total, int(PacketKind.CROSS), dtype=np.int64)
-        kind_m[pos_s] = kind_s
-        hidx_m = np.full(total, -1, dtype=np.int64)
-        hidx_m[pos_s] = hidx_s
-        refslot_m = np.full(total, -1, dtype=np.int64)
-        refslot_m[pos_s] = refslot_s
-        return time_m, size_m, kind_m, hidx_m, refslot_m
+# ----------------------------------------------------------------------
+# columnar hops, shared with the two-switch pipeline's fast path.  A
+# stream is ``(time, size, kind, hidx, refslot, ref_objs)``: parallel
+# time-sorted arrays (``hidx`` indexes the regular batch, -1 elsewhere;
+# ``refslot`` indexes ``ref_objs``, -1 elsewhere) plus the reference
+# Packet objects it carries.
 
-    def _first_hop_batch(self, reg: PacketBatch, crs: Optional[PacketBatch],
-                         queue: FifoQueue, sender, result):
-        """Columnar first hop: queue scan + inline reference injection.
 
-        The scan walks the sorted merge of the regular and cross columns,
-        applying the exact float-op sequence of :meth:`FifoQueue.offer` per
-        row — with the sender's EWMA/1-and-n algebra inlined for regular
-        rows only, exactly like per-packet ``on_regular`` calls — and folds
-        the same queue statistics in the same interleaved order, so
-        ``queue`` ends bitwise-identical to the per-object hop.  Returns
-        the through-stream (departure-time-sorted parallel arrays) with
-        cross rows removed.
-        """
-        n = len(reg)
-        hidx0 = np.arange(n, dtype=np.int64)
-        refslot0 = np.full(n, -1, dtype=np.int64)
-        kind0 = np.full(n, int(PacketKind.REGULAR), dtype=np.int64)
-        time_m, size_m, kind_m, hidx_m, refslot_m = self._merge_with_cross(
-            reg.ts, reg.size, kind0, hidx0, refslot0, crs)
-        total_m = len(time_m)
+def _component_blocker(sender, receiver, reg: PacketBatch,
+                       crosses: Iterable[PacketBatch]) -> Optional[str]:
+    """The fallback reason a sender, receiver or stream forces on a
+    pipeline or chain run — ``None`` when they can all be driven
+    columnar."""
+    if sender is not None and not (
+        getattr(sender, "batch_capable", False)
+        and hasattr(sender, "fast_scan_state")
+    ):
+        return "sender-not-batch-capable"
+    if receiver is not None and not (
+        getattr(receiver, "batch_capable", False)
+        and hasattr(receiver, "observe_batch")
+    ):
+        return "receiver-not-batch-capable"
+    # the fast path hard-codes kinds: regular stream all REGULAR
+    # (references are injected, not replayed), cross streams all CROSS
+    # (anything else would reach the receiver)
+    if len(reg) and not np.all(reg.kind == _REGULAR):
+        return "mixed-regular-kinds"
+    for crs in crosses:
+        if len(crs) and not np.all(crs.kind == _CROSS):
+            return "mixed-cross-kinds"
+    return None
 
-        if sender is None:
-            departures, accepted = queue.offer_batch(time_m, size_m)
-            keep = accepted & (kind_m != int(PacketKind.CROSS))
-            return (departures[keep], size_m[keep], kind_m[keep],
-                    hidx_m[keep], refslot_m[keep], [])
 
-        proc = queue.proc_delay
-        rate_Bps = queue.rate_Bps
-        buffer_bytes = queue.buffer_bytes
-        ts_l = time_m.tolist()
-        t_l = (time_m + proc).tolist()
-        svc_l = (size_m / rate_Bps).tolist()
-        size_l = size_m.tolist()
-        iscross_l = (kind_m == int(PacketKind.CROSS)).tolist()
+def _regular_stream(reg: PacketBatch) -> tuple:
+    """The regular batch as a stream: every row a header, no references."""
+    n = len(reg)
+    return (reg.ts, reg.size, np.full(n, _REGULAR, dtype=np.int64),
+            np.arange(n, dtype=np.int64), np.full(n, -1, dtype=np.int64), [])
 
-        # scan state: the free_at recurrence + the inlined sender scalars
-        # (see TwoSwitchPipeline._stage1_batch — same contract, plus the
-        # interleaved cross rows that advance the queue but not the sender)
-        fa = queue._free_at
-        ref_dropped = 0
-        bytes_drop = 0
-        ref_arrivals = 0
-        ref_bytes_in = 0
-        refs_injected = 0
 
-        drop_idx: List[int] = []
-        acc_dep: List[float] = []
-        n_acc = 0
-        ref_pos: List[int] = []
-        ref_dep: List[float] = []
-        ref_objs: List[Packet] = []
-        dep_append = acc_dep.append
+def _merge_with_cross(time_s, size_s, kind_s, hidx_s, refslot_s,
+                      crs: Optional[PacketBatch]):
+    """Sorted-merge a stream's columns with one hop's cross columns.
 
-        utilization = sender.utilization
-        seen_any, wstart, wbytes, estimate, count, has_class0 = sender.fast_scan_state()
-        window = utilization.window
-        alpha = utilization.alpha
-        capacity = utilization._capacity_per_window
-        policy_gap = sender.policy.gap
-        make_reference = sender.make_reference
-        gap = policy_gap(estimate)
-        regulars_seen = 0
+    Both inputs are time-sorted; two ``searchsorted`` passes give each
+    element its merged position with ``heapq.merge``'s tie rule (the
+    stream is the earlier iterable, so its entries precede coincident
+    cross arrivals; original order within each stream).  Cross rows get
+    kind CROSS and no header or reference slot.
+    """
+    if crs is None or not len(crs):
+        return time_s, size_s, kind_s, hidx_s, refslot_s
+    n = len(time_s)
+    m = len(crs)
+    pos_s = np.arange(n) + np.searchsorted(crs.ts, time_s, side="left")
+    pos_c = np.arange(m) + np.searchsorted(time_s, crs.ts, side="right")
+    merged = []
+    for col, cross_col, dtype in ((time_s, crs.ts, np.float64),
+                                  (size_s, crs.size, np.int64),
+                                  (kind_s, _CROSS, np.int64),
+                                  (hidx_s, -1, np.int64),
+                                  (refslot_s, -1, np.int64)):
+        out = np.empty(n + m, dtype=dtype)
+        out[pos_s] = col
+        out[pos_c] = cross_col
+        merged.append(out)
+    return tuple(merged)
 
-        if buffer_bytes is None:
-            threshold = math.inf  # no tail drop: every arrival is safe
-        else:
-            threshold = _drop_free_threshold(
-                buffer_bytes, int(size_m.max()) if total_m else 0, rate_Bps)
-        for i, (now, t, svc, size) in enumerate(zip(ts_l, t_l, svc_l, size_l)):
-            # same float ops as FifoQueue.offer (see offer_batch's arms)
-            backlog = fa - t
-            if backlog > threshold:
-                clamped = backlog * rate_Bps if backlog > 0.0 else 0.0
-                if clamped + size > buffer_bytes:
-                    drop_idx.append(i)
-                    bytes_drop += size
-                    continue
-                fa = (t if t > fa else fa) + svc
-            elif backlog > 0.0:
-                fa = fa + svc
-            else:
-                fa = t + svc
-            n_acc += 1
-            dep_append(fa)
-            if iscross_l[i]:
-                continue  # cross advances the queue but not the sender
-            # --- inlined sender observation (utilization EWMA + 1-and-n)
-            if not seen_any:
-                wstart = now - (now % window)
-                seen_any = True
-            wend = wstart + window
-            if now >= wend:
-                while True:
-                    sample = wbytes / capacity
-                    if sample > 1.0:
-                        sample = 1.0  # min(1.0, sample)
-                    estimate += alpha * (sample - estimate)
-                    wbytes = 0
-                    wstart = wend
-                    wend = wstart + window
-                    if now < wend:
-                        break
-                gap = policy_gap(estimate)
-            wbytes += size
-            if not has_class0:
-                continue
-            regulars_seen += 1
-            count += 1
-            if count < gap:
-                continue
-            count = 0
-            ref = make_reference(0, now)
-            # inject right behind the trigger: same queue float ops
-            refs_injected += 1
-            rsize = ref.size
-            ref_arrivals += 1
-            ref_bytes_in += rsize
-            rt = now + proc
-            if buffer_bytes is not None:
-                backlog = fa - rt
-                backlog = backlog * rate_Bps if backlog > 0.0 else 0.0
-                if backlog + rsize > buffer_bytes:
-                    ref_dropped += 1
-                    bytes_drop += rsize
-                    ref.dropped = True
-                    continue
-            fa = (rt if rt > fa else fa) + rsize / rate_Bps
-            ref.hops += 1
-            ref_pos.append(n_acc + len(ref_objs))
-            ref_dep.append(fa)
-            ref_objs.append(ref)
 
-        sender.fast_scan_commit(seen_any, wstart, wbytes, estimate, count,
-                                regulars_seen)
-        result.refs_injected = refs_injected
-        queue._free_at = fa
-        stats = queue.stats
-        dropped = len(drop_idx) + ref_dropped
-        bytes_in = (int(size_m.sum()) if total_m else 0) + ref_bytes_in  # reprolint: disable=BATCH003 -- int64 byte counter; integer addition is exact in any order
-        arrivals = total_m + ref_arrivals
-        stats.arrivals += arrivals
-        stats.bytes_in += bytes_in
-        stats.accepted += arrivals - dropped
-        stats.dropped += dropped
-        stats.bytes_accepted += bytes_in - bytes_drop
-        stats.bytes_dropped += bytes_drop
+def _offer(stream: tuple, crs: Optional[PacketBatch], queue: FifoQueue):
+    """Merge *stream* with a hop's cross columns and offer every merged
+    row to *queue*.
 
-        # assemble the acceptance-order arrays (merged survivors with the
-        # accepted references spliced in at their recorded positions)
-        n_ref = len(ref_objs)
-        total = n_acc + n_ref
-        is_ref = np.zeros(total, dtype=bool)
-        if n_ref:
-            is_ref[np.asarray(ref_pos, dtype=np.intp)] = True
-        is_row = ~is_ref
-        if drop_idx:
-            acc_rows = np.delete(np.arange(total_m, dtype=np.int64), drop_idx)
-        else:
-            acc_rows = np.arange(total_m, dtype=np.int64)
-        time_a = np.empty(total, dtype=np.float64)
-        size_a = np.empty(total, dtype=np.int64)
-        kind_a = np.empty(total, dtype=np.int64)
-        hidx_a = np.full(total, -1, dtype=np.int64)
-        refslot_a = np.full(total, -1, dtype=np.int64)
-        time_a[is_row] = acc_dep
-        size_a[is_row] = size_m[acc_rows]
-        kind_a[is_row] = kind_m[acc_rows]
-        hidx_a[is_row] = hidx_m[acc_rows]
-        if n_ref:
-            time_a[is_ref] = ref_dep
-            size_a[is_ref] = [r.size for r in ref_objs]
-            kind_a[is_ref] = int(PacketKind.REFERENCE)
-            refslot_a[is_ref] = np.arange(n_ref, dtype=np.int64)
+    Returns the merged columns, the departures and the acceptance mask;
+    the references the queue dropped are flagged, as per-object offers
+    flag them.
+    """
+    *cols, ref_objs = stream
+    merged = _merge_with_cross(*cols, crs)
+    departures, accepted = queue.offer_batch(merged[0], merged[1])
+    if ref_objs:
+        refslot = merged[4]
+        for slot in refslot[(refslot >= 0) & ~accepted].tolist():
+            ref_objs[slot].dropped = True
+    return merged, departures, accepted
 
-        # fold the delay statistics in acceptance order, exactly as
-        # per-packet offers would have (explicit loop: see offer_batch)
-        if total:
-            arr_a = np.empty(total, dtype=np.float64)
-            arr_a[is_row] = time_m[acc_rows]
-            if n_ref:
-                arr_a[is_ref] = [r.ts for r in ref_objs]
-            delay_l = (time_a - arr_a).tolist()
-            total_delay = stats.total_delay
-            for delay in delay_l:
-                total_delay += delay
-            stats.total_delay = total_delay
-            peak = max(delay_l)
-            if peak > stats.max_delay:
-                stats.max_delay = peak
-            stats.last_departure = float(time_a[-1])
 
-        keep = kind_a != int(PacketKind.CROSS)
-        return (time_a[keep], size_a[keep], kind_a[keep], hidx_a[keep],
-                refslot_a[keep], ref_objs)
+def _observe(receiver, reg: PacketBatch, time, kind, hidx, refslot,
+             ref_objs: List[Packet]) -> None:
+    """Hand the receiver the stream's rows that reach it."""
+    refs = [ref_objs[s] for s in refslot[refslot >= 0].tolist()]
+    receiver.observe_batch(time, kind, reg, hidx, None, refs)
 
-    def _middle_hop_batch(self, stream, crs: Optional[PacketBatch],
-                          queue: FifoQueue):
-        """Columnar middle hop: merge with local cross, scan, strip cross.
 
-        ``offer_batch`` applies the identical per-row float ops and stats
-        folds, so each hop's queue ends bitwise-identical to per-packet
-        offers; reference-packet bookkeeping (``hops``/``dropped``) is
-        applied to the few reference objects from the acceptance mask.
-        """
-        time_s, size_s, kind_s, hidx_s, refslot_s, ref_objs = stream
-        time_m, size_m, kind_m, hidx_m, refslot_m = self._merge_with_cross(
-            time_s, size_s, kind_s, hidx_s, refslot_s, crs)
-        departures, accepted = queue.offer_batch(time_m, size_m)
-        if ref_objs:
-            ref_rows = np.flatnonzero(refslot_m >= 0)
-            for slot, ok in zip(refslot_m[ref_rows].tolist(),
-                                accepted[ref_rows].tolist()):
-                if ok:
-                    ref_objs[slot].hops += 1
-                else:
-                    ref_objs[slot].dropped = True
-        keep = accepted & (kind_m != int(PacketKind.CROSS))
+def _hop(stream: tuple, crs: Optional[PacketBatch], queue: FifoQueue,
+         sender=None) -> Tuple[tuple, int]:
+    """One columnar hop: merge with the hop's cross traffic, scan, and
+    return the surviving through-stream (cross rows leave after their
+    hop) with the number of references *sender* built.
+
+    With a sender the hop runs the shared tapped scan — the regular rows
+    in class 0, every other row untapped — and commits the sender's
+    state at once; without one it is a plain ``offer_batch`` pass.
+    Queue state and statistics end bitwise-identical to per-packet
+    offers.
+    """
+    if sender is None:
+        merged, departures, accepted = _offer(stream, crs, queue)
+        size_m, kind_m, hidx_m, refslot_m = merged[1:]
+        keep = accepted & (kind_m != _CROSS)
         return (departures[keep], size_m[keep], kind_m[keep], hidx_m[keep],
-                refslot_m[keep], ref_objs)
+                refslot_m[keep], stream[-1]), 0
+    *cols, ref_objs = stream
+    time_m, size_m, kind_m, hidx_m, refslot_m = _merge_with_cross(*cols, crs)
+    scan = tapped_scan(queue, time_m, size_m,
+                       np.where(kind_m == _REGULAR, 0, -2), sender)
+    sender.fast_scan_commit(*scan.state)
+    kind_a, hidx_a, refslot_a = scan.columns(kind_m, hidx_m, refslot_m,
+                                             len(ref_objs))
+    keep = kind_a != _CROSS
+    return (scan.departures[keep], scan.sizes[keep], kind_a[keep],
+            hidx_a[keep], refslot_a[keep], ref_objs + scan.refs), scan.refs_built

@@ -17,9 +17,9 @@ this to replace the event calendar with one pass per *layer*: routing
 choices are recomputed vectorized (the switches' own
 :meth:`~repro.sim.ecmp.EcmpHasher.choose_batch`), each queue is driven by
 the exact running-``free_at`` scan of
-:meth:`~repro.sim.queue.FifoQueue.offer_batch` (tapped queues inline the
-sender's EWMA/1-and-n algebra via the
-:meth:`~repro.core.sender.RliSender.fast_scan_state_classes` contract), and
+:meth:`~repro.sim.queue.FifoQueue.offer_batch` (sender-tapped ports run
+the shared :func:`~repro.sim.queue.tapped_scan`, with each row's path
+class recomputed vectorized from the wiring's classify spec), and
 each receiver consumes its complete merged observation stream through
 :meth:`~repro.core.receiver.RliReceiver.observe_batch` — **bitwise
 identical** to the engine, with the same float-op order at every step.
@@ -46,7 +46,7 @@ packets are built without touching the sender — so a pre-flight fallback
 leaves every simulation object exactly as wired.
 
 What the fast path does not reproduce (by design, same as the pipeline's):
-per-``Packet`` bookkeeping for regular traffic (``hops``, ``path``,
+per-``Packet`` bookkeeping for regular traffic (``path``,
 ``tap_time`` on the objects — ground-truth taps ride a column instead),
 ``Switch.local_sink`` contents, and the engine's ``delivered`` /
 ``processed_events`` counters.  Everything a study reads — receiver tables
@@ -56,7 +56,6 @@ and counters, observation logs, queue statistics — is bit-exact, which
 
 from __future__ import annotations
 
-import math
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -65,13 +64,12 @@ from ..net.packet import Packet, PacketKind
 from ..obs import metrics as obs_metrics
 from ..traffic.batch import PacketBatch
 from .clock import DriftingClock, OffsetClock, PerfectClock
-from .queue import FifoQueue, _drop_free_threshold
+from .queue import FifoQueue, tapped_scan
 from .topology import FatTree
 
 __all__ = ["FastPathUnavailable", "FatTreeFastPath", "try_fast_path"]
 
 _REGULAR = int(PacketKind.REGULAR)
-_REFERENCE = int(PacketKind.REFERENCE)
 
 
 class FastPathUnavailable(Exception):
@@ -223,50 +221,6 @@ class _Stream:
         ))
 
 
-class _SenderScan:
-    """Deferred state advanced by one tapped queue's inlined scan."""
-
-    __slots__ = ("sender", "seen_any", "wstart", "wbytes", "estimate",
-                 "counters", "regulars_seen", "refs_built")
-
-    def __init__(self, sender):
-        self.sender = sender
-        (self.seen_any, self.wstart, self.wbytes, self.estimate,
-         self.counters) = sender.fast_scan_state_classes()
-        self.regulars_seen = 0
-        self.refs_built = 0
-
-    def commit(self) -> None:
-        self.sender.fast_scan_commit_classes(
-            self.seen_any, self.wstart, self.wbytes, self.estimate,
-            self.counters, self.regulars_seen)
-        self.sender.refs_injected += self.refs_built
-
-
-def _build_reference(sender, path_class: int, now: float) -> Packet:
-    """:meth:`RliSender.make_reference` without mutating the sender.
-
-    Field-for-field the same construction (the sender's counters move in
-    the scan's locals; ``refs_injected`` is committed afterwards), so the
-    emitted packet is identical to the object path's.
-    """
-    template = sender.templates[path_class]
-    ref = Packet(
-        src=template.src,
-        dst=template.dst,
-        sport=template.sport,
-        dport=template.dport,
-        proto=template.proto,
-        size=template.size,
-        ts=now,
-        kind=PacketKind.REFERENCE,
-        sender_id=sender.sender_id,
-        ref_timestamp=sender.clock.now(now),
-    )
-    ref.tap_time = now
-    return ref
-
-
 class FatTreeFastPath:
     """One-shot layered columnar run of an instrumented fat-tree.
 
@@ -304,7 +258,7 @@ class FatTreeFastPath:
         self._ref_objs: List[Packet] = []
         self._ref_rj: List[int] = []  # ToR refs: the agg's core choice
         self._ref_re: List[int] = []  # core refs: destination edge index
-        self._scans: List[_SenderScan] = []
+        self._commits: List[Tuple[object, tuple]] = []  # (sender, state)
         self._clones: List[Tuple[FifoQueue, FifoQueue]] = []
 
     # ------------------------------------------------------------------
@@ -542,8 +496,8 @@ class FatTreeFastPath:
         for real, clone in self._clones:
             real._free_at = clone._free_at
             real.stats = clone.stats
-        for scan in self._scans:
-            scan.commit()
+        for sender, state in self._commits:
+            sender.fast_scan_commit(*state)
         for receiver, stream, taps in observations:
             refs = [self._ref_objs[s]
                     for s in stream.refslot[stream.refslot >= 0].tolist()]
@@ -569,9 +523,10 @@ class FatTreeFastPath:
                      cols, tap_col) -> _Stream:
         """Offer *stream* to one egress queue; return the next-hop arrivals.
 
-        Dispatches to the plain clone scan or, when the port carries an
-        RLI sender tap, the inlined multi-class sender scan.  Output times
-        are ``departure + prop_delay`` — the same float op the engine's
+        A port with an RLI sender tap runs the shared tapped scan, its
+        class column from the tap's classify spec; any other port runs
+        the plain clone scan.  Output times are ``departure +
+        prop_delay`` — the same float op the engine's
         ``schedule_arrival(departure + port.prop_delay, …)`` applies.
         """
         tap = self.sender_taps.get((switch.node_id, port_index))
@@ -585,8 +540,32 @@ class FatTreeFastPath:
             return _Stream(departures[accepted] + prop, out.size, out.kind,
                            out.hidx, out.refslot, prov, out.origin)
         sender, spec = tap
-        return self._sender_scan(clone, prop, stream, sender, spec, cols,
-                                 tap_col)
+        scan = tapped_scan(clone, stream.time, stream.size,
+                           self._classes(spec, stream.hidx, cols), sender)
+        self._commits.append((sender, scan.state))
+        # enqueue taps fire on acceptance: the ground-truth stamp
+        tapped = scan.rows[~scan.is_ref]
+        tap_col[stream.hidx[tapped]] = stream.time[tapped]
+        slot0 = len(self._ref_objs)
+        self._ref_objs.extend(scan.refs)
+        for ref in scan.refs:
+            if spec[0] == "hash":
+                # the ref climbs at the agg by its own 5-tuple hash (the
+                # template's crafted dport steers it to the class's core)
+                self._ref_rj.append(spec[1].choose(ref.flow_key, spec[2]))
+                self._ref_re.append(-1)
+            else:
+                self._ref_rj.append(-1)
+                self._ref_re.append((ref.dst >> 8) & 0xFF)
+        kind, hidx, refslot = scan.columns(stream.kind, stream.hidx,
+                                           stream.refslot, slot0)
+        # a reference shares its trigger's arrival event (it was built
+        # then: ref.ts), so its ancestry and origin are the trigger row's
+        arrived = stream.time[scan.rows]
+        return _Stream(scan.departures + prop, scan.sizes, kind, hidx,
+                       refslot,
+                       np.column_stack([arrived, stream.prov[scan.rows, :-1]]),
+                       stream.origin[scan.rows])
 
     def _classes(self, spec, rows: np.ndarray, cols) -> np.ndarray:
         """Vectorized path classes for *rows* under a classify spec (-1 = None)."""
@@ -600,219 +579,3 @@ class FatTreeFastPath:
             return out
         raise FastPathUnavailable(f"unknown classify spec {spec[0]!r}",
                                   reason="unknown-classify-spec")
-
-    def _sender_scan(self, queue: FifoQueue, prop: float, stream: _Stream,
-                     sender, spec, cols, tap_col) -> _Stream:
-        """Columnar tapped queue: offer scan + inlined sender observation.
-
-        Applies, per row, exactly the float-op sequence of
-        :meth:`FifoQueue.offer` with the sender's EWMA/1-and-n algebra
-        interleaved as per-packet ``on_regular`` calls would be (enqueue
-        taps fire on acceptance; references are offered immediately behind
-        their trigger with the same queue arithmetic) — the multi-class
-        generalization of the chain's first-hop scan, following the
-        :meth:`~repro.core.sender.RliSender.fast_scan_state_classes`
-        contract.
-        """
-        n_in = len(stream)
-        cls_l = self._classes(spec, stream.hidx, cols).tolist()
-        ts_l = stream.time.tolist()
-        t_l = (stream.time + queue.proc_delay).tolist()
-        svc_l = (stream.size / queue.rate_Bps).tolist()
-        size_l = stream.size.tolist()
-
-        proc = queue.proc_delay
-        rate_Bps = queue.rate_Bps
-        buffer_bytes = queue.buffer_bytes
-        fa = queue._free_at
-        scan = _SenderScan(sender)
-        seen_any, wstart, wbytes = scan.seen_any, scan.wstart, scan.wbytes
-        estimate, counters = scan.estimate, scan.counters
-        regulars_seen = 0
-
-        utilization = sender.utilization
-        window = utilization.window
-        alpha = utilization.alpha
-        capacity = utilization._capacity_per_window
-        policy_gap = sender.policy.gap
-        gap = policy_gap(estimate)
-
-        is_uplink = spec[0] == "hash"
-        ref_meta_rj: List[int] = []
-        ref_meta_re: List[int] = []
-
-        ref_dropped = 0
-        bytes_drop = 0
-        ref_arrivals = 0
-        ref_bytes_in = 0
-        drop_idx: List[int] = []
-        acc_dep: List[float] = []
-        n_acc = 0
-        ref_pos: List[int] = []
-        ref_dep: List[float] = []
-        ref_trig: List[int] = []  # trigger's input row: ancestry donor
-        new_refs: List[Packet] = []
-        dep_append = acc_dep.append
-        tap_rows: List[int] = []
-        tap_times: List[float] = []
-
-        if buffer_bytes is None:
-            threshold = math.inf
-        else:
-            threshold = _drop_free_threshold(
-                buffer_bytes, int(stream.size.max()) if n_in else 0, rate_Bps)
-        for i, (now, t, svc, size) in enumerate(zip(ts_l, t_l, svc_l, size_l)):
-            # same float ops as FifoQueue.offer (see offer_batch's arms)
-            backlog = fa - t
-            if backlog > threshold:
-                clamped = backlog * rate_Bps if backlog > 0.0 else 0.0
-                if clamped + size > buffer_bytes:
-                    drop_idx.append(i)
-                    bytes_drop += size
-                    continue
-                fa = (t if t > fa else fa) + svc
-            elif backlog > 0.0:
-                fa = fa + svc
-            else:
-                fa = t + svc
-            n_acc += 1
-            dep_append(fa)
-            # --- enqueue tap on acceptance: ground-truth stamp + sender ---
-            tap_rows.append(i)
-            tap_times.append(now)
-            # inlined RliSender.on_regular: utilization first, always
-            if not seen_any:
-                wstart = now - (now % window)
-                seen_any = True
-            wend = wstart + window
-            if now >= wend:
-                while True:
-                    sample = wbytes / capacity
-                    if sample > 1.0:
-                        sample = 1.0  # min(1.0, sample)
-                    estimate += alpha * (sample - estimate)
-                    wbytes = 0
-                    wstart = wend
-                    wend = wstart + window
-                    if now < wend:
-                        break
-                gap = policy_gap(estimate)
-            wbytes += size
-            c = cls_l[i]
-            if c < 0 or c not in counters:
-                continue
-            regulars_seen += 1
-            count = counters[c] + 1
-            if count < gap:
-                counters[c] = count
-                continue
-            counters[c] = 0
-            ref = _build_reference(sender, c, now)
-            scan.refs_built += 1
-            # inject right behind the trigger: same queue float ops
-            rsize = ref.size
-            ref_arrivals += 1
-            ref_bytes_in += rsize
-            rt = now + proc
-            if buffer_bytes is not None:
-                backlog = fa - rt
-                backlog = backlog * rate_Bps if backlog > 0.0 else 0.0
-                if backlog + rsize > buffer_bytes:
-                    ref_dropped += 1
-                    bytes_drop += rsize
-                    ref.dropped = True
-                    continue
-            fa = (rt if rt > fa else fa) + rsize / rate_Bps
-            ref_pos.append(n_acc + len(new_refs))
-            ref_dep.append(fa)
-            ref_trig.append(i)
-            new_refs.append(ref)
-            if is_uplink:
-                # the ref climbs at the agg by its own 5-tuple hash (the
-                # template's crafted dport steers it to the class's core)
-                ref_meta_rj.append(spec[1].choose(ref.flow_key, spec[2]))
-                ref_meta_re.append(-1)
-            else:
-                ref_meta_rj.append(-1)
-                ref_meta_re.append((ref.dst >> 8) & 0xFF)
-
-        scan.seen_any, scan.wstart, scan.wbytes = seen_any, wstart, wbytes
-        scan.estimate, scan.counters = estimate, counters
-        scan.regulars_seen = regulars_seen
-        self._scans.append(scan)
-        if tap_rows:
-            tap_col[stream.hidx[np.asarray(tap_rows, dtype=np.intp)]] = tap_times
-
-        queue._free_at = fa
-        stats = queue.stats
-        dropped = len(drop_idx) + ref_dropped
-        bytes_in = (int(stream.size.sum()) if n_in else 0) + ref_bytes_in  # reprolint: disable=BATCH003 -- int64 byte counter; integer addition is exact in any order
-        arrivals = n_in + ref_arrivals
-        stats.arrivals += arrivals
-        stats.bytes_in += bytes_in
-        stats.accepted += arrivals - dropped
-        stats.dropped += dropped
-        stats.bytes_accepted += bytes_in - bytes_drop
-        stats.bytes_dropped += bytes_drop
-
-        # assemble the acceptance-order output with references spliced in
-        slot0 = len(self._ref_objs)
-        self._ref_objs.extend(new_refs)
-        self._ref_rj.extend(ref_meta_rj)
-        self._ref_re.extend(ref_meta_re)
-        n_ref = len(new_refs)
-        total = n_acc + n_ref
-        is_ref = np.zeros(total, dtype=bool)
-        if n_ref:
-            is_ref[np.asarray(ref_pos, dtype=np.intp)] = True
-        is_row = ~is_ref
-        if drop_idx:
-            acc_rows = np.delete(np.arange(n_in, dtype=np.int64), drop_idx)
-        else:
-            acc_rows = np.arange(n_in, dtype=np.int64)
-        time_a = np.empty(total)
-        size_a = np.empty(total, dtype=np.int64)
-        kind_a = np.full(total, _REGULAR, dtype=np.int64)
-        hidx_a = np.full(total, -1, dtype=np.int64)
-        refslot_a = np.full(total, -1, dtype=np.int64)
-        time_a[is_row] = acc_dep
-        size_a[is_row] = stream.size[acc_rows]
-        hidx_a[is_row] = stream.hidx[acc_rows]
-        if n_ref:
-            time_a[is_ref] = ref_dep
-            size_a[is_ref] = [r.size for r in new_refs]
-            kind_a[is_ref] = _REFERENCE
-            refslot_a[is_ref] = np.arange(slot0, slot0 + n_ref, dtype=np.int64)
-
-        # arrival-at-this-switch per output row: the queue-delay base and
-        # the next hop's parent event time (a reference's parent is its
-        # trigger's arrival event, which is when it was built: ref.ts);
-        # deeper ancestry and origin come from the input row — a reference
-        # inherits its trigger's, sharing the trigger event's seq ancestry
-        arr_a = np.empty(total)
-        arr_a[is_row] = stream.time[acc_rows]
-        prov_in = np.empty((total, stream.prov.shape[1]))
-        prov_in[is_row] = stream.prov[acc_rows]
-        origin_a = np.empty(total, dtype=np.int64)
-        origin_a[is_row] = stream.origin[acc_rows]
-        if n_ref:
-            arr_a[is_ref] = [r.ts for r in new_refs]
-            trig = np.asarray(ref_trig, dtype=np.intp)
-            prov_in[is_ref] = stream.prov[trig]
-            origin_a[is_ref] = stream.origin[trig]
-
-        # fold the delay statistics in acceptance order, exactly as
-        # per-packet offers would have (explicit accumulation loop)
-        if total:
-            delay_l = (time_a - arr_a).tolist()
-            total_delay = stats.total_delay
-            for delay in delay_l:
-                total_delay += delay
-            stats.total_delay = total_delay
-            peak = max(delay_l)
-            if peak > stats.max_delay:
-                stats.max_delay = peak
-            stats.last_departure = float(time_a[-1])
-
-        return _Stream(time_a + prop, size_a, kind_a, hidx_a, refslot_a,
-                       np.column_stack([arr_a, prov_in[:, :-1]]), origin_a)

@@ -22,26 +22,13 @@ pipeline driver and the event engine guarantee this; the queue asserts it.
 from __future__ import annotations
 
 import math
-from typing import Optional, Tuple
+from typing import List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
-from ..net.packet import Packet
+from ..net.packet import Packet, PacketKind
 
-__all__ = ["FifoQueue", "QueueStats"]
-
-
-def _scatter_merge(a, b, pos_a, pos_b, dtype):
-    """Merge two arrays into their precomputed merged positions.
-
-    Shared by the pipeline and chain batch drivers, whose two
-    ``searchsorted`` passes compute each element's merged position with
-    ``heapq.merge``'s tie rule.
-    """
-    out = np.empty(len(a) + len(b), dtype=dtype)
-    out[pos_a] = a
-    out[pos_b] = b
-    return out
+__all__ = ["FifoQueue", "QueueStats", "TappedScan", "tapped_scan"]
 
 
 def _drop_free_threshold(buffer_bytes: int, max_size: int, rate_Bps: float) -> float:
@@ -62,6 +49,34 @@ def _drop_free_threshold(buffer_bytes: int, max_size: int, rate_Bps: float) -> f
     while thr > 0.0 and thr * rate_Bps + max_size > buffer_bytes:
         thr = math.nextafter(thr, -math.inf)
     return thr if thr > 0.0 else -math.inf
+
+
+def _fold_stats(stats: QueueStats, arrivals: int, bytes_in: int,
+                dropped: int, bytes_dropped: int, departures: np.ndarray,
+                arrived: np.ndarray) -> None:
+    """Fold one scan's counters and delays into *stats*, as offers would.
+
+    *departures* and *arrived* are the accepted rows' departure and
+    arrival times in acceptance order.  ``delay = departure - arrival``
+    elementwise has the scalar path's operands, and a 1-D
+    ``np.add.accumulate`` is a strict left fold, so ``total_delay`` gets
+    the bits of the sequential ``total_delay += delay`` (``np.sum`` is
+    pairwise and would not).
+    """
+    stats.arrivals += arrivals
+    stats.bytes_in += bytes_in
+    stats.accepted += arrivals - dropped
+    stats.dropped += dropped
+    stats.bytes_accepted += bytes_in - bytes_dropped
+    stats.bytes_dropped += bytes_dropped
+    if len(departures):
+        delays = departures - arrived
+        stats.total_delay = float(np.add.accumulate(
+            np.concatenate(([stats.total_delay], delays)))[-1])
+        peak = float(delays.max())
+        if peak > stats.max_delay:
+            stats.max_delay = peak
+        stats.last_departure = float(departures[-1])
 
 
 class QueueStats:
@@ -176,13 +191,12 @@ class FifoQueue:
         if delay > stats.max_delay:
             stats.max_delay = delay
         stats.last_departure = departure
-        packet.hops += 1
         return departure
 
     def offer_batch(
         self, arrivals: np.ndarray, sizes: np.ndarray
     ) -> Tuple[np.ndarray, np.ndarray]:
-        """Offer a whole sorted arrival array; the pipeline fast path's core.
+        """Offer a whole sorted arrival array: every untapped queue's scan.
 
         Parameters are parallel arrays: arrival times (non-decreasing) and
         wire sizes in bytes.  Returns ``(departures, accepted)`` — departure
@@ -193,8 +207,8 @@ class FifoQueue:
         tail-drop test) over a running ``free_at``, and folds the same
         statistics in the same order, so interleaving ``offer`` and
         ``offer_batch`` calls is bitwise-indistinguishable from offering
-        every packet individually.  Only per-``Packet`` bookkeeping
-        (``dropped`` flags, ``hops``) is absent — there are no objects.
+        every packet individually.  Only the per-``Packet`` ``dropped``
+        flag is absent — there are no objects.
 
         Only valid on the tail-drop base class: subclasses with their own
         drop logic (e.g. RED) must not inherit this scan.
@@ -258,29 +272,10 @@ class FifoQueue:
         accepted_mask = (
             ~np.isnan(departures) if dropped else np.ones(n, dtype=bool)
         )
-        acc_dep = departures[accepted_mask] if dropped else departures
         bytes_in = int(sizes.sum()) if n else 0  # reprolint: disable=BATCH003 -- int64 byte counter; integer addition is exact in any order
-        stats = self.stats
-        stats.arrivals += n
-        stats.bytes_in += bytes_in
-        stats.accepted += n - dropped
-        stats.dropped += dropped
-        stats.bytes_accepted += bytes_in - bytes_drop
-        stats.bytes_dropped += bytes_drop
-        if len(acc_dep):
-            # delay_i = departure_i - arrival_i elementwise (same operands
-            # as the scalar path); the explicit loop reproduces the
-            # sequential `total_delay += delay` accumulation bit for bit —
-            # builtin sum() would not (it compensates rounding on 3.12+)
-            delay_l = (acc_dep - arrivals[accepted_mask]).tolist()
-            total_delay = stats.total_delay
-            for delay in delay_l:
-                total_delay += delay
-            stats.total_delay = total_delay
-            peak = max(delay_l)
-            if peak > stats.max_delay:
-                stats.max_delay = peak
-            stats.last_departure = float(acc_dep[-1])
+        _fold_stats(self.stats, n, bytes_in, dropped, bytes_drop,
+                    departures[accepted_mask] if dropped else departures,
+                    arrivals[accepted_mask] if dropped else arrivals)
         return departures, accepted_mask
 
     def utilization(self, duration: float) -> float:
@@ -311,3 +306,185 @@ class FifoQueue:
             f"FifoQueue({label and label.strip()} rate={self.rate_Bps * 8:.3g}bps "
             f"buffer={self.buffer_bytes} proc={self.proc_delay})"
         )
+
+
+class TappedScan(NamedTuple):
+    """Output of :func:`tapped_scan`, in acceptance order.
+
+    ``rows`` gives each output row's input row; a reference carries its
+    trigger's row (the row whose ancestry and arrival it shares).
+    """
+
+    departures: np.ndarray
+    sizes: np.ndarray
+    rows: np.ndarray
+    is_ref: np.ndarray
+    refs: List[Packet]  # the accepted references, in output order
+    state: tuple  # the advanced sender state, for fast_scan_commit
+
+    @property
+    def refs_built(self) -> int:
+        """References the sender built, the queue's drops included."""
+        return self.state[-1]
+
+    def columns(self, kind: np.ndarray, hidx: np.ndarray,
+                refslot: np.ndarray, slot0: int = 0):
+        """The input's kind/header/reference-slot columns carried to the
+        output; reference rows get kind REFERENCE, no header, and slots
+        ``slot0, slot0 + 1, …``."""
+        is_ref = self.is_ref
+        rows = self.rows
+        kind_o = np.where(is_ref, int(PacketKind.REFERENCE), kind[rows])
+        hidx_o = np.where(is_ref, -1, hidx[rows])
+        refslot_o = refslot[rows]
+        refslot_o[is_ref] = np.arange(slot0, slot0 + len(self.refs))
+        return kind_o, hidx_o, refslot_o
+
+
+def tapped_scan(queue: FifoQueue, times: np.ndarray, sizes: np.ndarray,
+                classes: np.ndarray, sender) -> TappedScan:
+    """Offer a sorted stream to a queue whose egress an RLI sender taps.
+
+    The one sender-tapped FIFO scan of the columnar paths.  Per row it
+    applies exactly :meth:`FifoQueue.offer`'s float ops; per accepted
+    tapped row, exactly :meth:`~repro.core.sender.RliSender.on_regular`'s
+    algebra (fold the EWMA windows the arrival crossed, add its bytes,
+    bump its class's 1-and-n counter against ``policy.gap(estimate)``,
+    which only changes at a fold); and on a trigger it offers the
+    sender's reference right behind the row with the same queue ops.
+
+    ``classes`` is the raw path class per row: ``-2`` for an untapped row
+    (cross traffic: it advances the queue but not the sender), ``-1`` for
+    a tapped row of no class, else the class.  It is mapped before the
+    loop onto slots of a plain int list of counters (``-1`` for a class
+    the sender has no counter for).  References are built with
+    ``sender.build_reference`` in scan order, so clocks are read in
+    order; the sender itself is not touched — the caller hands
+    ``state`` to ``sender.fast_scan_commit`` when it commits.
+    """
+    times = np.asarray(times, dtype=np.float64)
+    sizes = np.asarray(sizes)
+    n = len(times)
+    seen_any, wstart, wbytes, estimate, counters = sender.fast_scan_state()
+    keys = sorted(counters)
+    count_l = [counters[key] for key in keys]
+    slots = np.where(classes == -2, -2, -1)
+    for slot, key in enumerate(keys):
+        slots[classes == key] = slot
+
+    proc = queue.proc_delay
+    rate_Bps = queue.rate_Bps
+    buffer_bytes = queue.buffer_bytes
+    ts_l = times.tolist()
+    t_l = (times + proc).tolist()
+    svc_l = (sizes / rate_Bps).tolist()
+    size_l = sizes.tolist()
+    if buffer_bytes is None:
+        threshold = math.inf  # no tail drop: every arrival is safe
+    else:
+        threshold = _drop_free_threshold(
+            buffer_bytes, int(sizes.max()) if n else 0, rate_Bps)
+
+    utilization = sender.utilization
+    window = utilization.window
+    alpha = utilization.alpha
+    capacity = utilization._capacity_per_window
+    policy_gap = sender.policy.gap
+    build_reference = sender.build_reference
+    gap = policy_gap(estimate)
+    regulars_seen = 0
+    refs_built = 0
+    ref_bytes_in = 0
+    ref_dropped = 0
+    bytes_drop = 0
+    fa = queue._free_at
+    drop_idx: List[int] = []
+    dep_l: List[float] = []
+    dep_append = dep_l.append
+    ref_pos: List[int] = []
+    ref_trig: List[int] = []
+    refs: List[Packet] = []
+
+    for i, (now, t, svc, size, slot) in enumerate(
+            zip(ts_l, t_l, svc_l, size_l, slots.tolist())):
+        # FifoQueue.offer's float ops: a backlog at or below the certified
+        # threshold cannot drop, so only near-full arrivals pay for the
+        # drop test (max() resolved by the branch already taken)
+        backlog = fa - t
+        if backlog > threshold:
+            clamped = backlog * rate_Bps if backlog > 0.0 else 0.0
+            if clamped + size > buffer_bytes:
+                drop_idx.append(i)
+                bytes_drop += size
+                continue  # dropped: never passed the tap
+            fa = (t if t > fa else fa) + svc
+        elif backlog > 0.0:
+            fa = fa + svc
+        else:
+            fa = t + svc
+        dep_append(fa)
+        if slot == -2:
+            continue
+        # RliSender.on_regular: utilization first, always
+        if not seen_any:
+            wstart = now - (now % window)
+            seen_any = True
+        wend = wstart + window
+        if now >= wend:
+            while True:
+                sample = wbytes / capacity
+                if sample > 1.0:
+                    sample = 1.0  # min(1.0, sample)
+                estimate += alpha * (sample - estimate)
+                wbytes = 0
+                wstart = wend
+                wend = wstart + window
+                if now < wend:
+                    break
+            gap = policy_gap(estimate)
+        wbytes += size
+        if slot < 0:
+            continue
+        regulars_seen += 1
+        count = count_l[slot] + 1
+        if count < gap:
+            count_l[slot] = count
+            continue
+        count_l[slot] = 0
+        ref = build_reference(keys[slot], now)
+        refs_built += 1
+        # offered right behind its trigger: FifoQueue.offer's float ops
+        rsize = ref.size
+        ref_bytes_in += rsize
+        rt = now + proc
+        if buffer_bytes is not None:
+            backlog = fa - rt
+            backlog = backlog * rate_Bps if backlog > 0.0 else 0.0
+            if backlog + rsize > buffer_bytes:
+                ref_dropped += 1
+                bytes_drop += rsize
+                ref.dropped = True
+                continue
+        fa = (rt if rt > fa else fa) + rsize / rate_Bps
+        ref_pos.append(len(dep_l))
+        dep_append(fa)
+        ref_trig.append(i)
+        refs.append(ref)
+
+    queue._free_at = fa
+    departures = np.array(dep_l, dtype=np.float64)
+    is_ref = np.zeros(len(dep_l), dtype=bool)
+    is_ref[ref_pos] = True
+    rows = np.empty(len(dep_l), dtype=np.int64)
+    rows[~is_ref] = (np.delete(np.arange(n), drop_idx) if drop_idx
+                     else np.arange(n))
+    rows[is_ref] = ref_trig
+    sizes_o = sizes[rows].astype(np.int64, copy=False)
+    sizes_o[is_ref] = [ref.size for ref in refs]
+    bytes_in = (int(sizes.sum()) if n else 0) + ref_bytes_in  # reprolint: disable=BATCH003 -- int64 byte counter; integer addition is exact in any order
+    _fold_stats(queue.stats, n + refs_built, bytes_in,
+                len(drop_idx) + ref_dropped, bytes_drop, departures,
+                times[rows])
+    state = (seen_any, wstart, wbytes, estimate, dict(zip(keys, count_l)),
+             regulars_seen, refs_built)
+    return TappedScan(departures, sizes_o, rows, is_ref, refs, state)

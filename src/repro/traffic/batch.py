@@ -12,8 +12,8 @@ per-object reference path.
 
 A batch carries exactly the state a saved trace carries (the ``.npz``
 column set): measurement-only fields (``sender_id``, ``ref_timestamp``,
-``tos``) and simulation bookkeeping (``tap_time``, ``dropped``, ``hops``,
-``path``) are *not* represented, so reference packets — which are few and
+``tos``) and simulation bookkeeping (``tap_time``, ``dropped``, ``path``)
+are *not* represented, so reference packets — which are few and
 inherently stateful — stay Python objects even on the fast path.
 Round-tripping through :meth:`from_packets`/:meth:`to_packets` is exact for
 the represented columns and drops the rest, exactly like ``Trace.save`` /

@@ -131,8 +131,8 @@ class Trace:
     def clone_packets(self) -> List[Packet]:
         """Fresh packet copies for one simulation run.
 
-        The simulator mutates bookkeeping fields (``dropped``, ``tap_time``,
-        ``hops``); cloning lets the same trace drive many runs.  A
+        The simulator mutates bookkeeping fields (``dropped``,
+        ``tap_time``); cloning lets the same trace drive many runs.  A
         batch-backed trace materializes fresh objects directly — same
         values, no intermediate list.
         """

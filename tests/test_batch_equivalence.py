@@ -15,7 +15,7 @@ import pickle
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.core.demux import SingleSenderDemux
 from repro.core.injection import AdaptiveInjection, StaticInjection
@@ -30,6 +30,7 @@ from repro.sim.red import RedQueue
 from repro.experiments.workloads import run_condition, summarize_condition
 from repro.traffic.crosstraffic import BurstyModel, UniformModel
 from repro.traffic.synthetic import TraceConfig, generate_trace
+from repro.traffic.trace import Trace
 
 from reference_path import reference_path
 
@@ -187,6 +188,27 @@ def build_traces(seed, n_reg, n_cross, duration, mean_gap):
     return reg, cross
 
 
+def regime_traces(regime, reg, cross, rate, buffer_bytes):
+    """One hard-regime variant of a property suite's traces.
+
+    ``"empty"`` keeps the cross traffic but no regular packet.  ``"tied"``
+    retimes the cross packets onto the regular stream's departures from a
+    sender-less first queue (the suites' ``proc_delay=1e-6``), so cross
+    arrivals tie bit for bit with upstream departures and the merges'
+    ``heapq.merge`` tie rule orders them.  ``"trace"`` keeps both.
+    """
+    if regime == "empty":
+        return Trace(batch=reg.batch.take(np.empty(0, dtype=np.intp)),
+                     name="empty"), cross
+    if regime == "tied":
+        departures, accepted = FifoQueue(rate, buffer_bytes, 1e-6).offer_batch(
+            reg.batch.ts, reg.batch.size)
+        times = departures[accepted][:len(cross)]
+        tied = cross.batch.take(np.arange(len(times))).replace(ts=times)
+        return reg, Trace(batch=tied, name="tied")
+    return reg, cross
+
+
 def make_sender(rate_bps, scheme):
     policy = AdaptiveInjection(5, 60) if scheme == "adaptive" else StaticInjection(25)
     template = RefTemplate(src=ip_to_int("10.1.0.0") + 1,
@@ -199,20 +221,27 @@ class TestPipelineProperty:
     @given(
         seed=st.integers(0, 2**31),
         n_reg=st.integers(300, 1200),
-        headroom=st.floats(0.25, 0.9),
+        # up to just past 100 % load on the tapped first hop
+        headroom=st.one_of(st.floats(0.25, 0.9), st.floats(0.99, 1.05)),
         buffer_kb=st.sampled_from([2, 8, 64, None]),
         cross_prob=st.sampled_from([0.0, 0.4, 0.9]),
         bursty=st.booleans(),
         scheme=st.sampled_from([None, "static", "adaptive"]),
+        regime=st.sampled_from(["trace", "tied"]),
     )
+    @example(seed=7, n_reg=600, headroom=0.6, buffer_kb=8, cross_prob=0.9,
+             bursty=False, scheme="adaptive", regime="empty")
+    @example(seed=8, n_reg=600, headroom=1.02, buffer_kb=64, cross_prob=0.9,
+             bursty=False, scheme=None, regime="tied")
     @settings(max_examples=12, deadline=None)
     def test_random_workloads_bitwise_identical(self, seed, n_reg, headroom,
                                                 buffer_kb, cross_prob, bursty,
-                                                scheme):
+                                                scheme, regime):
         duration = 0.25
         reg, cross = build_traces(seed, n_reg, 2 * n_reg, duration, 1e-3)
         rate = reg.total_bytes * 8.0 / (duration * headroom)
         buffer_bytes = buffer_kb * 1024 if buffer_kb else None
+        reg, cross = regime_traces(regime, reg, cross, rate, buffer_bytes)
         if bursty:
             model = BurstyModel(cross_prob, 0.06, 0.12, seed=seed)
         else:

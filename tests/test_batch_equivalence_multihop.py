@@ -5,7 +5,7 @@ fast path to the per-object reference implementation bit for bit; this
 suite does the same for the paths vectorized beyond it:
 
 * :meth:`repro.sim.chain.SwitchChain.run_batch` — multihop segment chains
-  with per-hop cross traffic and an inlined first-hop sender scan;
+  with per-hop cross traffic and a sender-tapped first hop;
 * :class:`repro.sim.fatpath.FatTreeFastPath` — the layered columnar
   replacement for the event calendar that ``RlirMesh.run`` and
   ``RlirDeployment.run`` try first, including its exact reconstruction of
@@ -23,7 +23,7 @@ dict insertion order, same observation-log bytes — mirroring
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.core.demux import SingleSenderDemux
 from repro.core.injection import AdaptiveInjection, StaticInjection
@@ -43,6 +43,7 @@ from repro.traffic.crosstraffic import BurstyModel, UniformModel
 from repro.traffic.synthetic import TraceConfig, generate_fattree_trace, generate_trace
 
 from reference_path import reference_path
+from test_batch_equivalence import regime_traces
 
 REGULAR_PREFIX = Prefix.parse("10.1.0.0/16")
 
@@ -127,19 +128,26 @@ class TestChainProperty:
         seed=st.integers(0, 2**31),
         n_reg=st.integers(300, 900),
         n_hops=st.sampled_from([1, 2, 3, 5]),
-        headroom=st.floats(0.3, 0.9),
+        # up to just past 100 % load on the tapped first hop
+        headroom=st.one_of(st.floats(0.3, 0.9), st.floats(0.99, 1.05)),
         buffer_kb=st.sampled_from([2, 8, 64, None]),
         cross_prob=st.sampled_from([0.0, 0.4, 0.8]),
         scheme=st.sampled_from([None, "static", "adaptive"]),
+        regime=st.sampled_from(["trace", "tied"]),
     )
+    @example(seed=7, n_reg=500, n_hops=3, headroom=0.6, buffer_kb=8,
+             cross_prob=0.8, scheme="adaptive", regime="empty")
+    @example(seed=8, n_reg=500, n_hops=3, headroom=1.02, buffer_kb=64,
+             cross_prob=0.8, scheme=None, regime="tied")
     @settings(max_examples=10, deadline=None)
     def test_random_chains_bitwise_identical(self, seed, n_reg, n_hops,
                                              headroom, buffer_kb, cross_prob,
-                                             scheme):
+                                             scheme, regime):
         duration = 0.25
         reg, cross = build_traces(seed, n_reg, 2 * n_reg, duration)
         rate = reg.total_bytes * 8.0 / (duration * headroom)
         buffer_bytes = buffer_kb * 1024 if buffer_kb else None
+        reg, cross = regime_traces(regime, reg, cross, rate, buffer_bytes)
         model = UniformModel(cross_prob, seed=seed)
 
         res_o, rx_o, tx_o = drive_chain(False, reg, cross, model, n_hops,
@@ -312,8 +320,9 @@ def _engine_disabled(self, until=None):  # pragma: no cover - failure path
 
 class TestRlirEquivalence:
     def run_rlir(self, batch, n=2500, seed=0, demux="reverse-ecmp",
-                 record=False, clock_factory=None, until=None):
-        ft = FatTree(4, LinkParams(rate_bps=100e6, buffer_bytes=256 * 1024))
+                 record=False, clock_factory=None, until=None, rate=100e6,
+                 buffer_bytes=256 * 1024):
+        ft = FatTree(4, LinkParams(rate_bps=rate, buffer_bytes=buffer_bytes))
         measured = [(ft.host_address(0, 0, h), ft.host_address(1, 0, g))
                     for h in range(2) for g in range(2)]
         incast = [(ft.host_address(p, e, h), ft.host_address(1, 0, g))
@@ -357,6 +366,30 @@ class TestRlirEquivalence:
 
     def test_reverse_ecmp_bitwise_identical(self):
         self.assert_rlir_equal(self.run_rlir(False), self.run_rlir(True))
+
+    def test_drop_heavy_bitwise_identical(self, monkeypatch):
+        """10 Mb/s links with 16 KB buffers drop at the sender-tapped
+        ports, references included: the multi-class scan's drop arms
+        must match the engine."""
+        from repro.sim.engine import Engine
+
+        pair_o = self.run_rlir(False, rate=10e6, buffer_bytes=16 * 1024)
+        built = []
+        build = RliSender.build_reference
+
+        def spy(sender, path_class, now):
+            built.append(build(sender, path_class, now))
+            return built[-1]
+
+        monkeypatch.setattr(RliSender, "build_reference", spy)
+        monkeypatch.setattr(Engine, "run", _engine_disabled)
+        pair_b = self.run_rlir(True, rate=10e6, buffer_bytes=16 * 1024)
+        self.assert_rlir_equal(pair_o, pair_b)
+        ft_b, _ = pair_b
+        assert sum(port.queue.stats.dropped for sw in ft_b.switches
+                   for port in sw.ports) > 0
+        # only the tapped scan marks a dropped reference on the fast path
+        assert any(ref.dropped for ref in built)
 
     def test_recorded_logs_bitwise_identical(self):
         self.assert_rlir_equal(self.run_rlir(False, record=True),

@@ -16,7 +16,6 @@ class TestPacket:
         assert p.is_regular and not p.is_reference and not p.is_cross
         assert p.tap_time is None
         assert not p.dropped
-        assert p.hops == 0
 
     def test_flow_key_fields(self):
         p = make(sport=1234, dport=80, proto=6)
@@ -26,11 +25,10 @@ class TestPacket:
         p = make(sport=5, dport=6, size=100, ts=1.5)
         p.tap_time = 1.0
         p.dropped = True
-        p.hops = 3
         q = p.clone()
         assert q.flow_key == p.flow_key
         assert q.size == 100 and q.ts == 1.5
-        assert q.tap_time is None and not q.dropped and q.hops == 0
+        assert q.tap_time is None and not q.dropped
 
     def test_clone_preserves_reference_fields(self):
         p = make(kind=PacketKind.REFERENCE, sender_id=42, ref_timestamp=0.125)

@@ -33,7 +33,7 @@ class TestRoundTrip:
         # plain Python scalars, fresh bookkeeping
         for p in rebuilt:
             assert type(p.src) is int and type(p.ts) is float
-            assert p.tap_time is None and not p.dropped and p.hops == 0
+            assert p.tap_time is None and not p.dropped
 
     def test_single_packet_materialization(self):
         batch = PacketBatch.from_packets(sample_packets())

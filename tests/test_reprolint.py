@@ -196,6 +196,16 @@ class TestBatchParityRules:
         pairs, _ = findings_for("src/repro/sim/bad_batch_gate.py")
         assert rule_lines(pairs, "BATCH002") == [9]
 
+    def test_batch004_scan_certificate_outside_the_kernel(self):
+        pairs, _ = findings_for("src/repro/sim/bad_scan.py")
+        assert rule_lines(pairs, "BATCH004") == [8, 12, 13]
+
+    def test_batch004_kernel_module_clean(self):
+        src = (FIXTURES / "src/repro/sim/bad_scan.py").read_text()
+        found = lint_file(pathlib.Path("src/repro/sim/queue.py"),
+                          ALL_RULES, source=src)
+        assert not [f for f in found if f.rule == "BATCH004"]
+
     def test_batch002_getattr_string_gate_passes(self):
         src = (
             "def run(rx, cols):\n"
@@ -303,7 +313,7 @@ class TestEngine:
         rules_hit = {f.rule for f in findings}
         assert {"DET001", "DET002", "DET003", "KEY001", "KEY002",
                 "LOCK001", "LOCK002", "LOCK003", "LOCK004",
-                "BATCH001", "BATCH002", "BATCH003",
+                "BATCH001", "BATCH002", "BATCH003", "BATCH004",
                 "OBS001", "OBS002", "OBS003"} <= rules_hit
 
 

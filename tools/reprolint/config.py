@@ -99,6 +99,12 @@ BANNED_REDUCERS = frozenset({"sum", "nansum", "cumsum", "prod", "cumprod",
                              "dot", "matmul", "einsum"})
 NUMPY_NAMES = frozenset({"np", "numpy"})
 
+# The tail-drop certificate every drop-tested per-row queue scan needs.
+# Only the one scan kernel module may use it, so a reference anywhere
+# else is a re-inlined copy of the scan (BATCH004).
+SCAN_CERTIFICATE = "_drop_free_threshold"
+SCAN_KERNEL_MODULE = "repro/sim/queue.py"
+
 # Only sim-layer modules orchestrate foreign batch objects; they must
 # gate on `batch_capable` before calling another object's `*_batch`.
 BATCH_GATE_SCOPE = ("repro/sim/",)

@@ -16,6 +16,8 @@ BATCH003  float-reassociating reduction (np.sum / .sum() / np.dot /
           cumsum / prod / einsum) in batch-kernel scope; spell it
           np.add.reduce / np.add.accumulate, or suppress with a
           justification when the dtype makes it exact (integers)
+BATCH004  reference to the queue scans' drop-free certificate outside
+          sim/queue.py — a re-inlined copy of the one tapped-queue scan
 """
 
 from __future__ import annotations
@@ -115,6 +117,24 @@ def _check_reducers(ctx: FileContext) -> Findings:
         )
 
 
+def _check_scan_copies(ctx: FileContext) -> Findings:
+    if ctx.posix_path.endswith(config.SCAN_KERNEL_MODULE):
+        return
+    name = config.SCAN_CERTIFICATE
+    for node in ast.walk(ctx.tree):
+        if isinstance(node, ast.ImportFrom):
+            used = any(alias.name == name for alias in node.names)
+        else:
+            used = ((isinstance(node, ast.Name) and node.id == name)
+                    or (isinstance(node, ast.Attribute) and node.attr == name))
+        if used:
+            yield node.lineno, (
+                f"{name} outside sim/queue.py: a drop-tested per-row queue "
+                f"scan belongs in the one kernel there (FifoQueue."
+                f"offer_batch / tapped_scan), not in a re-inlined copy"
+            )
+
+
 RULES = [
     Rule("BATCH001", "error",
          "public *_batch entry point without an object-path sibling",
@@ -125,4 +145,7 @@ RULES = [
     Rule("BATCH003", "error",
          "float-reassociating numpy reduction in batch-kernel scope",
          _check_reducers),
+    Rule("BATCH004", "error",
+         "queue-scan certificate used outside the scan kernel module",
+         _check_scan_copies),
 ]
