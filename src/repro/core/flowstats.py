@@ -16,15 +16,19 @@ from __future__ import annotations
 
 import math
 from collections import OrderedDict
-from typing import Dict, Iterable, Iterator, Optional, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 import numpy as np
+
+from ..traffic.batch import pack_flow_keys
 
 __all__ = [
     "StreamingStats",
     "FlowStatsTable",
     "BoundedFlowStatsTable",
     "welford_grouped",
+    "flow_ids",
+    "fold_flow_samples",
 ]
 
 Key = Tuple[int, int, int, int, int]
@@ -180,6 +184,89 @@ def welford_grouped(values: np.ndarray, starts: np.ndarray, ends: np.ndarray,
     inverse = np.empty(n_groups, dtype=np.int64)
     inverse[by_size] = np.arange(n_groups)
     return counts, mean[inverse], m2[inverse], mn[inverse], mx[inverse]
+
+
+def flow_ids(keys, rows: np.ndarray) -> Tuple[np.ndarray, List[Key]]:
+    """Number the flows of a run of samples with array ops.
+
+    *keys* are the five flow-key columns (src, dst, sport, dport, proto)
+    and ``rows`` each sample's row in them.  Returns ``(ids, flow_keys)``:
+    sample i belongs to flow ``ids[i]``, whose 5-tuple key (plain ints) is
+    ``flow_keys[ids[i]]``.  Each key tuple is built once, so the tables a
+    caller folds these samples into share the key objects.
+    """
+    a, b = pack_flow_keys(*(column[rows] for column in keys))
+    order = np.lexsort((b, a))
+    a_s = a[order]
+    b_s = b[order]
+    boundary = np.empty(len(order), dtype=np.int64)
+    boundary[:1] = 1
+    boundary[1:] = (a_s[1:] != a_s[:-1]) | (b_s[1:] != b_s[:-1])
+    ids = np.empty(len(order), dtype=np.int64)
+    ids[order] = np.add.accumulate(boundary) - 1
+    first_rows = rows[order[np.flatnonzero(boundary)]]
+    return ids, list(zip(*(column[first_rows].tolist() for column in keys)))
+
+
+def fold_flow_samples(table: "FlowStatsTable", qtable, ids: np.ndarray,
+                      flow_keys: List[Key], values: np.ndarray) -> None:
+    """Fold (flow, value) samples into *table* (and the quantile *qtable*).
+
+    Sample i belongs to the flow ``flow_keys[ids[i]]`` (see
+    :func:`flow_ids`).  Dict insertion order (first appearance of each
+    flow) and per-flow sample order both match calling ``table.add`` per
+    sample.  Bounded (LRU) tables and quantile tracking depend on the exact
+    cross-flow access sequence, so they take the per-sample loop; the
+    common unbounded case groups samples by flow with array ops and folds
+    each run through the Welford accumulator in one call.
+    """
+    n = len(values)
+    if n == 0:
+        return
+    if isinstance(table, BoundedFlowStatsTable) or qtable is not None:
+        table_add = table.add
+        q_add = qtable.add if qtable is not None else None
+        for flow, value in zip(ids.tolist(), values.tolist()):
+            key = flow_keys[flow]
+            table_add(key, value)
+            if q_add is not None:
+                q_add(key, value)
+        return
+    order = np.argsort(ids, kind="stable")
+    ids_s = ids[order]
+    boundary = np.empty(n, dtype=bool)
+    boundary[0] = True
+    boundary[1:] = ids_s[1:] != ids_s[:-1]
+    starts = np.flatnonzero(boundary)
+    ends = np.append(starts[1:], n)
+    firsts = order[starts]  # stable sort => min original index per flow
+    grouped_vals = values[order]
+    counts, means, m2s, mins, maxs = welford_grouped(grouped_vals, starts, ends)
+    # per-flow scalars as plain Python values, extracted in bulk
+    group_flows = ids_s[starts].tolist()
+    counts_l = counts.tolist()
+    means_l = means.tolist()
+    m2_l = m2s.tolist()
+    mins_l = mins.tolist()
+    maxs_l = maxs.tolist()
+    vals_list = None
+    adopt = table.adopt
+    for g in np.argsort(firsts, kind="stable").tolist():
+        key = flow_keys[group_flows[g]]
+        if key in table:
+            # fold into the existing accumulator sample by sample —
+            # the precomputed one assumed a fresh start
+            if vals_list is None:
+                vals_list = grouped_vals.tolist()
+            table.add_many(key, vals_list[int(starts[g]):int(ends[g])])
+            continue
+        stats = StreamingStats()
+        stats.count = counts_l[g]
+        stats.mean = means_l[g]
+        stats._m2 = m2_l[g]
+        stats.min = mins_l[g]
+        stats.max = maxs_l[g]
+        adopt(key, stats)
 
 
 class FlowStatsTable:

@@ -38,7 +38,7 @@ from ..traffic.trace import Trace
 from .demux import PathClassifierDemux, UpstreamPrefixDemux
 from .flowstats import FlowStatsTable
 from .injection import InjectionPolicy, StaticInjection
-from .obslog import make_observation_log
+from .obslog import ObservationColumns
 from .receiver import RliReceiver
 from .sender import RefTemplate, RliSender
 
@@ -257,7 +257,7 @@ class FullRliDeployment:
         port.add_enqueue_tap(tap)
         return sender
 
-    def observation_logs(self) -> List[Tuple[str, list]]:
+    def observation_logs(self) -> List[Tuple[str, ObservationColumns]]:
         """(segment name, recorded events) per receiver (after a run)."""
         if not self.record_observations:
             raise RuntimeError("deployment built without record_observations")
@@ -266,9 +266,10 @@ class FullRliDeployment:
     def _attach_receiver(self, switch: Switch, name: str, demux) -> RliReceiver:
         receiver = RliReceiver(demux=demux, clock=self.clock_factory(),
                                estimator=self.estimator,
-                               observation_log=make_observation_log(
-                                   self.record_observations),
-                               record_only=bool(self.record_observations))
+                               observation_log=(ObservationColumns()
+                                                if self.record_observations
+                                                else None),
+                               record_only=self.record_observations)
 
         def tap(packet: Packet, now: float, in_port: int) -> None:
             if packet.is_regular or packet.is_reference:

@@ -7,7 +7,9 @@ uses linear interpolation to estimate per-packet latency" (paper Section 2).
 :class:`InterpolationBuffer` is the receiver-side data structure the paper
 calls the *interpolation buffer* (Figure 2): regular-packet arrivals are
 buffered until the next reference packet closes the interval, at which point
-every buffered packet gets a delay estimate.
+every buffered packet gets a delay estimate.  :func:`estimate_streams` is
+the columnar equivalent for a whole demuxed observation stream — the one
+estimate kernel that live batch observation and log replay share.
 
 Estimator strategies (the default is the paper's; the others exist for the
 ablation benches):
@@ -24,7 +26,7 @@ tail) take the last reference's delay when the buffer is flushed.
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -33,6 +35,7 @@ __all__ = [
     "Estimate",
     "linear_interpolate",
     "interpolate_batch",
+    "estimate_streams",
     "ESTIMATORS",
 ]
 
@@ -171,6 +174,90 @@ def interpolate_batch(  # reprolint: disable=BATCH001 -- scalar twin is the Inte
     return np.where(
         intervals <= 0, ref_d[0], np.where(intervals >= n_refs, ref_d[n_refs - 1], interior)
     )
+
+
+def estimate_streams(
+    ref_pos: np.ndarray,
+    ref_streams: np.ndarray,
+    ref_times: np.ndarray,
+    ref_delays: np.ndarray,
+    pos: np.ndarray,
+    times: np.ndarray,
+    streams: np.ndarray,
+    estimator: str = "linear",
+) -> Tuple[Union[slice, np.ndarray], np.ndarray, int]:
+    """Estimate every regular of a demuxed observation stream at once.
+
+    The columnar equivalent of feeding the stream, in observation order,
+    through one :class:`InterpolationBuffer` per stream (created at the
+    stream's first reference or regular) and flushing the buffers in
+    creation order at the end.  ``ref_*`` are the accepted references and
+    ``pos``/``times``/``streams`` the measured regulars, each in
+    observation order; ``ref_pos`` and ``pos`` are the events' distinct,
+    shared observation positions (what the buffers saw first).
+
+    Returns ``(order, estimates, unestimated)``: ``estimates[j]`` belongs
+    to regular ``order[j]``, in the order the buffers would emit them (by
+    the reference that closes each interval, tails after every reference,
+    stream by stream in buffer-creation order).  With one stream the
+    emission order is the observation order and ``order`` is a plain
+    ``slice``.  ``unestimated`` counts the regulars of streams that never
+    saw a reference, which are dropped.
+    """
+    if estimator not in ESTIMATORS:
+        raise ValueError(
+            f"unknown estimator {estimator!r}; choose from {sorted(ESTIMATORS)}"
+        )
+    if len(ref_pos) and bool(np.all(ref_streams == ref_streams[0])) and bool(
+            np.all(streams == ref_streams[0])):
+        # single stream (the two-switch pipeline): closing positions are
+        # non-decreasing in observation order — no sort, no partitioning
+        intervals = np.searchsorted(ref_pos, pos)
+        return slice(None), interpolate_batch(
+            times, ref_times, ref_delays, estimator=estimator,
+            intervals=intervals), 0
+
+    # buffer-creation rank: streams by their first observed event
+    all_pos = np.concatenate([ref_pos, pos])
+    by_pos = np.argsort(all_pos, kind="stable")
+    uniq, first = np.unique(np.concatenate([ref_streams, streams])[by_pos],
+                            return_index=True)
+    rank = np.empty(len(uniq), dtype=np.int64)
+    rank[np.argsort(first, kind="stable")] = np.arange(len(uniq))
+    end = int(all_pos.max()) + 1 if len(all_pos) else 0
+
+    unestimated = 0
+    closes, members, parts = [], [], []
+    # np.unique is sorted: set-iteration order must never be load-bearing
+    for stream, stream_rank in zip(uniq.tolist(), rank.tolist()):
+        sel = np.flatnonzero(streams == stream)
+        refs = ref_streams == stream
+        if not refs.any():
+            # pending forever: no reference ever closed this stream
+            unestimated += len(sel)
+            continue
+        if not len(sel):
+            continue
+        s_pos = ref_pos[refs]
+        intervals = np.searchsorted(s_pos, pos[sel])
+        parts.append(interpolate_batch(
+            times[sel], ref_times[refs], ref_delays[refs],
+            estimator=estimator, intervals=intervals))
+        # estimates surface when their interval closes: at the right-
+        # endpoint reference, or at the final flush (after every
+        # reference, in buffer-creation order)
+        last = len(s_pos) - 1
+        closes.append(np.where(intervals <= last,
+                               s_pos[np.minimum(intervals, last)],
+                               end + stream_rank))
+        members.append(sel)
+    if not parts:
+        return np.empty(0, dtype=np.intp), np.empty(0), unestimated
+    # one closing event closes regulars of one stream only, and each
+    # stream's members are in observation order: a stable sort suffices
+    emit = np.argsort(np.concatenate(closes), kind="stable")
+    return (np.concatenate(members)[emit], np.concatenate(parts)[emit],
+            unestimated)
 
 
 class InterpolationBuffer:

@@ -1,44 +1,36 @@
 """Array-backed observation logs: columns instead of per-event tuples.
 
-A recorded receiver (``RliReceiver(observation_log=…)``) appends one event
+A recorded receiver (``RliReceiver(observation_log=…)``) logs one event
 per observed packet — ``(REF_OBS, stream, now, delay)`` or ``(REG_OBS,
-stream, now, flow_key, truth)``.  The tuple representation costs ~200
-bytes per event in object headers and pointers; at trace scale a single
-condition's log is millions of events, which bloats the prepared-artifact
-memory that forked shard workers inherit and that distributed workers
-rebuild per process.
+stream, now, flow_key, truth)``.  At trace scale a single condition's log
+is millions of events, which the prepared artifact holds in memory, forked
+shard workers inherit, and distributed workers rebuild per process.
 
-:class:`ObservationColumns` stores the same stream as eight flat typed
-columns (tag, stream, time, value, and the five flow-key fields) — ~49
-bytes per event, no per-event objects, and genuinely copy-on-write under
-``fork`` (a tuple log's reference counts dirty its pages the moment a
-child iterates it).  Iteration yields the *exact* tuples the list mode
-would hold — every ``float`` and ``int`` round-trips bit-exactly through
-the typed arrays — so replaying either representation produces
-byte-identical tables, which the equivalence suite asserts.
-
-Tuple mode (a plain ``list``) stays the compatibility default everywhere;
-pass ``"array"`` to the deployments' ``record_observations=`` knob (or an
-:class:`ObservationColumns` straight to a receiver) to opt in.
+:class:`ObservationColumns` is the one log representation: the event
+stream as eight flat typed columns (tag, stream, time, value, and the five
+flow-key fields) — ~49 bytes per event, no per-event objects, and
+genuinely copy-on-write under ``fork``.  Every ``float`` and ``int``
+round-trips bit-exactly through the typed arrays, and replay
+(:mod:`repro.core.replay`) reads the columns directly as numpy views.
+The deployments' ``record_observations=True`` gives every receiver one.
 """
 
 from __future__ import annotations
 
 from array import array
-from typing import Iterator, Tuple, Union
 
 from .receiver import REF_OBS, REG_OBS
 
-__all__ = ["ObservationColumns", "make_observation_log"]
+__all__ = ["ObservationColumns"]
 
 _NO_KEY = (0, 0, 0, 0, 0)  # key columns for reference rows (never read back)
 
 
 class ObservationColumns:
-    """A columnar observation log with the list API receivers use.
+    """A columnar observation log.
 
-    Only ``append``, ``len`` and iteration are needed by the recording and
-    replay machinery; iteration reconstructs the canonical event tuples.
+    The scalar receiver path records through :meth:`append`, the columnar
+    one through :meth:`extend_batch`; replay reads :meth:`arrays`.
     """
 
     __slots__ = ("_tags", "_streams", "_times", "_values", "_keys")
@@ -77,10 +69,19 @@ class ObservationColumns:
         mirroring ``_NO_KEY``).  Every value round-trips bit-exactly
         through the typed arrays, so a bulk append leaves the log
         byte-identical to the equivalent sequence of :meth:`append` calls
-        — the columnar receiver fast path records through this.
+        — the columnar receiver fast path records through this.  Columns
+        of unequal length raise :class:`ValueError` before anything is
+        appended, so a bad call cannot misalign the log.
         """
         import numpy as np
 
+        lengths = {len(tags), len(streams), len(times), len(values)}
+        lengths.update(len(field) for field in keys)
+        if len(keys) != 5 or len(lengths) != 1:
+            raise ValueError(
+                f"extend_batch needs eight equal-length columns (tag, "
+                f"stream, time, value, five key fields): got lengths "
+                f"{[len(c) for c in (tags, streams, times, values, *keys)]}")
         self._tags.frombytes(np.ascontiguousarray(tags, dtype=np.int8).tobytes())
         self._streams.frombytes(np.ascontiguousarray(streams, dtype=np.int64).tobytes())
         self._times.frombytes(np.ascontiguousarray(times, dtype=np.float64).tobytes())
@@ -91,20 +92,6 @@ class ObservationColumns:
     def __len__(self) -> int:
         return len(self._tags)
 
-    def __iter__(self) -> Iterator[tuple]:
-        keys = self._keys
-        for i, tag in enumerate(self._tags):
-            if tag == REF_OBS:
-                yield (REF_OBS, self._streams[i], self._times[i], self._values[i])
-            else:
-                yield (
-                    REG_OBS,
-                    self._streams[i],
-                    self._times[i],
-                    (keys[0][i], keys[1][i], keys[2][i], keys[3][i], keys[4][i]),
-                    self._values[i],
-                )
-
     # ------------------------------------------------------------------
 
     @property
@@ -114,7 +101,7 @@ class ObservationColumns:
         return sum(len(c) * c.itemsize for c in columns)
 
     def arrays(self) -> dict:
-        """Zero-copy numpy views of the columns, for analysis tooling."""
+        """Zero-copy numpy views of the columns (what replay reads)."""
         import numpy as np
 
         return {
@@ -137,20 +124,3 @@ class ObservationColumns:
 
     def __repr__(self) -> str:
         return f"ObservationColumns(events={len(self)}, bytes={self.nbytes})"
-
-
-def make_observation_log(mode: Union[bool, str, None]):
-    """The log object for a ``record_observations`` setting.
-
-    ``False``/``None`` → no recording; ``True``/``"tuple"`` → a plain list
-    (the compatibility default); ``"array"`` → :class:`ObservationColumns`.
-    """
-    if mode is None or mode is False:
-        return None
-    if mode is True or mode == "tuple":
-        return []
-    if mode == "array":
-        return ObservationColumns()
-    raise ValueError(
-        f"record_observations must be False, True, 'tuple' or 'array': {mode!r}"
-    )

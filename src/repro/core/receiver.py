@@ -20,16 +20,19 @@ paper's evaluation.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
 
 import numpy as np
 
 from ..net.packet import Packet, PacketKind
 from ..sim.clock import Clock, PerfectClock
 from .demux import Demux
-from .flowstats import BoundedFlowStatsTable, FlowStatsTable, StreamingStats, welford_grouped
-from .interpolation import Estimate, InterpolationBuffer, interpolate_batch
+from .flowstats import BoundedFlowStatsTable, FlowStatsTable, flow_ids, fold_flow_samples
+from .interpolation import Estimate, InterpolationBuffer, estimate_streams
 from .quantiles import FlowQuantileTable
+
+if TYPE_CHECKING:
+    from .obslog import ObservationColumns
 
 __all__ = ["RliReceiver", "REF_OBS", "REG_OBS"]
 
@@ -65,11 +68,9 @@ class RliReceiver:
         (:attr:`flow_estimated_quantiles` / :attr:`flow_true_quantiles`) —
         the tail view mean/σ cannot give.
     observation_log:
-        Optional appendable log the receiver writes its post-demux
-        observation events to (see :mod:`repro.core.replay`) — a plain
-        list, or a columnar :class:`~repro.core.obslog.ObservationColumns`
-        for the same events at a fraction of the memory.  A recorded log
-        can be replayed — in full or restricted to one flow shard — to
+        Optional :class:`~repro.core.obslog.ObservationColumns` the
+        receiver writes its post-demux observation events to (see
+        :mod:`repro.core.replay`).  A recorded log can be replayed — in full or restricted to one flow shard — to
         rebuild this receiver's per-flow tables without re-running the
         simulation; the within-condition sharding of the sweep runner
         (serial, process-pool, or distributed) is built on it.
@@ -89,7 +90,7 @@ class RliReceiver:
         collect_estimates: bool = False,
         max_flows: Optional[int] = None,
         quantiles: Optional[Sequence[float]] = None,
-        observation_log: Optional[list] = None,
+        observation_log: Optional["ObservationColumns"] = None,
         record_only: bool = False,
     ):
         if record_only and observation_log is None:
@@ -174,15 +175,8 @@ class RliReceiver:
         a path-classifier demux only advertises it when its classifier is
         vectorizable).  Observation logs are recorded on the fast path too
         — bulk-appended in observation order, byte-identical to per-event
-        appends — for the plain ``list`` and
-        :class:`~repro.core.obslog.ObservationColumns` representations;
-        an exotic log type falls back to the per-object path.
+        appends.
         """
-        log = self.observation_log
-        if log is not None and not (
-            isinstance(log, list) or hasattr(log, "extend_batch")
-        ):
-            return False
         return bool(getattr(self.demux, "batch_capable", False)) and hasattr(
             self.demux, "classify_regular_batch"
         )
@@ -201,8 +195,10 @@ class RliReceiver:
         The vectorized equivalent of calling :meth:`observe` per packet in
         stream order and then flushing the one-sided tails: reference
         packets (few, stateful) take a per-object loop, while regular
-        packets are classified, grouped and estimated with array
-        operations whose per-element float ops match the scalar path —
+        packets are classified and grouped with array operations and
+        estimated by :func:`~repro.core.interpolation.estimate_streams`
+        (the estimate kernel log replay shares), whose per-element float
+        ops match the scalar path —
         every counter, flow-table entry (including dict insertion order)
         and estimate is bitwise-identical, which the equivalence suite
         asserts.  One-shot: it covers the stream's tail flush, so a
@@ -246,9 +242,7 @@ class RliReceiver:
             raise ValueError("ref_packets must align with REFERENCE rows")
 
         # --- references: per-object, in observation order (small stream)
-        refs_by_stream: Dict[int, list] = {}  # stream -> [positions, times, delays]
-        first_by_stream: Dict[int, int] = {}  # buffer-creation order
-        ref_log: List[list] = [[], [], [], []]  # accepted: pos, stream, t, delay
+        ref_cols: List[list] = [[], [], [], []]  # accepted: pos, stream, t, delay
         clock_now = self.clock.now
         for p_obs, t, pkt in zip(
             pos[is_ref].tolist(), times[is_ref].tolist(), ref_packets
@@ -258,19 +252,12 @@ class RliReceiver:
                 self.references_ignored += 1
                 continue
             self.references_accepted += 1
-            delay = clock_now(t) - pkt.ref_timestamp
-            if self.observation_log is not None:
-                ref_log[0].append(p_obs)
-                ref_log[1].append(stream)
-                ref_log[2].append(t)
-                ref_log[3].append(delay)
-            entry = refs_by_stream.get(stream)
-            if entry is None:
-                entry = refs_by_stream[stream] = [[], [], []]
-                first_by_stream.setdefault(stream, p_obs)
-            entry[0].append(p_obs)
-            entry[1].append(t)
-            entry[2].append(delay)
+            ref_cols[0].append(p_obs)
+            ref_cols[1].append(stream)
+            ref_cols[2].append(t)
+            ref_cols[3].append(clock_now(t) - pkt.ref_timestamp)
+        ref_pos, ref_streams = (np.asarray(c, dtype=np.int64) for c in ref_cols[:2])
+        ref_t, ref_d = (np.asarray(c, dtype=np.float64) for c in ref_cols[2:])
 
         # --- regulars: vectorized classify / tap check / ground truth
         reg_pos = pos[is_reg]
@@ -296,161 +283,49 @@ class RliReceiver:
         self.regulars_measured += len(mpos)
         mtaps = headers.ts[mhidx] if taps is None else reg_taps[keep]
         truth = mtimes - mtaps  # same op as scalar `now - tap_time`
+        keys = (headers.src, headers.dst, headers.sport, headers.dport,
+                headers.proto)
 
         if self.observation_log is not None:
-            self._log_batch(ref_log, mpos, mstreams, mtimes, mhidx, truth,
-                            headers)
+            self._log_batch((ref_pos, ref_streams, ref_t, ref_d),
+                            (mpos, mstreams, mtimes, truth), keys, mhidx)
             if self.record_only:
                 return
 
-        a_col, b_col = headers.packed_flow_keys()
-        self._fold_flow_samples(
-            self.flow_true, self.flow_true_quantiles, headers,
-            mhidx, a_col[mhidx], b_col[mhidx], truth,
-        )
-
-        # buffer-creation order: first accepted reference or measured
-        # regular per stream, whichever was observed first
-        if len(mpos):
-            uniq, first_idx = np.unique(mstreams, return_index=True)
-            for s, i in zip(uniq.tolist(), first_idx.tolist()):
-                p0 = int(mpos[i])
-                cur = first_by_stream.get(s)
-                if cur is None or p0 < cur:
-                    first_by_stream[s] = p0
-        stream_rank = {
-            s: r for r, s in enumerate(sorted(first_by_stream, key=first_by_stream.get))
-        }
-
-        # --- single-stream shortcut (the two-switch pipeline case): with
-        # one stream, closing positions are non-decreasing in observation
-        # order, so emission order IS observation order — no sort, no
-        # per-stream partitioning
-        if len(refs_by_stream) == 1 and (
-            not len(mstreams)
-            or (next(iter(refs_by_stream)) == mstreams[0]
-                and bool(np.all(mstreams == mstreams[0])))
-        ):
-            entry = next(iter(refs_by_stream.values()))
-            if len(mpos):
-                ref_pos = np.asarray(entry[0], dtype=np.int64)
-                intervals = np.searchsorted(ref_pos, mpos)
-                est = interpolate_batch(
-                    mtimes, np.asarray(entry[1]), np.asarray(entry[2]),
-                    estimator=self.estimator, intervals=intervals,
+        ids, flow_keys = flow_ids(keys, mhidx)
+        fold_flow_samples(self.flow_true, self.flow_true_quantiles, ids,
+                          flow_keys, truth)
+        order, est, unestimated = estimate_streams(
+            ref_pos, ref_streams, ref_t, ref_d, mpos, mtimes, mstreams,
+            estimator=self.estimator)
+        self.unestimated += unestimated
+        est_ids = ids[order]
+        fold_flow_samples(self.flow_estimated, self.flow_estimated_quantiles,
+                          est_ids, flow_keys, est)
+        if self.collect_estimates:
+            self.estimates.extend(
+                Estimate(flow_keys[f], t, e, tr)
+                for f, t, e, tr in zip(
+                    est_ids.tolist(), mtimes[order].tolist(), est.tolist(),
+                    truth[order].tolist(),
                 )
-                self._fold_flow_samples(
-                    self.flow_estimated, self.flow_estimated_quantiles,
-                    headers, mhidx, a_col[mhidx], b_col[mhidx], est,
-                )
-                if self.collect_estimates:
-                    self.estimates.extend(
-                        Estimate(headers.flow_key(int(h)), t, e, tr)
-                        for h, t, e, tr in zip(
-                            mhidx.tolist(), mtimes.tolist(),
-                            est.tolist(), truth.tolist(),
-                        )
-                    )
-            return
-
-        # --- per-stream interpolation; emission keyed by the closing event
-        # (sorted: the downstream lexsort is order-insensitive today, but
-        # set-iteration order must never be load-bearing — DET003)
-        parts: List[tuple] = []
-        for stream in sorted(refs_by_stream.keys() | set(mstreams.tolist())):
-            sel = mstreams == stream
-            rpos = mpos[sel]
-            entry = refs_by_stream.get(stream)
-            if entry is None:
-                # pending forever: no reference ever closed this stream
-                self.unestimated += int(np.count_nonzero(sel))
-                continue
-            if not len(rpos):
-                continue
-            ref_pos = np.asarray(entry[0], dtype=np.int64)
-            ref_t = np.asarray(entry[1], dtype=np.float64)
-            ref_d = np.asarray(entry[2], dtype=np.float64)
-            intervals = np.searchsorted(ref_pos, rpos)
-            est = interpolate_batch(
-                mtimes[sel], ref_t, ref_d,
-                estimator=self.estimator, intervals=intervals,
             )
-            n_refs = len(ref_pos)
-            # estimates surface when their interval closes: at the
-            # right-endpoint reference, or at the final flush (ordered by
-            # buffer creation, after every reference event)
-            close = np.where(
-                intervals < n_refs,
-                ref_pos[np.minimum(intervals, n_refs - 1)],
-                n_obs + stream_rank[stream],
-            )
-            parts.append((close, rpos, mtimes[sel], est, truth[sel],
-                          mhidx[sel], a_col[mhidx[sel]], b_col[mhidx[sel]]))
 
-        if parts:
-            close_all = np.concatenate([p[0] for p in parts])
-            obs_all = np.concatenate([p[1] for p in parts])
-            t_all = np.concatenate([p[2] for p in parts])
-            est_all = np.concatenate([p[3] for p in parts])
-            truth_all = np.concatenate([p[4] for p in parts])
-            hidx_all = np.concatenate([p[5] for p in parts])
-            a_all = np.concatenate([p[6] for p in parts])
-            b_all = np.concatenate([p[7] for p in parts])
-            emit = np.lexsort((obs_all, close_all))
-            est_e = est_all[emit]
-            hidx_e = hidx_all[emit]
-            self._fold_flow_samples(
-                self.flow_estimated, self.flow_estimated_quantiles, headers,
-                hidx_e, a_all[emit], b_all[emit], est_e,
-            )
-            if self.collect_estimates:
-                self.estimates.extend(
-                    Estimate(headers.flow_key(int(h)), t, e, tr)
-                    for h, t, e, tr in zip(
-                        hidx_e.tolist(), t_all[emit].tolist(),
-                        est_e.tolist(), truth_all[emit].tolist(),
-                    )
-                )
-
-    def _log_batch(self, ref_log, mpos, mstreams, mtimes, mhidx, truth,
-                   headers) -> None:
+    def _log_batch(self, refs, regulars, keys, rows) -> None:
         """Write one batch's observation events to the log, in stream order.
 
-        Reference and measured-regular events are interleaved by their
-        observation positions, reproducing the exact per-event append
-        sequence (and values) of the scalar path; plain lists take tuple
-        events, :class:`~repro.core.obslog.ObservationColumns` a bulk
-        column append.
+        *refs* are the accepted references' (positions, streams, times,
+        delays) and *regulars* the measured regulars' (positions, streams,
+        times, truths), whose flow keys sit at *rows* of the five *keys*
+        columns.  Both event classes are scattered into their merged
+        observation-order slots, so the bulk append leaves the log
+        byte-identical to the scalar path's per-event appends.
         """
-        n_ref = len(ref_log[0])
-        n_reg = len(mpos)
-        total = n_ref + n_reg
+        n_ref = len(refs[0])
+        total = n_ref + len(regulars[0])
         if not total:
             return
-        log = self.observation_log
-        pos_all = np.concatenate([
-            np.asarray(ref_log[0], dtype=np.int64),
-            np.asarray(mpos, dtype=np.int64),
-        ])
-        if isinstance(log, list):
-            reg_keys = zip(
-                headers.src[mhidx].tolist(), headers.dst[mhidx].tolist(),
-                headers.sport[mhidx].tolist(), headers.dport[mhidx].tolist(),
-                headers.proto[mhidx].tolist(),
-            )
-            events = [
-                (REF_OBS, s, t, d)
-                for s, t, d in zip(ref_log[1], ref_log[2], ref_log[3])
-            ] + [
-                (REG_OBS, s, t, key, tr)
-                for s, t, key, tr in zip(
-                    mstreams.tolist(), mtimes.tolist(), reg_keys,
-                    truth.tolist(),
-                )
-            ]
-            log.extend(events[i] for i in np.argsort(pos_all, kind="stable").tolist())
-            return
-        # columnar log: scatter both event classes into their merged slots
+        pos_all = np.concatenate([refs[0], regulars[0]])
         rank = np.empty(total, dtype=np.intp)
         rank[np.argsort(pos_all, kind="stable")] = np.arange(total)
         ref_rank = rank[:n_ref]
@@ -458,90 +333,19 @@ class RliReceiver:
         tags = np.empty(total, dtype=np.int8)
         tags[ref_rank] = REF_OBS
         tags[reg_rank] = REG_OBS
-        streams_all = np.empty(total, dtype=np.int64)
-        streams_all[ref_rank] = np.asarray(ref_log[1], dtype=np.int64)
-        streams_all[reg_rank] = mstreams
-        times_all = np.empty(total, dtype=np.float64)
-        times_all[ref_rank] = np.asarray(ref_log[2], dtype=np.float64)
-        times_all[reg_rank] = mtimes
-        values_all = np.empty(total, dtype=np.float64)
-        values_all[ref_rank] = np.asarray(ref_log[3], dtype=np.float64)
-        values_all[reg_rank] = truth
-        keys = []
-        for column in (headers.src, headers.dst, headers.sport,
-                       headers.dport, headers.proto):
-            key_col = np.zeros(total, dtype=np.int64)
-            key_col[reg_rank] = column[mhidx]
-            keys.append(key_col)
-        log.extend_batch(tags, streams_all, times_all, values_all, keys)
-
-    def _fold_flow_samples(
-        self, table, qtable, headers, hidx, a, b, values
-    ) -> None:
-        """Fold (flow, value) samples into *table* (and *qtable*).
-
-        Dict insertion order (first appearance of each flow) and per-flow
-        sample order both match the per-sample scalar path.  Bounded (LRU)
-        tables and quantile tracking depend on the exact cross-flow access
-        sequence, so they take the per-sample loop; the common unbounded
-        case groups samples by flow with array ops and folds each run
-        through the Welford accumulator in one call.
-        """
-        n = len(values)
-        if n == 0:
-            return
-        if isinstance(table, BoundedFlowStatsTable) or qtable is not None:
-            keys = list(zip(
-                headers.src[hidx].tolist(), headers.dst[hidx].tolist(),
-                headers.sport[hidx].tolist(), headers.dport[hidx].tolist(),
-                headers.proto[hidx].tolist(),
-            ))
-            table_add = table.add
-            q_add = qtable.add if qtable is not None else None
-            for key, value in zip(keys, values.tolist()):
-                table_add(key, value)
-                if q_add is not None:
-                    q_add(key, value)
-            return
-        order = np.lexsort((b, a))
-        a_s = a[order]
-        b_s = b[order]
-        boundary = np.empty(n, dtype=bool)
-        boundary[0] = True
-        boundary[1:] = (a_s[1:] != a_s[:-1]) | (b_s[1:] != b_s[:-1])
-        starts = np.flatnonzero(boundary)
-        ends = np.append(starts[1:], n)
-        firsts = order[starts]  # stable sort => min original index per flow
-        grouped_vals = values[order]
-        counts, means, m2s, mins, maxs = welford_grouped(grouped_vals, starts, ends)
-        # per-flow scalars as plain Python values, extracted in bulk
-        rep = hidx[firsts]
-        keys = list(zip(headers.src[rep].tolist(), headers.dst[rep].tolist(),
-                        headers.sport[rep].tolist(), headers.dport[rep].tolist(),
-                        headers.proto[rep].tolist()))
-        counts_l = counts.tolist()
-        means_l = means.tolist()
-        m2_l = m2s.tolist()
-        mins_l = mins.tolist()
-        maxs_l = maxs.tolist()
-        vals_list = None
-        adopt = table.adopt
-        for g in np.argsort(firsts, kind="stable").tolist():
-            key = keys[g]
-            if key in table:
-                # fold into the existing accumulator sample by sample —
-                # the precomputed one assumed a fresh start
-                if vals_list is None:
-                    vals_list = grouped_vals.tolist()
-                table.add_many(key, vals_list[int(starts[g]):int(ends[g])])
-                continue
-            stats = StreamingStats()
-            stats.count = counts_l[g]
-            stats.mean = means_l[g]
-            stats._m2 = m2_l[g]
-            stats.min = mins_l[g]
-            stats.max = maxs_l[g]
-            adopt(key, stats)
+        columns = []
+        for dtype, ref_col, reg_col in zip(
+                (np.int64, np.float64, np.float64), refs[1:], regulars[1:]):
+            column = np.empty(total, dtype=dtype)
+            column[ref_rank] = ref_col
+            column[reg_rank] = reg_col
+            columns.append(column)
+        key_cols = []
+        for key in keys:
+            column = np.zeros(total, dtype=np.int64)
+            column[reg_rank] = key[rows]
+            key_cols.append(column)
+        self.observation_log.extend_batch(tags, *columns, key_cols)
 
     def finalize(self) -> None:
         """Flush the one-sided tails of every stream buffer (idempotent)."""

@@ -7,17 +7,18 @@ bracket it — never on other flows' regular packets (see
 stage embarrassingly parallel *by flow* even though the simulation that
 produced the observations is strictly sequential.
 
-This module exploits that: a receiver created with ``observation_log=[...]``
-(a list, or the columnar :class:`~repro.core.obslog.ObservationColumns` —
-any appendable iterable of event tuples) records its post-demux event
-stream during one (sequential, memoized) simulation;
-:func:`replay_observations` then rebuilds the per-flow tables from the log
-— optionally restricted to one flow shard (every shard replays all
-reference events but only its own flows' regular events) — and
+This module exploits that: a receiver created with an ``observation_log``
+(a columnar :class:`~repro.core.obslog.ObservationColumns`) records its
+post-demux event stream during one (sequential, memoized) simulation;
+:func:`replay_observations` then rebuilds the per-flow tables from the
+log's columns — optionally restricted to one flow shard (every shard keeps
+all reference rows but only its own flows' regular rows) — and
 :func:`merge_shard_tables` reassembles the shards in sorted-key order.
-:func:`replay_observations_multi` replays a *chunk* of shards in one pass
-(the dispatch unit of the distributed backend) with bitwise-identical
-per-shard output.
+:func:`replay_observations_multi` replays a *chunk* of shards from one
+read of the log (the dispatch unit of the distributed backend) with
+bitwise-identical per-shard output.  Estimation is the same kernel the
+live receiver runs after demux
+(:func:`~repro.core.interpolation.estimate_streams`).
 
 Because shard membership is a pure function of the flow key
 (:func:`~repro.traffic.divider.flow_shard`) and each flow's samples are
@@ -27,11 +28,14 @@ for any shard count, which the determinism suite asserts.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Dict, Iterable, Sequence, Tuple
+
+import numpy as np
 
 from ..traffic.divider import flow_shard
-from .flowstats import FlowStatsTable, StreamingStats
-from .interpolation import InterpolationBuffer
+from .flowstats import FlowStatsTable, StreamingStats, flow_ids, fold_flow_samples
+from .interpolation import estimate_streams
+from .obslog import ObservationColumns
 from .receiver import REF_OBS, REG_OBS
 
 __all__ = ["ReplayTables", "replay_observations", "replay_observations_multi",
@@ -49,68 +53,36 @@ class ReplayTables:
 
 
 def replay_observations(
-    events: Sequence[tuple],
+    log: ObservationColumns,
     estimator: str = "linear",
     shard: int = 0,
     n_shards: int = 1,
 ) -> ReplayTables:
     """Rebuild per-flow estimated/true tables from an observation log.
 
-    With ``n_shards > 1`` only regular events whose flow hashes to *shard*
-    are replayed; reference events always are (they define the
+    With ``n_shards > 1`` only regular rows whose flow hashes to *shard*
+    are replayed; reference rows always are (they define the
     interpolation intervals every flow estimates against), so each flow's
     estimates come out identical to an unsharded replay.
     """
-    if not 0 <= shard < n_shards:
-        raise ValueError(f"shard must be in [0, {n_shards}): {shard}")
-    buffers: Dict[int, InterpolationBuffer] = {}
-    estimated = FlowStatsTable()
-    true = FlowStatsTable()
-    unestimated = 0
-    for event in events:
-        tag = event[0]
-        if tag == REF_OBS:
-            _, stream, now, delay = event
-            buffer = buffers.get(stream)
-            if buffer is None:
-                buffer = buffers[stream] = InterpolationBuffer(estimator)
-            for est in buffer.add_reference(now, delay):
-                estimated.add(est.key, est.estimated)
-        elif tag == REG_OBS:
-            _, stream, now, key, truth = event
-            if n_shards > 1 and flow_shard(key, n_shards) != shard:
-                continue
-            buffer = buffers.get(stream)
-            if buffer is None:
-                buffer = buffers[stream] = InterpolationBuffer(estimator)
-            true.add(key, truth)
-            buffer.add_regular(now, key, truth)
-        else:
-            raise ValueError(f"unknown observation event tag: {tag!r}")
-    for buffer in buffers.values():
-        for est in buffer.flush():
-            estimated.add(est.key, est.estimated)
-        unestimated += buffer.unestimated
-    return ReplayTables(estimated, true, unestimated)
+    return replay_observations_multi(log, estimator, (shard,), n_shards)[shard]
 
 
 def replay_observations_multi(
-    events: Sequence[tuple],
+    log: ObservationColumns,
     estimator: str = "linear",
     shards: Sequence[int] = (0,),
     n_shards: int = 1,
-) -> Dict[int, "ReplayTables"]:
-    """Replay several flow shards in **one pass** over the log.
+) -> Dict[int, ReplayTables]:
+    """Replay several flow shards from **one read** of the log.
 
-    The shard-chunk envelope of the distributed backend: a worker handed a
-    chunk of same-condition shard jobs replays all of its shards in a
-    single scan instead of one scan per shard (reference events — the
-    expensive interpolation state — are ~1 % of a log, so a k-shard chunk
-    costs ≈1 pass, not k).  Each shard keeps its own buffers and tables
-    and sees exactly the event subsequence :func:`replay_observations`
-    would feed it, in the same order — so every per-shard result is
-    **bitwise identical** to an individual replay, which the distributed
-    determinism suite asserts.
+    The shard-chunk envelope of the distributed backend: the log's rows
+    are split and every flow's shard is evaluated once, then each shard
+    keeps all reference rows and its own flows' regular rows and runs the
+    estimate kernel on them — exactly the rows :func:`replay_observations`
+    would keep for it, so every per-shard result is **bitwise identical**
+    to an individual replay, which the distributed determinism suite
+    asserts.
     """
     shards = tuple(shards)
     if len(set(shards)) != len(shards):
@@ -118,43 +90,34 @@ def replay_observations_multi(
     for shard in shards:
         if not 0 <= shard < n_shards:
             raise ValueError(f"shard must be in [0, {n_shards}): {shard}")
-    buffers: Dict[int, Dict[int, InterpolationBuffer]] = {s: {} for s in shards}
-    estimated: Dict[int, FlowStatsTable] = {s: FlowStatsTable() for s in shards}
-    true: Dict[int, FlowStatsTable] = {s: FlowStatsTable() for s in shards}
-    unestimated: Dict[int, int] = {s: 0 for s in shards}
-    for event in events:
-        tag = event[0]
-        if tag == REF_OBS:
-            _, stream, now, delay = event
-            for shard in shards:
-                shard_buffers = buffers[shard]
-                buffer = shard_buffers.get(stream)
-                if buffer is None:
-                    buffer = shard_buffers[stream] = InterpolationBuffer(estimator)
-                add = estimated[shard].add
-                for est in buffer.add_reference(now, delay):
-                    add(est.key, est.estimated)
-        elif tag == REG_OBS:
-            _, stream, now, key, truth = event
-            shard = flow_shard(key, n_shards) if n_shards > 1 else 0
-            shard_buffers = buffers.get(shard)
-            if shard_buffers is None:
-                continue
-            buffer = shard_buffers.get(stream)
-            if buffer is None:
-                buffer = shard_buffers[stream] = InterpolationBuffer(estimator)
-            true[shard].add(key, truth)
-            buffer.add_regular(now, key, truth)
-        else:
-            raise ValueError(f"unknown observation event tag: {tag!r}")
+    columns = log.arrays()
+    tags = columns["tag"]
+    is_ref = tags == REF_OBS
+    unknown = np.flatnonzero(~is_ref & (tags != REG_OBS))
+    if len(unknown):
+        row = int(unknown[0])
+        raise ValueError(
+            f"unknown observation event tag {int(tags[row])!r} at log row {row}")
+    streams, times, values, keys = (columns["stream"], columns["time"],
+                                    columns["value"], columns["key"])
+    ref_rows = np.flatnonzero(is_ref)
+    refs = (ref_rows, streams[ref_rows], times[ref_rows], values[ref_rows])
+    reg_rows = np.flatnonzero(~is_ref)
+    ids, flow_keys = flow_ids(keys, reg_rows)
+    if n_shards > 1:
+        owner = np.array([flow_shard(key, n_shards) for key in flow_keys],
+                         dtype=np.int64)[ids]
     out: Dict[int, ReplayTables] = {}
     for shard in shards:
-        for buffer in buffers[shard].values():
-            add = estimated[shard].add
-            for est in buffer.flush():
-                add(est.key, est.estimated)
-            unestimated[shard] += buffer.unestimated
-        out[shard] = ReplayTables(estimated[shard], true[shard], unestimated[shard])
+        kept = slice(None) if n_shards == 1 else np.flatnonzero(owner == shard)
+        rows = reg_rows[kept]
+        true = FlowStatsTable()
+        fold_flow_samples(true, None, ids[kept], flow_keys, values[rows])
+        order, est, unestimated = estimate_streams(
+            *refs, rows, times[rows], streams[rows], estimator=estimator)
+        estimated = FlowStatsTable()
+        fold_flow_samples(estimated, None, ids[kept][order], flow_keys, est)
+        out[shard] = ReplayTables(estimated, true, unestimated)
     return out
 
 

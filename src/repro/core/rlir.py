@@ -42,7 +42,7 @@ from .demux import PathClassifierDemux, UpstreamPrefixDemux
 from .flowstats import FlowStatsTable
 from .injection import InjectionPolicy, StaticInjection
 from .marking import MarkingClassifier, assign_marks
-from .obslog import make_observation_log
+from .obslog import ObservationColumns
 from .receiver import RliReceiver
 from .reverse_ecmp import ReverseEcmpClassifier
 from .sender import RefTemplate, RliSender
@@ -130,14 +130,12 @@ class RlirDeployment:
     clock_factory:
         Builds the clock of each instance (default: perfect sync).
     record_observations:
-        When truthy every receiver records its post-demux observation
+        When True every receiver records its post-demux observation
         stream (see :mod:`repro.core.replay`); :meth:`observation_logs`
         returns the logs under the same segment names
         :meth:`RlirResult.segments` uses, so one recorded run can be
-        replayed shard-by-shard.  ``True``/``"tuple"`` records plain event
-        tuples; ``"array"`` records columnar
-        :class:`~repro.core.obslog.ObservationColumns` logs (same events,
-        ~4× less memory, bitwise-identical replay).  Recording receivers
+        replayed shard-by-shard.  Each log is a columnar
+        :class:`~repro.core.obslog.ObservationColumns`.  Recording receivers
         run record-only — their live tables stay empty, since replay
         recomputes every estimate from the log.
     """
@@ -258,8 +256,9 @@ class RlirDeployment:
                     demux=UpstreamPrefixDemux([(src_prefix, self.tor_sender_id(i))]),
                     clock=self.clock_factory(),
                     estimator=self.estimator,
-                    observation_log=make_observation_log(self.record_observations),
-                    record_only=bool(self.record_observations),
+                    observation_log=(ObservationColumns()
+                                     if self.record_observations else None),
+                    record_only=self.record_observations,
                 )
                 self.core_receivers[core.name] = receiver
                 core.add_arrival_tap(self._make_arrival_tap(receiver))
@@ -290,13 +289,14 @@ class RlirDeployment:
             ),
             clock=self.clock_factory(),
             estimator=self.estimator,
-            observation_log=make_observation_log(self.record_observations),
-            record_only=bool(self.record_observations),
+            observation_log=(ObservationColumns()
+                             if self.record_observations else None),
+            record_only=self.record_observations,
         )
         dst_edge.add_arrival_tap(self._make_arrival_tap(self.dst_receiver))
         self._receiver_taps[dst_edge] = self.dst_receiver
 
-    def observation_logs(self) -> List[Tuple[str, list]]:
+    def observation_logs(self) -> List[Tuple[str, ObservationColumns]]:
         """(segment name, recorded events) per receiver (after a run)."""
         if not self.record_observations:
             raise RuntimeError("deployment built without record_observations")

@@ -12,11 +12,11 @@ Two shapes of job live here:
 * **shard jobs** (:class:`MultihopShardJob`, :class:`GranularityShardJob`,
   :class:`LocalizationShardJob`) — the simulation runs *once* per condition
   (memoized below, prewarmed pre-fork so workers inherit it copy-on-write)
-  and records every receiver's observation log (columnar
-  :class:`~repro.core.obslog.ObservationColumns`, a fraction of the tuple
-  log's memory); each shard job then replays the log restricted to its
-  flow shard (:mod:`repro.core.replay`), so one large condition's per-flow
-  estimation fans out over workers instead of serializing on one core.
+  and records every receiver's observation log
+  (:class:`~repro.core.obslog.ObservationColumns`); each shard job then
+  replays the log restricted to its flow shard (:mod:`repro.core.replay`),
+  so one large condition's per-flow estimation fans out over workers
+  instead of serializing on one core.
   The shared ``run_chunk`` additionally replays a whole chunk of
   same-condition shards in one log pass — the distributed backend's
   dispatch envelope (:func:`~repro.core.replay.replay_observations_multi`).
@@ -39,6 +39,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
+from ..core.obslog import ObservationColumns
 from ..core.replay import ReplayTables, replay_observations, replay_observations_multi
 from ..runner.spec import ConfigItems
 from .config import derive_seed
@@ -123,7 +124,7 @@ class _ShardJobBase:
     def _build(self):  # pragma: no cover - abstract
         raise NotImplementedError
 
-    def _segments(self, sim) -> List[Tuple[str, list]]:  # pragma: no cover
+    def _segments(self, sim) -> List[Tuple[str, ObservationColumns]]:  # pragma: no cover
         raise NotImplementedError
 
     def _meta(self, sim) -> dict:
@@ -203,7 +204,6 @@ def _multihop_log(config: ConfigItems, n_hops: int, utilization: float,
     arrivals stay columns (``arrivals_batch``, same seeded selection) and
     the recorded log is **bitwise identical** to the per-object path's.
     """
-    from ..core.obslog import make_observation_log
     from ..sim.chain import ChainConfig, SwitchChain
     from ..traffic.crosstraffic import UniformModel, calibrate_selection_probability
     from .workloads import workload_for
@@ -218,9 +218,7 @@ def _multihop_log(config: ConfigItems, n_hops: int, utilization: float,
         target_utilization=utilization,
     )
     sender = workload.make_sender("static")
-    # columnar log: ~4x less prepared-artifact memory per condition, and
-    # fork-inherited pages stay clean (replay never touches refcounts)
-    log = make_observation_log("array")
+    log = ObservationColumns()
     receiver = workload.make_receiver(observation_log=log, record_only=True)
     models = {
         hop: UniformModel(prob, seed=derive_seed(run_seed, "multihop-cross", hop))
@@ -259,7 +257,7 @@ class MultihopShardJob(_ShardJobBase):
         return _multihop_log(self.config, self.n_hops, self.utilization,
                              self.run_seed)
 
-    def _segments(self, sim) -> List[Tuple[str, list]]:
+    def _segments(self, sim) -> List[Tuple[str, ObservationColumns]]:
         return [("chain", sim)]
 
     def cache_token(self) -> dict:
@@ -319,14 +317,14 @@ def _granularity_sim(deployment: str, n_packets: int, trace_seed: int,
     if deployment == "full":
         dep = FullRliDeployment(ft, src=(0, 0), dst=(1, 0),
                                 policy_factory=lambda: StaticInjection(10),
-                                record_observations="array")
+                                record_observations=True)
         result = dep.run([_granularity_trace(ft, n_packets, trace_seed)])
         instances = result.instance_count()
         n_segments = len(result.receivers)
     elif deployment == "rlir":
         dep = RlirDeployment(ft, src=(0, 0), dst=(1, 0),
                              policy_factory=lambda: StaticInjection(10),
-                             record_observations="array")
+                             record_observations=True)
         result = dep.run([_granularity_trace(ft, n_packets, trace_seed)])
         instances = instances_tor_pair(4)
         n_segments = len(result.segments())
@@ -365,7 +363,7 @@ class GranularityShardJob(_ShardJobBase):
         return _granularity_sim(self.deployment, self.n_packets,
                                 self.trace_seed, self.slow_factor)
 
-    def _segments(self, sim) -> List[Tuple[str, list]]:
+    def _segments(self, sim) -> List[Tuple[str, ObservationColumns]]:
         return sim["segments"]
 
     def _meta(self, sim) -> dict:
@@ -408,7 +406,7 @@ def _localization_sim(n_packets: int, demux_method: str, run_seed: int) -> dict:
     deployment = RlirDeployment(ft, src=(0, 0), dst=(1, 0),
                                 policy_factory=lambda: StaticInjection(50),
                                 demux_method=demux_method,
-                                record_observations="array")
+                                record_observations=True)
     deployment.run([measured, incast])
     return {"segments": deployment.observation_logs()}
 
@@ -431,7 +429,7 @@ class LocalizationShardJob(_ShardJobBase):
         return _localization_sim(self.n_packets, self.demux_method,
                                  self.run_seed)
 
-    def _segments(self, sim) -> List[Tuple[str, list]]:
+    def _segments(self, sim) -> List[Tuple[str, ObservationColumns]]:
         return sim["segments"]
 
     def cache_token(self) -> dict:

@@ -14,6 +14,7 @@ from typing import Dict, List, Optional, Tuple
 from ..analysis.metrics import FlowErrorJoin, flow_mean_errors, flow_std_errors
 from ..core.demux import SingleSenderDemux
 from ..core.injection import AdaptiveInjection, InjectionPolicy, StaticInjection
+from ..core.obslog import ObservationColumns
 from ..core.receiver import RliReceiver
 from ..core.sender import RefTemplate, RliSender
 from ..net.addressing import Prefix, ip_to_int
@@ -156,7 +157,7 @@ class PipelineWorkload:
         estimator: str = "linear",
         max_flows: Optional[int] = None,
         quantiles: Optional[Tuple[float, ...]] = None,
-        observation_log: Optional[list] = None,
+        observation_log: Optional[ObservationColumns] = None,
         record_only: bool = False,
     ) -> RliReceiver:
         return RliReceiver(

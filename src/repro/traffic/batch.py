@@ -28,11 +28,27 @@ import numpy as np
 
 from ..net.packet import Packet, PacketKind
 
-__all__ = ["PacketBatch", "BATCH_COLUMNS"]
+__all__ = ["PacketBatch", "BATCH_COLUMNS", "pack_flow_keys"]
 
 BATCH_COLUMNS = ("src", "dst", "sport", "dport", "proto", "size", "ts", "kind")
 
 _INT_COLUMNS = ("src", "dst", "sport", "dport", "proto", "size", "kind")
+
+
+def pack_flow_keys(src, dst, sport, dport, proto):
+    """The 5-tuple flow identity packed into two ``uint64`` columns.
+
+    ``a`` packs (src, dst), ``b`` packs (sport, dport, proto); the pair
+    (a, b) is unique per flow.  Used for vectorized grouping — the tuple
+    keys themselves are only materialized once per flow.
+    """
+    a = (src.astype(np.uint64) << np.uint64(32)) | dst.astype(np.uint64)
+    b = (
+        (sport.astype(np.uint64) << np.uint64(24))
+        | (dport.astype(np.uint64) << np.uint64(8))
+        | proto.astype(np.uint64)
+    )
+    return a, b
 
 
 class PacketBatch:
@@ -178,26 +194,12 @@ class PacketBatch:
     def n_flows(self) -> int:
         if not len(self):
             return 0
-        a, b = self.packed_flow_keys()
+        a, b = pack_flow_keys(self.src, self.dst, self.sport, self.dport,
+                              self.proto)
         return int(np.unique(np.stack([a, b], axis=1), axis=0).shape[0])
 
     def is_time_sorted(self) -> bool:
         return bool(np.all(self.ts[1:] >= self.ts[:-1]))
-
-    def packed_flow_keys(self):
-        """The 5-tuple flow identity packed into two ``uint64`` columns.
-
-        ``a`` packs (src, dst), ``b`` packs (sport, dport, proto); the pair
-        (a, b) is unique per flow.  Used for vectorized grouping — the
-        tuple keys themselves are only materialized once per flow.
-        """
-        a = (self.src.astype(np.uint64) << np.uint64(32)) | self.dst.astype(np.uint64)
-        b = (
-            (self.sport.astype(np.uint64) << np.uint64(24))
-            | (self.dport.astype(np.uint64) << np.uint64(8))
-            | self.proto.astype(np.uint64)
-        )
-        return a, b
 
     def flow_key(self, i: int):
         """The 5-tuple flow key of row *i* (plain Python ints)."""

@@ -1,0 +1,78 @@
+"""The per-tuple observation-log replay, kept as the oracle (tests only).
+
+:func:`repro.core.replay.replay_observations` runs the shared columnar
+estimate kernel on a log's columns.  :func:`reference_replay` is the loop
+it replaced: every event, in log order, through one
+:class:`~repro.core.interpolation.InterpolationBuffer` per stream, with
+the tails flushed in buffer-creation order.  The differential tests
+require the two to build bitwise-identical tables.
+"""
+
+from typing import Dict, List
+
+from repro.core.flowstats import FlowStatsTable
+from repro.core.interpolation import InterpolationBuffer
+from repro.core.receiver import REF_OBS, REG_OBS
+from repro.core.replay import ReplayTables
+from repro.traffic.divider import flow_shard
+
+
+def events_of(log) -> List[tuple]:
+    """The event tuples of an :class:`~repro.core.obslog.ObservationColumns`."""
+    columns = log.arrays()
+    keys = zip(*(column.tolist() for column in columns["key"]))
+    events = []
+    for tag, stream, now, value, key in zip(
+            columns["tag"].tolist(), columns["stream"].tolist(),
+            columns["time"].tolist(), columns["value"].tolist(), keys):
+        if tag == REF_OBS:
+            events.append((REF_OBS, stream, now, value))
+        else:
+            events.append((tag, stream, now, key, value))
+    return events
+
+
+def reference_replay(events, estimator="linear", shard=0, n_shards=1):
+    """Rebuild per-flow estimated/true tables from event tuples, one by one."""
+    if not 0 <= shard < n_shards:
+        raise ValueError(f"shard must be in [0, {n_shards}): {shard}")
+    buffers: Dict[int, InterpolationBuffer] = {}
+    estimated = FlowStatsTable()
+    true = FlowStatsTable()
+    unestimated = 0
+    for event in events:
+        tag = event[0]
+        if tag == REF_OBS:
+            _, stream, now, delay = event
+            buffer = buffers.get(stream)
+            if buffer is None:
+                buffer = buffers[stream] = InterpolationBuffer(estimator)
+            for est in buffer.add_reference(now, delay):
+                estimated.add(est.key, est.estimated)
+        elif tag == REG_OBS:
+            _, stream, now, key, truth = event
+            if n_shards > 1 and flow_shard(key, n_shards) != shard:
+                continue
+            buffer = buffers.get(stream)
+            if buffer is None:
+                buffer = buffers[stream] = InterpolationBuffer(estimator)
+            true.add(key, truth)
+            buffer.add_regular(now, key, truth)
+        else:
+            raise ValueError(f"unknown observation event tag: {tag!r}")
+    for buffer in buffers.values():
+        for est in buffer.flush():
+            estimated.add(est.key, est.estimated)
+        unestimated += buffer.unestimated
+    return ReplayTables(estimated, true, unestimated)
+
+
+def tables_dump(tables: ReplayTables) -> tuple:
+    """Both tables (keys and accumulators bit for bit, in insertion order)
+    and the unestimated count, as one comparable value."""
+
+    def dump(table):
+        return [(key, s.count, s.mean.hex(), s._m2.hex(), s.min.hex(),
+                 s.max.hex()) for key, s in table.items()]
+
+    return dump(tables.estimated), dump(tables.true), tables.unestimated

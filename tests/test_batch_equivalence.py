@@ -351,19 +351,19 @@ class TestConditionEquivalence:
         summary = summarize_condition(condition)
         assert pickle.loads(pickle.dumps(summary)) == summary
 
-    @pytest.mark.parametrize("log_mode", ["tuple", "array"])
     @pytest.mark.parametrize("record_only", [False, True])
     def test_observation_log_recorded_identically_on_fast_path(
-            self, tiny_workload, log_mode, record_only):
+            self, tiny_workload, record_only):
         """Recording receivers ride the fast path and write the identical
-        per-event observation log (tuple list or columnar), alongside
-        identical live estimation state when not record-only."""
-        from repro.core.obslog import make_observation_log
+        per-event observation log, alongside identical live estimation
+        state when not record-only."""
+        from repro.core.obslog import ObservationColumns
+        from reference_replay import events_of
 
         logs = []
         receivers = []
         for batch in (False, True):
-            log = make_observation_log(log_mode)
+            log = ObservationColumns()
             receiver = tiny_workload.make_receiver(observation_log=log,
                                                    record_only=record_only)
             assert receiver.batch_capable
@@ -386,41 +386,8 @@ class TestConditionEquivalence:
             receiver.finalize()
             logs.append(log)
             receivers.append(receiver)
-        assert list(logs[0]) == list(logs[1])
+        assert events_of(logs[0]) == events_of(logs[1])
         assert receiver_state(receivers[0]) == receiver_state(receivers[1])
-
-    def test_exotic_observation_log_forces_fallback_with_identical_log(
-            self, tiny_workload):
-        """A log type that is neither a list nor extend_batch-capable (here
-        a deque) keeps the receiver off the fast path; the pipeline must
-        fall back and produce the identical per-event log."""
-        from collections import deque
-
-        logs = []
-        for batch in (False, True):
-            log = deque()
-            receiver = tiny_workload.make_receiver(observation_log=log)
-            assert not receiver.batch_capable
-            sender = tiny_workload.make_sender("adaptive")
-            pipeline = TwoSwitchPipeline(PipelineConfig(
-                rate1_bps=tiny_workload.rate_bps, rate2_bps=tiny_workload.rate_bps,
-                buffer1_bytes=tiny_workload.cfg.buffer_bytes,
-                buffer2_bytes=tiny_workload.cfg.buffer_bytes,
-                proc_delay=tiny_workload.cfg.proc_delay))
-            model = UniformModel(0.5, seed=9)
-            if batch:
-                pipeline.run_batch(tiny_workload.regular,
-                                   model.arrivals_batch(tiny_workload.cross),
-                                   sender=sender, receiver=receiver,
-                                   duration=tiny_workload.cfg.duration)
-            else:
-                pipeline.run(tiny_workload.regular.clone_packets(),
-                             model.arrivals(tiny_workload.cross),
-                             sender=sender, receiver=receiver,
-                             duration=tiny_workload.cfg.duration)
-            receiver.finalize()
-            logs.append(log)
-        assert list(logs[0]) == list(logs[1]) and len(logs[0]) > 0
 
     def test_custom_classifier_sender_forces_fallback(self, tiny_workload):
         """A sender whose classifier inspects packets keeps exact numbers

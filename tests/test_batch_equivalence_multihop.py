@@ -28,7 +28,7 @@ from hypothesis import example, given, settings, strategies as st
 from repro.core.demux import SingleSenderDemux
 from repro.core.injection import AdaptiveInjection, StaticInjection
 from repro.core.mesh import RlirMesh
-from repro.core.obslog import make_observation_log
+from repro.core.obslog import ObservationColumns
 from repro.core.receiver import RliReceiver
 from repro.core.rlir import RlirDeployment
 from repro.core.sender import RefTemplate, RliSender
@@ -43,6 +43,7 @@ from repro.traffic.crosstraffic import BurstyModel, UniformModel
 from repro.traffic.synthetic import TraceConfig, generate_fattree_trace, generate_trace
 
 from reference_path import reference_path
+from reference_replay import events_of
 from test_batch_equivalence import regime_traces
 
 REGULAR_PREFIX = Prefix.parse("10.1.0.0/16")
@@ -165,18 +166,17 @@ class TestChainProperty:
         if scheme:
             assert sender_state(tx_o) == sender_state(tx_b)
 
-    @pytest.mark.parametrize("log_mode", ["tuple", "array"])
-    def test_observation_log_identical(self, log_mode):
+    def test_observation_log_identical(self):
         reg, cross = build_traces(11, 600, 1200, 0.25)
         rate = reg.total_bytes * 8.0 / (0.25 * 0.5)
         model = UniformModel(0.5, seed=2)
         logs = []
         for batch in (False, True):
-            log = make_observation_log(log_mode)
+            log = ObservationColumns()
             drive_chain(batch, reg, cross, model, 3, rate, 32 * 1024,
                         "adaptive", log=log)
             logs.append(log)
-        assert list(logs[0]) == list(logs[1])
+        assert events_of(logs[0]) == events_of(logs[1])
 
     def test_custom_classifier_sender_falls_back_identically(self):
         """A packet-inspecting classifier keeps exact numbers through the
@@ -335,7 +335,7 @@ class TestRlirEquivalence:
         dep = RlirDeployment(ft, src=(0, 0), dst=(1, 0),
                              policy_factory=lambda: StaticInjection(50),
                              demux_method=demux,
-                             record_observations="array" if record else False,
+                             record_observations=record,
                              clock_factory=clock_factory)
         if batch:
             dep.run([t1, t2], until=until)
@@ -356,7 +356,7 @@ class TestRlirEquivalence:
         if record:
             for (n1, l1), (n2, l2) in zip(d_o.observation_logs(),
                                           d_b.observation_logs()):
-                assert n1 == n2 and list(l1) == list(l2), n1
+                assert n1 == n2 and events_of(l1) == events_of(l2), n1
         for key in d_o.tor_senders:
             assert sender_state(d_o.tor_senders[key]) == \
                 sender_state(d_b.tor_senders[key]), key

@@ -2,7 +2,10 @@
 
 import pytest
 
+import numpy as np
+
 from repro.core.flowstats import FlowStatsTable, StreamingStats
+from repro.core.obslog import ObservationColumns
 from repro.core.replay import (
     merge_shard_tables,
     pooled_stats,
@@ -52,7 +55,7 @@ class TestFlowShard:
 def synthetic_log():
     """A two-stream log: refs bracketing regulars from three flows."""
     a, b, c = (1, 9, 1, 1, 6), (2, 9, 2, 2, 6), (3, 9, 3, 3, 6)
-    return [
+    return ObservationColumns([
         (REF_OBS, 0, 0.010, 20e-6),
         (REG_OBS, 0, 0.012, a, 25e-6),
         (REG_OBS, 0, 0.014, b, 28e-6),
@@ -60,7 +63,7 @@ def synthetic_log():
         (REG_OBS, 1, 0.021, c, 50e-6),
         (REF_OBS, 1, 0.030, 55e-6),
         (REG_OBS, 0, 0.031, a, 31e-6),  # tail: resolved one-sided at flush
-    ]
+    ])
 
 
 class TestReplay:
@@ -89,15 +92,20 @@ class TestReplay:
             replay_observations(synthetic_log(), shard=3, n_shards=3)
 
     def test_unknown_tag_rejected(self):
-        with pytest.raises(ValueError):
-            replay_observations([(7, 0, 0.0, 0.0)])
+        """A log whose tag column holds an unknown tag fails loudly,
+        naming the first bad row."""
+        log = synthetic_log()
+        log.extend_batch(np.array([REG_OBS, 7, 9]), np.zeros(3), np.ones(3),
+                         np.zeros(3), [np.zeros(3)] * 5)
+        with pytest.raises(ValueError, match="tag 7 at log row 8"):
+            replay_observations(log)
 
     def test_receiver_log_replays_to_identical_tables(self, tiny_workload):
         """A recorded pipeline receiver replays to the exact tables the
         live receiver accumulated."""
         from repro.experiments.workloads import run_condition
 
-        log = []
+        log = ObservationColumns()
         sender = tiny_workload.make_sender("static")
         receiver = tiny_workload.make_receiver(observation_log=log)
         from repro.sim.pipeline import TwoSwitchPipeline

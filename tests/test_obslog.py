@@ -1,19 +1,27 @@
-"""Array-backed observation logs: equivalence with tuple mode.
+"""Columnar observation logs and their replay.
 
-The satellite guarantee: recording a receiver's observation stream into
-:class:`~repro.core.obslog.ObservationColumns` instead of a list changes
-*nothing* about what replays out of it — every event round-trips the
-typed columns bit-exactly, so replayed tables (and therefore every study
-built on sharded replay) are byte-identical between modes.
+:class:`~repro.core.obslog.ObservationColumns` is the one log
+representation: every event round-trips the typed columns bit-exactly,
+and a malformed bulk append or tag column fails loudly.  The columnar
+replay (the shared estimate kernel on the log's columns) must rebuild
+bitwise the tables of the per-tuple reference replay
+(``tests/reference_replay.py``) — values, insertion order and the
+unestimated count — for every estimator and shard count.
 """
 
 import pickle
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.core.obslog import ObservationColumns, make_observation_log
+from repro.core.interpolation import ESTIMATORS
+from repro.core.obslog import ObservationColumns
 from repro.core.receiver import REF_OBS, REG_OBS
 from repro.core.replay import replay_observations, replay_observations_multi
+
+from reference_replay import events_of, reference_replay, tables_dump
 
 
 def synthetic_events():
@@ -27,19 +35,45 @@ def synthetic_events():
     ]
 
 
+def record_tiny_run(workload):
+    """One record-only pipeline run of *workload*; returns its log."""
+    from repro.sim.pipeline import TwoSwitchPipeline
+
+    log = ObservationColumns()
+    sender = workload.make_sender("static")
+    receiver = workload.make_receiver(observation_log=log, record_only=True)
+    TwoSwitchPipeline(workload.pipeline_config).run(
+        regular=workload.regular.clone_packets(),
+        cross=workload.cross_arrivals("random", 0.67),
+        sender=sender,
+        receiver=receiver,
+        duration=workload.cfg.duration,
+    )
+    receiver.finalize()
+    return log
+
+
+def bad_tag_log():
+    """A log whose tag column holds an unknown tag at row 6."""
+    log = ObservationColumns(synthetic_events())
+    log.extend_batch(np.array([REF_OBS, 9]), np.zeros(2), np.ones(2),
+                     np.zeros(2), [np.zeros(2)] * 5)
+    return log
+
+
 class TestObservationColumns:
     def test_roundtrips_exact_tuples(self):
         events = synthetic_events()
         columns = ObservationColumns(events)
         assert len(columns) == len(events)
-        assert list(columns) == events
+        assert events_of(columns) == events
 
     def test_floats_roundtrip_bitwise(self):
         # values that don't have short decimal representations
         value = 1.0 / 3.0
         now = 2.0 / 7.0
         columns = ObservationColumns([(REF_OBS, 0, now, value)])
-        _, _, got_now, got_value = next(iter(columns))
+        _, _, got_now, got_value = events_of(columns)[0]
         assert (got_now, got_value) == (now, value)
         assert pickle.dumps(got_value) == pickle.dumps(value)
 
@@ -48,7 +82,7 @@ class TestObservationColumns:
         for event in synthetic_events():
             as_list.append(event)
             as_columns.append(event)
-        assert list(as_columns) == as_list
+        assert events_of(as_columns) == as_list
 
     def test_rejects_unknown_tag(self):
         with pytest.raises(ValueError):
@@ -57,7 +91,7 @@ class TestObservationColumns:
     def test_pickle_roundtrip(self):
         columns = ObservationColumns(synthetic_events())
         clone = pickle.loads(pickle.dumps(columns))
-        assert list(clone) == list(columns)
+        assert events_of(clone) == events_of(columns)
 
     def test_columns_are_smaller_than_tuples(self):
         import sys
@@ -76,107 +110,72 @@ class TestObservationColumns:
         assert arrays["key"][0][1] == 167837697
 
 
-class TestMakeObservationLog:
-    def test_modes(self):
-        assert make_observation_log(None) is None
-        assert make_observation_log(False) is None
-        assert make_observation_log(True) == []
-        assert make_observation_log("tuple") == []
-        assert isinstance(make_observation_log("array"), ObservationColumns)
-
-    def test_rejects_unknown_mode(self):
-        with pytest.raises(ValueError):
-            make_observation_log("parquet")
+    def test_extend_batch_rejects_mismatched_columns(self):
+        """A bulk append whose columns disagree in length would misalign
+        the log: it raises and appends nothing."""
+        columns = ObservationColumns(synthetic_events())
+        good = [np.zeros(3)] * 5
+        with pytest.raises(ValueError, match="equal-length"):
+            columns.extend_batch(np.ones(3), np.zeros(2), np.ones(3),
+                                 np.zeros(3), good)
+        with pytest.raises(ValueError, match="equal-length"):
+            columns.extend_batch(np.ones(3), np.zeros(3), np.ones(3),
+                                 np.zeros(3), good[:4] + [np.zeros(4)])
+        with pytest.raises(ValueError, match="equal-length"):
+            columns.extend_batch(np.ones(3), np.zeros(3), np.ones(3),
+                                 np.zeros(3), good[:4])
+        assert events_of(columns) == synthetic_events()
 
 
 class TestReplayEquivalence:
     def test_synthetic_replay_identical(self):
         events = synthetic_events()
-        from_list = replay_observations(events)
-        from_columns = replay_observations(ObservationColumns(events))
-        assert pickle.dumps(from_list.estimated) == pickle.dumps(from_columns.estimated)
-        assert pickle.dumps(from_list.true) == pickle.dumps(from_columns.true)
-        assert from_list.unestimated == from_columns.unestimated
+        assert tables_dump(replay_observations(ObservationColumns(events))) \
+            == tables_dump(reference_replay(events))
 
     def test_recorded_receiver_replay_identical(self, tiny_workload):
-        """Record one real pipeline run twice — list log and columnar log —
-        and replay both: bitwise-identical tables, sharded or not."""
-        from repro.sim.pipeline import TwoSwitchPipeline
-
-        logs = {"tuple": [], "array": ObservationColumns()}
-        for log in logs.values():
-            sender = tiny_workload.make_sender("static")
-            receiver = tiny_workload.make_receiver(observation_log=log,
-                                                   record_only=True)
-            TwoSwitchPipeline(tiny_workload.pipeline_config).run(
-                regular=tiny_workload.regular.clone_packets(),
-                cross=tiny_workload.cross_arrivals("random", 0.67),
-                sender=sender,
-                receiver=receiver,
-                duration=tiny_workload.cfg.duration,
-            )
-            receiver.finalize()
-        assert list(logs["array"]) == logs["tuple"]
-        full_list = replay_observations(logs["tuple"])
-        full_columns = replay_observations(logs["array"])
-        assert pickle.dumps(full_list.estimated) == pickle.dumps(full_columns.estimated)
+        """A real pipeline run's log replays to the reference tables,
+        sharded or not."""
+        log = record_tiny_run(tiny_workload)
+        events = events_of(log)
+        assert tables_dump(replay_observations(log)) \
+            == tables_dump(reference_replay(events))
         for shard in range(3):
-            a = replay_observations(logs["tuple"], shard=shard, n_shards=3)
-            b = replay_observations(logs["array"], shard=shard, n_shards=3)
-            assert pickle.dumps(a.estimated) == pickle.dumps(b.estimated)
-            assert pickle.dumps(a.true) == pickle.dumps(b.true)
+            assert tables_dump(replay_observations(log, shard=shard, n_shards=3)) \
+                == tables_dump(reference_replay(events, shard=shard, n_shards=3))
 
     def test_deployment_array_mode_matches_tuple_mode(self):
-        """The record_observations knob end to end: an RLIR deployment
-        recorded in both modes replays to identical segment tables."""
+        """The record_observations knob end to end: every segment log of
+        an RLIR deployment is columnar and replays to the tables the
+        per-tuple reference replay builds from its events."""
         from repro.core.injection import StaticInjection
         from repro.core.rlir import RlirDeployment
         from repro.sim.topology import FatTree, LinkParams
         from repro.traffic.synthetic import TraceConfig, generate_fattree_trace
 
-        segment_logs = {}
-        for mode in ("tuple", "array"):
-            ft = FatTree(4, LinkParams(rate_bps=1e9, buffer_bytes=256 * 1024))
-            deployment = RlirDeployment(
-                ft, src=(0, 0), dst=(1, 0),
-                policy_factory=lambda: StaticInjection(20),
-                record_observations=mode,
-            )
-            pairs = [(ft.host_address(0, 0, h), ft.host_address(1, 0, g))
-                     for h in range(2) for g in range(2)]
-            trace = generate_fattree_trace(
-                TraceConfig(duration=1.0, n_packets=1500, mean_flow_pkts=12.0),
-                pairs, seed=5)
-            deployment.run([trace])
-            segment_logs[mode] = deployment.observation_logs()
-        for (name_t, log_t), (name_a, log_a) in zip(segment_logs["tuple"],
-                                                    segment_logs["array"]):
-            assert name_t == name_a
-            assert isinstance(log_a, ObservationColumns)
-            assert list(log_a) == log_t
-            replay_t = replay_observations(log_t)
-            replay_a = replay_observations(log_a)
-            assert pickle.dumps(replay_t.estimated) == pickle.dumps(replay_a.estimated)
+        ft = FatTree(4, LinkParams(rate_bps=1e9, buffer_bytes=256 * 1024))
+        deployment = RlirDeployment(
+            ft, src=(0, 0), dst=(1, 0),
+            policy_factory=lambda: StaticInjection(20),
+            record_observations=True,
+        )
+        pairs = [(ft.host_address(0, 0, h), ft.host_address(1, 0, g))
+                 for h in range(2) for g in range(2)]
+        trace = generate_fattree_trace(
+            TraceConfig(duration=1.0, n_packets=1500, mean_flow_pkts=12.0),
+            pairs, seed=5)
+        deployment.run([trace])
+        for name, log in deployment.observation_logs():
+            assert isinstance(log, ObservationColumns), name
+            assert tables_dump(replay_observations(log)) \
+                == tables_dump(reference_replay(events_of(log))), name
 
 
 class TestReplayMulti:
     def test_multi_matches_per_shard_bitwise(self, tiny_workload):
         """The distributed chunk envelope: one-pass multi-shard replay is
         bitwise-identical to shard-by-shard replay."""
-        from repro.sim.pipeline import TwoSwitchPipeline
-
-        log = ObservationColumns()
-        sender = tiny_workload.make_sender("static")
-        receiver = tiny_workload.make_receiver(observation_log=log,
-                                               record_only=True)
-        TwoSwitchPipeline(tiny_workload.pipeline_config).run(
-            regular=tiny_workload.regular.clone_packets(),
-            cross=tiny_workload.cross_arrivals("random", 0.67),
-            sender=sender,
-            receiver=receiver,
-            duration=tiny_workload.cfg.duration,
-        )
-        receiver.finalize()
+        log = record_tiny_run(tiny_workload)
         multi = replay_observations_multi(log, shards=(0, 2, 3), n_shards=4)
         assert sorted(multi) == [0, 2, 3]
         for shard, tables in multi.items():
@@ -186,12 +185,128 @@ class TestReplayMulti:
             assert single.unestimated == tables.unestimated
 
     def test_multi_validates_shards(self):
-        events = synthetic_events()
+        events = ObservationColumns(synthetic_events())
         with pytest.raises(ValueError):
             replay_observations_multi(events, shards=(0, 0), n_shards=2)
         with pytest.raises(ValueError):
             replay_observations_multi(events, shards=(5,), n_shards=2)
 
     def test_multi_rejects_unknown_tag(self):
-        with pytest.raises(ValueError):
-            replay_observations_multi([(9, 0, 0.0, 0.0)], shards=(0,), n_shards=1)
+        with pytest.raises(ValueError, match="tag 9 at log row 6"):
+            replay_observations_multi(bad_tag_log(), shards=(0,), n_shards=1)
+
+
+# ----------------------------------------------------------------------
+# differential oracle: columnar replay vs the per-tuple reference
+
+FLOWS = [(167837697 + i, 167903233 - i, 4000 + 7 * i, 80, 6 if i % 2 else 17)
+         for i in range(6)]
+A, B, C = FLOWS[:3]
+
+
+def assert_replays_match_reference(events):
+    """Every estimator, every shard of 1..5 shards, single and chunked."""
+    log = ObservationColumns(events)
+    for estimator in ESTIMATORS:
+        for n_shards in range(1, 6):
+            multi = replay_observations_multi(
+                log, estimator, shards=range(n_shards), n_shards=n_shards)
+            for shard in range(n_shards):
+                expected = tables_dump(
+                    reference_replay(events, estimator, shard, n_shards))
+                single = replay_observations(log, estimator, shard, n_shards)
+                assert tables_dump(single) == expected, (estimator, shard, n_shards)
+                assert tables_dump(multi[shard]) == expected, (estimator, shard)
+
+
+EDGE_LOGS = {
+    "empty": [],
+    "references-only": [
+        (REF_OBS, 3, 0.001, 10e-6), (REF_OBS, 1, 0.002, 12e-6),
+        (REF_OBS, 3, 0.003, 11e-6),
+    ],
+    "stream-without-reference": [
+        (REG_OBS, 4, 0.001, A, 9e-6),     # stream 4 never sees a reference
+        (REF_OBS, 0, 0.002, 10e-6),
+        (REG_OBS, 0, 0.003, B, 11e-6),
+        (REG_OBS, 4, 0.004, C, 12e-6),
+        (REF_OBS, 0, 0.005, 13e-6),
+    ],
+    "equal-times": [
+        (REG_OBS, 0, 0.002, A, 9e-6),     # before the first reference
+        (REF_OBS, 0, 0.002, 10e-6),
+        (REG_OBS, 0, 0.002, B, 11e-6),    # degenerate interval: span 0
+        (REF_OBS, 0, 0.002, 14e-6),
+        (REG_OBS, 0, 0.002, A, 12e-6),    # tail at the same instant
+        (REG_OBS, 0, 0.003, C, 13e-6),
+    ],
+    "multi-stream-tails": [
+        (REG_OBS, 9, 0.001, A, 9e-6),     # creation order 9, 2, 5
+        (REF_OBS, 2, 0.002, 10e-6),
+        (REF_OBS, 5, 0.003, 20e-6),
+        (REF_OBS, 9, 0.004, 30e-6),
+        (REG_OBS, 5, 0.005, B, 21e-6),
+        (REG_OBS, 2, 0.006, A, 11e-6),
+        (REG_OBS, 9, 0.007, C, 31e-6),
+        (REF_OBS, 2, 0.008, 12e-6),
+        (REG_OBS, 2, 0.009, B, 13e-6),    # every stream ends in a tail
+        (REG_OBS, 5, 0.010, A, 22e-6),
+        (REG_OBS, 9, 0.011, B, 32e-6),
+    ],
+    # stream 1 carries a single flow, so at 2..5 shards every shard but
+    # one has no regulars on it
+    "shard-without-regulars-on-a-stream": [
+        (REF_OBS, 0, 0.001, 10e-6), (REF_OBS, 1, 0.001, 50e-6),
+        (REG_OBS, 0, 0.002, A, 11e-6), (REG_OBS, 1, 0.002, C, 51e-6),
+        (REG_OBS, 0, 0.003, B, 12e-6), (REG_OBS, 0, 0.004, FLOWS[3], 13e-6),
+        (REF_OBS, 0, 0.005, 14e-6), (REF_OBS, 1, 0.006, 52e-6),
+        (REG_OBS, 1, 0.007, C, 53e-6), (REG_OBS, 0, 0.008, FLOWS[4], 15e-6),
+    ],
+}
+
+
+@st.composite
+def observation_logs(draw):
+    """Random multi-stream logs with exact time ties and repeated flows."""
+    streams = draw(st.lists(st.sampled_from([7, 2, 5]), min_size=1,
+                            max_size=3, unique=True))
+    now = 0.0
+    events = []
+    for _ in range(draw(st.integers(0, 60))):
+        now += draw(st.sampled_from([0.0, 1e-6, 2.5e-6, 1e-5]))
+        stream = draw(st.sampled_from(streams))
+        value = draw(st.floats(1e-6, 1e-3))
+        if draw(st.integers(0, 4)) == 0:
+            events.append((REF_OBS, stream, now, value))
+        else:
+            events.append((REG_OBS, stream, now, draw(st.sampled_from(FLOWS)),
+                           value))
+    return events
+
+
+class TestReplayOracle:
+    @pytest.mark.parametrize("name", sorted(EDGE_LOGS))
+    def test_edge_logs_match_reference(self, name):
+        assert_replays_match_reference(EDGE_LOGS[name])
+
+    def test_edge_logs_exercise_their_regimes(self):
+        """The named regimes really occur (guards the fixtures above)."""
+        assert reference_replay(EDGE_LOGS["stream-without-reference"]).unestimated == 2
+        shards = {s for s in range(5)
+                  if reference_replay(EDGE_LOGS["shard-without-regulars-on-a-stream"],
+                                      shard=s, n_shards=5).true.get(C) is None}
+        assert shards
+
+    def test_unknown_estimator_rejected(self):
+        """Even a log with no regular to estimate fails loudly, like the
+        reference replay's first buffer."""
+        events = EDGE_LOGS["references-only"]
+        with pytest.raises(ValueError, match="unknown estimator"):
+            reference_replay(events, "spline")
+        with pytest.raises(ValueError, match="unknown estimator"):
+            replay_observations(ObservationColumns(events), "spline")
+
+    @given(observation_logs())
+    @settings(max_examples=60, deadline=None)
+    def test_random_logs_match_reference(self, events):
+        assert_replays_match_reference(events)

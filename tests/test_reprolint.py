@@ -206,6 +206,16 @@ class TestBatchParityRules:
                           ALL_RULES, source=src)
         assert not [f for f in found if f.rule == "BATCH004"]
 
+    def test_batch005_interpolation_outside_the_estimate_kernel(self):
+        pairs, _ = findings_for("src/repro/core/bad_estimate.py")
+        assert rule_lines(pairs, "BATCH005") == [8, 12, 13]
+
+    def test_batch005_kernel_module_clean(self):
+        src = (FIXTURES / "src/repro/core/bad_estimate.py").read_text()
+        found = lint_file(pathlib.Path("src/repro/core/interpolation.py"),
+                          ALL_RULES, source=src)
+        assert not [f for f in found if f.rule == "BATCH005"]
+
     def test_batch002_getattr_string_gate_passes(self):
         src = (
             "def run(rx, cols):\n"
@@ -313,7 +323,7 @@ class TestEngine:
         rules_hit = {f.rule for f in findings}
         assert {"DET001", "DET002", "DET003", "KEY001", "KEY002",
                 "LOCK001", "LOCK002", "LOCK003", "LOCK004",
-                "BATCH001", "BATCH002", "BATCH003", "BATCH004",
+                "BATCH001", "BATCH002", "BATCH003", "BATCH004", "BATCH005",
                 "OBS001", "OBS002", "OBS003"} <= rules_hit
 
 

@@ -105,6 +105,12 @@ NUMPY_NAMES = frozenset({"np", "numpy"})
 SCAN_CERTIFICATE = "_drop_free_threshold"
 SCAN_KERNEL_MODULE = "repro/sim/queue.py"
 
+# The per-stream interpolation every estimate is computed with.  Only the
+# one estimate kernel's module (which defines it) may use it, so a
+# reference anywhere else is a re-inlined estimate half (BATCH005).
+ESTIMATE_PRIMITIVE = "interpolate_batch"
+ESTIMATE_KERNEL_MODULE = "repro/core/interpolation.py"
+
 # Only sim-layer modules orchestrate foreign batch objects; they must
 # gate on `batch_capable` before calling another object's `*_batch`.
 BATCH_GATE_SCOPE = ("repro/sim/",)

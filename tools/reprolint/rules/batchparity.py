@@ -18,6 +18,8 @@ BATCH003  float-reassociating reduction (np.sum / .sum() / np.dot /
           justification when the dtype makes it exact (integers)
 BATCH004  reference to the queue scans' drop-free certificate outside
           sim/queue.py — a re-inlined copy of the one tapped-queue scan
+BATCH005  reference to `interpolate_batch` outside core/interpolation.py
+          — a re-inlined copy of the one estimate kernel
 """
 
 from __future__ import annotations
@@ -117,10 +119,8 @@ def _check_reducers(ctx: FileContext) -> Findings:
         )
 
 
-def _check_scan_copies(ctx: FileContext) -> Findings:
-    if ctx.posix_path.endswith(config.SCAN_KERNEL_MODULE):
-        return
-    name = config.SCAN_CERTIFICATE
+def _references(ctx: FileContext, name: str) -> Iterator[int]:
+    """Lines that import, name or access attribute *name*."""
     for node in ast.walk(ctx.tree):
         if isinstance(node, ast.ImportFrom):
             used = any(alias.name == name for alias in node.names)
@@ -128,11 +128,31 @@ def _check_scan_copies(ctx: FileContext) -> Findings:
             used = ((isinstance(node, ast.Name) and node.id == name)
                     or (isinstance(node, ast.Attribute) and node.attr == name))
         if used:
-            yield node.lineno, (
-                f"{name} outside sim/queue.py: a drop-tested per-row queue "
-                f"scan belongs in the one kernel there (FifoQueue."
-                f"offer_batch / tapped_scan), not in a re-inlined copy"
-            )
+            yield node.lineno
+
+
+def _check_scan_copies(ctx: FileContext) -> Findings:
+    if ctx.posix_path.endswith(config.SCAN_KERNEL_MODULE):
+        return
+    name = config.SCAN_CERTIFICATE
+    for lineno in _references(ctx, name):
+        yield lineno, (
+            f"{name} outside sim/queue.py: a drop-tested per-row queue "
+            f"scan belongs in the one kernel there (FifoQueue."
+            f"offer_batch / tapped_scan), not in a re-inlined copy"
+        )
+
+
+def _check_estimate_copies(ctx: FileContext) -> Findings:
+    if ctx.posix_path.endswith(config.ESTIMATE_KERNEL_MODULE):
+        return
+    name = config.ESTIMATE_PRIMITIVE
+    for lineno in _references(ctx, name):
+        yield lineno, (
+            f"{name} outside core/interpolation.py: estimates come from "
+            f"the one estimate kernel there (estimate_streams), which live "
+            f"observation and log replay share, not from a re-inlined copy"
+        )
 
 
 RULES = [
@@ -148,4 +168,7 @@ RULES = [
     Rule("BATCH004", "error",
          "queue-scan certificate used outside the scan kernel module",
          _check_scan_copies),
+    Rule("BATCH005", "error",
+         "per-stream interpolation used outside the estimate kernel module",
+         _check_estimate_copies),
 ]
