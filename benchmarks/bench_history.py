@@ -14,6 +14,8 @@ The merge is a pure function over plain dicts (unit-tested from the main
 suite); the I/O lives in the bench fixture that calls it.
 """
 
+import importlib.util
+import pathlib
 import subprocess
 import time
 
@@ -54,14 +56,29 @@ def obs_summary() -> "dict | None":
     return obs.span_summary() or None
 
 
+def host_record() -> dict:
+    """The host record ``perfbench/hostinfo.py`` stores with every
+    benchmark run: CPU model, core count, load average and the
+    pure-Python loop calibration, so two entries can be told apart as a
+    slower host or slower code."""
+    path = pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "hostinfo.py"
+    spec = importlib.util.spec_from_file_location("perfbench_hostinfo", path)
+    hostinfo = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(hostinfo)
+    return hostinfo.host_record()
+
+
 def make_entry(results: dict, *, sha: str, timestamp: str, scale: float,
-               python: str, numpy: str, obs: "dict | None" = None) -> dict:
+               python: str, numpy: str, obs: "dict | None" = None,
+               host: "dict | None" = None) -> dict:
     """One history entry: this run's provenance plus its results.
 
     *obs* is an optional ``repro.obs`` span summary (per-stage
     ``{name: {count, total_s, max_s}}`` totals) recorded when the bench
     session ran with observability on; it rides along in the entry so
     the tracked perf trajectory also shows *where* the time went.
+    *host* is the :func:`host_record` of the machine that produced the
+    numbers.
     """
     entry = {
         "git_sha": sha,
@@ -73,6 +90,8 @@ def make_entry(results: dict, *, sha: str, timestamp: str, scale: float,
     }
     if obs:
         entry["obs"] = dict(obs)
+    if host:
+        entry["host"] = dict(host)
     return entry
 
 

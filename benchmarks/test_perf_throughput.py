@@ -9,7 +9,10 @@ implementations on the Figure-4 workload at ``REPRO_SCALE``:
   ``tests/reference_path.py``, on the adaptive/random/93 % fig4
   condition),
 * the interpolation batch flush (`interpolate_batch` vs. an
-  `InterpolationBuffer` stream).
+  `InterpolationBuffer` stream),
+* the FIFO queue kernel (`FifoQueue.offer_batch` vs. the exact per-row
+  loop it replaced) at 30 %, 93 % and 99 % load and on a drop-heavy
+  stream, recorded in ns per row.
 
 Every comparison first asserts the two paths produce identical results —
 a benchmark of a wrong answer is worthless — then records packets/sec to
@@ -20,6 +23,7 @@ At full scale (``REPRO_SCALE >= 1``) the pipeline fast path must clear
 
 import gc
 import json
+import math
 import pathlib
 import platform
 import time
@@ -33,6 +37,8 @@ from reference_path import reference_path
 from repro.core.interpolation import InterpolationBuffer, interpolate_batch
 from repro.experiments.workloads import run_condition, summarize_condition, workload_for
 from repro.runner.spec import config_items
+from repro.sim import queue as queue_kernel
+from repro.sim.queue import FifoQueue
 from repro.traffic.synthetic import TraceConfig, generate_trace
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -89,8 +95,8 @@ def write_bench_file(bench_config):
     yield
     if not _RESULTS:
         return
-    from bench_history import (git_sha, make_entry, merge_bench_history,
-                               obs_summary, utc_timestamp)
+    from bench_history import (git_sha, host_record, make_entry,
+                               merge_bench_history, obs_summary, utc_timestamp)
 
     payload = {}
     if BENCH_FILE.exists():
@@ -106,6 +112,7 @@ def write_bench_file(bench_config):
         python=platform.python_version(),
         numpy=np.__version__,
         obs=obs_summary(),
+        host=host_record(),
     )
     payload = merge_bench_history(payload, entry)
     BENCH_FILE.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
@@ -280,3 +287,86 @@ def test_interpolation_flush_throughput(bench_config, repeats):
     print(f"batch flush:    {entry['batch_pps'] / 1e3:.0f} k pkts/s")
     print(f"speedup:        {entry['speedup']:.1f}x")
     assert entry["speedup"] >= 1.0
+
+
+def _loop_offer_batch(queue, arrivals, sizes):
+    """The exact per-row scan ``offer_batch`` ran before the vectorized
+    kernel: ``offer()``'s float ops row by row, the drop arithmetic
+    skipped under the certified threshold.  The baseline the kernel is
+    timed against."""
+    t_l = (arrivals + queue.proc_delay).tolist()
+    svc_l = (sizes / queue.rate_Bps).tolist()
+    size_l = sizes.tolist()
+    rate_Bps = queue.rate_Bps
+    buffer_bytes = queue.buffer_bytes
+    threshold = (math.inf if buffer_bytes is None else
+                 queue_kernel._drop_free_threshold(buffer_bytes, int(sizes.max()), rate_Bps))
+    fa = queue._free_at
+    nan = math.nan
+    dep_l = []
+    for t, svc, size in zip(t_l, svc_l, size_l):
+        backlog = fa - t
+        if backlog > threshold:
+            clamped = backlog * rate_Bps if backlog > 0.0 else 0.0
+            if clamped + size > buffer_bytes:
+                dep_l.append(nan)
+                continue
+            fa = (t if t > fa else fa) + svc
+        elif backlog > 0.0:
+            fa = fa + svc
+        else:
+            fa = t + svc
+        dep_l.append(fa)
+    queue._free_at = fa
+    departures = np.array(dep_l)
+    accepted = ~np.isnan(departures)
+    queue_kernel._fold_stats(
+        queue.stats, len(sizes), int(sizes.sum()), int(np.count_nonzero(~accepted)),
+        int(sizes[~accepted].sum()), departures[accepted], arrivals[accepted])
+    return departures, accepted
+
+
+@pytest.mark.parametrize("load, buffer_bytes", [
+    (0.30, 10**6), (0.93, 10**6), (0.99, 10**7),
+    (1.30, 60_000),  # drop-heavy: ~16 % of rows dropped
+])
+def test_queue_kernel_throughput(bench_config, repeats, load, buffer_bytes):
+    """offer_batch's vectorized FIFO kernel against the per-row loop.
+
+    Both scans must agree bit for bit (departures, drops, statistics and
+    ``free_at``) before either is timed.  Drop-free loads must clear
+    1.5x at full scale and not be slower at smoke scales; the drop-heavy
+    stream, where the exact loop carries the near-full stretches, is
+    recorded only.
+    """
+    rate_bps = 10e9
+    n = max(20_000, int(1_000_000 * bench_config.scale))
+    rng = np.random.default_rng(int(load * 100))
+    sizes = rng.integers(64, 1501, n)
+    arrivals = np.add.accumulate(rng.exponential(782 * 8 / rate_bps / load, n))
+
+    def run(scan):
+        queue = FifoQueue(rate_bps, buffer_bytes)
+        departures, _ = scan(queue, arrivals, sizes)
+        s = queue.stats
+        return departures, (s.accepted, s.dropped, s.bytes_dropped, s.total_delay,
+                            s.max_delay, s.last_departure, queue._free_at)
+
+    kernel_s, (kernel_dep, kernel_state) = _best_of(
+        lambda: run(FifoQueue.offer_batch), repeats)
+    loop_s, (loop_dep, loop_state) = _best_of(
+        lambda: run(_loop_offer_batch), repeats)
+    assert np.array_equal(kernel_dep, loop_dep, equal_nan=True)
+    assert kernel_state == loop_state
+    entry = _record(f"queue_kernel_load{round(load * 100)}", n, loop_s, kernel_s)
+    entry["loop_ns_per_row"] = loop_s / n * 1e9
+    entry["kernel_ns_per_row"] = kernel_s / n * 1e9
+    entry["drop_frac"] = float(np.isnan(loop_dep).mean())
+
+    print_banner(f"FIFO queue kernel vs per-row loop ({load:.0%} load)")
+    print(f"rows:           {n} ({entry['drop_frac']:.1%} dropped)")
+    print(f"per-row loop:   {entry['loop_ns_per_row']:.0f} ns/row")
+    print(f"kernel:         {entry['kernel_ns_per_row']:.0f} ns/row")
+    print(f"speedup:        {entry['speedup']:.2f}x")
+    if entry["drop_frac"] == 0.0:
+        assert entry["speedup"] >= (1.5 if bench_config.scale >= 1.0 else 1.0)

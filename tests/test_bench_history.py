@@ -143,3 +143,46 @@ class TestObsRideAlong:
         import os
         assert not os.environ.get("REPRO_OBS")
         assert bench_history.obs_summary() is None
+
+
+class TestHostProvenance:
+    """Each entry says which host produced its numbers."""
+
+    HOST = {"cpu_model": "Example CPU @ 2.0GHz", "nproc": 2,
+            "python": "3.12.0", "numpy": "2.0.0",
+            "loadavg_before": [0.5, 0.25, 0.125],
+            "calibration": {"python_loop_s": 0.07, "numpy_sort_s": 0.015}}
+
+    def test_host_record_reads_perfbench_hostinfo(self, bench_history):
+        host = bench_history.host_record()
+        assert isinstance(host["cpu_model"], str) and host["cpu_model"]
+        assert isinstance(host["nproc"], int) and host["nproc"] >= 1
+        assert len(host["loadavg_before"]) == 3
+        assert host["calibration"]["python_loop_s"] > 0
+
+    def test_entry_records_host(self, bench_history):
+        made = bench_history.make_entry(
+            {"pipeline_fig4": {"speedup": 6.0}},
+            sha="abc", timestamp="2026-07-30T00:00:00Z", scale=1.0,
+            python="3.12.0", numpy="2.0.0", host=self.HOST,
+        )
+        assert made["host"] == self.HOST
+        made["host"]["nproc"] = 64  # the entry owns its own top-level dict
+        assert self.HOST["nproc"] == 2
+        assert "host" not in entry(bench_history)  # omitted when not given
+
+    def test_pre_host_payload_merges_cleanly(self, bench_history):
+        """History written before entries carried a host keeps its entries
+        as they were, next to the new host-stamped one."""
+        old = bench_history.merge_bench_history(
+            {}, entry(bench_history, sha="old",
+                      results={"pipeline_fig4": {"speedup": 5.0}}))
+        assert "host" not in old and "host" not in old["history"][0]
+        made = bench_history.make_entry(
+            {"queue_kernel_load93": {"speedup": 3.0}},
+            sha="new", timestamp="2026-07-30T01:00:00Z", scale=1.0,
+            python="3.12.0", numpy="2.0.0", host=self.HOST,
+        )
+        merged = bench_history.merge_bench_history(old, made)
+        assert [h.get("host") for h in merged["history"]] == [None, self.HOST]
+        assert set(merged["results"]) == {"pipeline_fig4", "queue_kernel_load93"}

@@ -200,11 +200,16 @@ class TestBatchParityRules:
         pairs, _ = findings_for("src/repro/sim/bad_scan.py")
         assert rule_lines(pairs, "BATCH004") == [8, 12, 13]
 
+    def test_batch004_busy_period_fold_outside_the_kernel(self):
+        pairs, _ = findings_for("src/repro/sim/bad_fold.py")
+        assert rule_lines(pairs, "BATCH004") == [8, 12, 13]
+
     def test_batch004_kernel_module_clean(self):
-        src = (FIXTURES / "src/repro/sim/bad_scan.py").read_text()
-        found = lint_file(pathlib.Path("src/repro/sim/queue.py"),
-                          ALL_RULES, source=src)
-        assert not [f for f in found if f.rule == "BATCH004"]
+        for fixture in ("bad_scan.py", "bad_fold.py"):
+            src = (FIXTURES / "src/repro/sim" / fixture).read_text()
+            found = lint_file(pathlib.Path("src/repro/sim/queue.py"),
+                              ALL_RULES, source=src)
+            assert not [f for f in found if f.rule == "BATCH004"], fixture
 
     def test_batch005_interpolation_outside_the_estimate_kernel(self):
         pairs, _ = findings_for("src/repro/core/bad_estimate.py")

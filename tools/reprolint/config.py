@@ -99,10 +99,11 @@ BANNED_REDUCERS = frozenset({"sum", "nansum", "cumsum", "prod", "cumprod",
                              "dot", "matmul", "einsum"})
 NUMPY_NAMES = frozenset({"np", "numpy"})
 
-# The tail-drop certificate every drop-tested per-row queue scan needs.
-# Only the one scan kernel module may use it, so a reference anywhere
-# else is a re-inlined copy of the scan (BATCH004).
-SCAN_CERTIFICATE = "_drop_free_threshold"
+# The tail-drop certificate every drop-tested queue scan needs, and the
+# busy-period fold of the one FIFO kernel.  Only the kernel module may
+# use them, so a reference anywhere else is a re-inlined copy of the
+# scan (BATCH004).
+SCAN_KERNEL_NAMES = ("_drop_free_threshold", "_busy_periods")
 SCAN_KERNEL_MODULE = "repro/sim/queue.py"
 
 # The per-stream interpolation every estimate is computed with.  Only the

@@ -16,8 +16,9 @@ BATCH003  float-reassociating reduction (np.sum / .sum() / np.dot /
           cumsum / prod / einsum) in batch-kernel scope; spell it
           np.add.reduce / np.add.accumulate, or suppress with a
           justification when the dtype makes it exact (integers)
-BATCH004  reference to the queue scans' drop-free certificate outside
-          sim/queue.py — a re-inlined copy of the one tapped-queue scan
+BATCH004  reference to the queue scans' drop-free certificate or the
+          FIFO kernel's busy-period fold outside sim/queue.py — a
+          re-inlined copy of the one queue-scan kernel
 BATCH005  reference to `interpolate_batch` outside core/interpolation.py
           — a re-inlined copy of the one estimate kernel
 """
@@ -134,13 +135,13 @@ def _references(ctx: FileContext, name: str) -> Iterator[int]:
 def _check_scan_copies(ctx: FileContext) -> Findings:
     if ctx.posix_path.endswith(config.SCAN_KERNEL_MODULE):
         return
-    name = config.SCAN_CERTIFICATE
-    for lineno in _references(ctx, name):
-        yield lineno, (
-            f"{name} outside sim/queue.py: a drop-tested per-row queue "
-            f"scan belongs in the one kernel there (FifoQueue."
-            f"offer_batch / tapped_scan), not in a re-inlined copy"
-        )
+    for name in config.SCAN_KERNEL_NAMES:
+        for lineno in _references(ctx, name):
+            yield lineno, (
+                f"{name} outside sim/queue.py: a FIFO queue scan belongs "
+                f"in the one kernel there (FifoQueue.offer_batch / "
+                f"tapped_scan), not in a re-inlined copy"
+            )
 
 
 def _check_estimate_copies(ctx: FileContext) -> Findings:
@@ -166,7 +167,7 @@ RULES = [
          "float-reassociating numpy reduction in batch-kernel scope",
          _check_reducers),
     Rule("BATCH004", "error",
-         "queue-scan certificate used outside the scan kernel module",
+         "queue-scan kernel helper used outside the scan kernel module",
          _check_scan_copies),
     Rule("BATCH005", "error",
          "per-stream interpolation used outside the estimate kernel module",
