@@ -13,6 +13,10 @@ implementations on the Figure-4 workload at ``REPRO_SCALE``:
 * the FIFO queue kernel (`FifoQueue.offer_batch` vs. the exact per-row
   loop it replaced) at 30 %, 93 % and 99 % load and on a drop-heavy
   stream, recorded in ns per row.
+* the flow table (`fold_flow_samples` into the columnar
+  `FlowStatsTable`, then the summary rows, error joins and pooled mean
+  read from its columns, vs. the fold into one `StreamingStats` per flow
+  and the per-flow loops that read it), recorded in ns per sample.
 
 Every comparison first asserts the two paths produce identical results —
 a benchmark of a wrong answer is worthless — then records packets/sec to
@@ -34,8 +38,14 @@ import pytest
 from conftest import print_banner
 from reference_path import reference_path
 
+from reference_flowstats import (join_dump, object_fold, reference_mean_errors,
+                                 reference_pooled, reference_std_errors,
+                                 reference_table_rows)
+from repro.analysis.metrics import flow_mean_errors, flow_std_errors
+from repro.core.flowstats import FlowStatsTable, flow_ids, fold_flow_samples, pooled_stats
 from repro.core.interpolation import InterpolationBuffer, interpolate_batch
-from repro.experiments.workloads import run_condition, summarize_condition, workload_for
+from repro.experiments.workloads import (_flow_table_rows, run_condition, summarize_condition,
+                                         workload_for)
 from repro.runner.spec import config_items
 from repro.sim import queue as queue_kernel
 from repro.sim.queue import FifoQueue
@@ -370,3 +380,55 @@ def test_queue_kernel_throughput(bench_config, repeats, load, buffer_bytes):
     print(f"speedup:        {entry['speedup']:.2f}x")
     if entry["drop_frac"] == 0.0:
         assert entry["speedup"] >= (1.5 if bench_config.scale >= 1.0 else 1.0)
+
+
+def test_flow_table_throughput(bench_config, repeats):
+    """The columnar flow table against one ``StreamingStats`` per flow.
+
+    Both sides fold a true and an estimated delay per sample of the fig4
+    regular trace (its real flow-size mix, one run per table, the way
+    ``observe_batch`` folds), then build what ``summarize_condition``
+    reads: both tables' (count, mean, std) rows, the mean and std error
+    joins and the pooled true mean.  The outputs must agree bit for bit
+    before either side is timed; recorded only.
+    """
+    regular = workload_for(config_items(bench_config)).regular.batch
+    keys = (regular.src, regular.dst, regular.sport, regular.dport, regular.proto)
+    n = len(regular)
+    ids, flow_keys = flow_ids(keys, np.arange(n))
+    rng = np.random.default_rng(19)
+    truth = rng.exponential(20e-6, n)
+    estimate = truth * rng.normal(1.0, 0.1, n)
+
+    def summary(true, est, rows, mean_errors, std_errors, pooled):
+        return (rows(est), rows(true), join_dump(mean_errors(est, true)),
+                join_dump(std_errors(est, true)), pooled(true).mean.hex())
+
+    def columnar():
+        true, est = FlowStatsTable(), FlowStatsTable()
+        fold_flow_samples(true, None, ids, flow_keys, truth)
+        fold_flow_samples(est, None, ids, flow_keys, estimate)
+        return summary(true, est, _flow_table_rows, flow_mean_errors,
+                       flow_std_errors, pooled_stats)
+
+    def per_flow_objects():
+        true, est = {}, {}
+        object_fold(true, ids, flow_keys, truth)
+        object_fold(est, ids, flow_keys, estimate)
+        return summary(true, est, reference_table_rows, reference_mean_errors,
+                       reference_std_errors, lambda t: reference_pooled(t.items()))
+
+    columnar_s, columnar_out = _best_of(columnar, repeats)
+    object_s, object_out = _best_of(per_flow_objects, repeats)
+    assert repr(columnar_out) == repr(object_out)
+    assert columnar_out == object_out
+    entry = _record("flow_table", n, object_s, columnar_s)
+    entry["flows"] = len(flow_keys)
+    entry["object_ns_per_sample"] = object_s / n * 1e9
+    entry["columnar_ns_per_sample"] = columnar_s / n * 1e9
+
+    print_banner("Flow table: per-flow StreamingStats vs columns (fold + summary)")
+    print(f"samples:        {n} in {len(flow_keys)} flows")
+    print(f"per-flow objects: {entry['object_ns_per_sample']:.0f} ns/sample")
+    print(f"columnar table: {entry['columnar_ns_per_sample']:.0f} ns/sample")
+    print(f"speedup:        {entry['speedup']:.2f}x")

@@ -20,6 +20,7 @@ from repro.analysis.metrics import flow_mean_errors
 from repro.analysis.plot import ascii_cdf
 from repro.analysis.report import format_table, us
 from repro.core.demux import SingleSenderDemux
+from repro.core.flowstats import pooled_stats
 from repro.core.injection import StaticInjection
 from repro.core.receiver import RliReceiver
 from repro.core.sender import RliSender
@@ -57,10 +58,7 @@ def main():
         ecdf = Ecdf(join.errors)
         cdfs[f"{hops} hop(s)"] = ecdf
 
-        from repro.core.flowstats import StreamingStats
-        pooled = StreamingStats()
-        for _, stats in receiver.flow_true.items():
-            pooled.merge(stats)
+        pooled = pooled_stats(receiver.flow_true)
         rows.append([hops, us(pooled.mean), f"{ecdf.median:.1%}",
                      f"{ecdf.fraction_below(0.10):.0%}",
                      f"{result.regular_loss_rate:.2%}"])

@@ -8,9 +8,11 @@ flow, |estimate − truth| / truth, computed over per-flow means
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, List
 
-from ..core.flowstats import FlowStatsTable, StreamingStats
+import numpy as np
+
+from ..core.flowstats import FlowColumns, FlowStatsTable
 
 __all__ = [
     "relative_error",
@@ -51,36 +53,36 @@ class FlowErrorJoin:
 def _flow_errors(
     estimated: FlowStatsTable,
     true: FlowStatsTable,
-    value_of: Callable[[StreamingStats], float],
+    value_of: Callable[[FlowColumns], np.ndarray],
     min_count: int = 1,
 ) -> FlowErrorJoin:
-    errors: List[float] = []
-    missing = 0
-    zero = 0
-    joined = 0
-    for key, truth in true.items():
-        if truth.count < min_count:
-            continue
-        est = estimated.get(key)
-        if est is None:
-            missing += 1
-            continue
-        t = value_of(truth)
-        if t <= 0:
-            zero += 1
-            continue
-        joined += 1
-        errors.append(abs(value_of(est) - t) / t)
-    return FlowErrorJoin(errors, joined, missing, zero)
+    """Join the two tables' columns on flow rows, in *true*'s order.
+
+    Flows of *true* with fewer than *min_count* samples are left out; the
+    rest are missing (no estimate), undefined (truth <= 0) or joined with
+    ``|e - t| / t`` — each op correctly rounded, the scalar formula's bits.
+    """
+    truth = true.columns()
+    counted = truth.count >= min_count
+    rows = estimated.rows_of(truth.keys)
+    found = counted & (rows >= 0)
+    t = value_of(truth)[found]
+    undefined = t <= 0
+    t = t[~undefined]
+    e = value_of(estimated.columns())[rows[found][~undefined]]
+    errors: List[float] = (np.abs(e - t) / t).tolist()
+    return FlowErrorJoin(errors, len(errors),
+                         int(np.count_nonzero(counted)) - int(np.count_nonzero(found)),
+                         int(np.count_nonzero(undefined)))
 
 
 def flow_mean_errors(estimated: FlowStatsTable, true: FlowStatsTable) -> FlowErrorJoin:
     """Per-flow relative errors of mean latency (Figure 4(a,c) metric)."""
-    return _flow_errors(estimated, true, lambda s: s.mean)
+    return _flow_errors(estimated, true, lambda cols: cols.mean)
 
 
 def flow_std_errors(estimated: FlowStatsTable, true: FlowStatsTable) -> FlowErrorJoin:
     """Per-flow relative errors of latency standard deviation
     (Figure 4(b) metric).  Restricted to flows with >= 2 packets and
     positive true deviation, where the metric is defined."""
-    return _flow_errors(estimated, true, lambda s: s.std, min_count=2)
+    return _flow_errors(estimated, true, FlowColumns.std, min_count=2)

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .flowstats import FlowStatsTable, StreamingStats
+from .flowstats import FlowStatsTable, StreamingStats, pooled_stats
 
 __all__ = ["SegmentSummary", "LocalizationReport", "localize", "flow_breakdown"]
 
@@ -31,10 +31,7 @@ class SegmentSummary:
 
     def __init__(self, name: str, table: FlowStatsTable):
         self.name = name
-        pooled = StreamingStats()
-        for _, stats in table.items():
-            pooled.merge(stats)
-        self.pooled = pooled
+        self.pooled = pooled_stats(table)
         self.n_flows = len(table)
 
     @property

@@ -28,18 +28,18 @@ for any shard count, which the determinism suite asserts.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Sequence, Tuple
+from typing import Dict, Iterable, Sequence
 
 import numpy as np
 
 from ..traffic.divider import flow_shard
-from .flowstats import FlowStatsTable, StreamingStats, flow_ids, fold_flow_samples
+from .flowstats import FlowStatsTable, flow_ids, fold_flow_samples
 from .interpolation import estimate_streams
 from .obslog import ObservationColumns
 from .receiver import REF_OBS, REG_OBS
 
 __all__ = ["ReplayTables", "replay_observations", "replay_observations_multi",
-           "merge_shard_tables", "pooled_stats"]
+           "merge_shard_tables"]
 
 
 class ReplayTables:
@@ -130,24 +130,7 @@ def merge_shard_tables(tables: Iterable[FlowStatsTable]) -> FlowStatsTable:
     appearing in more than one shard are merged, but the shard split
     guarantees that never happens.
     """
-    merged: Dict[Tuple[int, int, int, int, int], StreamingStats] = {}
+    merged = FlowStatsTable()
     for table in tables:
-        for key, stats in table.items():
-            mine = merged.get(key)
-            if mine is None:
-                merged[key] = stats
-            else:
-                mine.merge(stats)
-    return FlowStatsTable.from_items((key, merged[key]) for key in sorted(merged))
-
-
-def pooled_stats(table: FlowStatsTable) -> StreamingStats:
-    """All flows' accumulators pooled, folded in sorted-key order.
-
-    The sort pins the floating-point merge order, so the pooled mean is
-    reproducible bit-for-bit no matter how the table was assembled.
-    """
-    pooled = StreamingStats()
-    for key in sorted(table.keys()):
-        pooled.merge(table.get(key))
-    return pooled
+        merged.merge(table)
+    return merged.sorted_by_key()

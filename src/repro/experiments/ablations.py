@@ -21,7 +21,7 @@ from ..analysis.metrics import flow_mean_errors
 from ..baselines.lda import Lda
 from ..baselines.multiflow import MultiflowEstimator
 from ..baselines.trajectory import TrajectorySampler
-from ..core.flowstats import StreamingStats
+from ..core.flowstats import pooled_stats
 from ..core.receiver import RliReceiver
 from ..core.sender import RliSender
 from ..runner.runner import ParallelRunner
@@ -178,9 +178,7 @@ def run_baseline_comparison(
         tr_errors.append(abs(stats.mean - t.mean) / t.mean)
 
     # LDA: aggregate mean vs pooled truth
-    pooled = StreamingStats()
-    for _, stats in truth.items():
-        pooled.merge(stats)
+    pooled = pooled_stats(truth)
     lda_estimate = lda.estimate()
     lda_error = (
         abs(lda_estimate.mean - pooled.mean) / pooled.mean

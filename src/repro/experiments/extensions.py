@@ -46,8 +46,9 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..analysis.cdf import Ecdf
 from ..analysis.metrics import flow_mean_errors
+from ..core.flowstats import pooled_stats
 from ..core.localization import LocalizationReport, localize
-from ..core.replay import merge_shard_tables, pooled_stats
+from ..core.replay import merge_shard_tables
 from ..runner.runner import ParallelRunner
 from ..runner.spec import JobSpec
 from .config import ExperimentConfig

@@ -7,12 +7,12 @@ RLI senders/receivers for one condition of Figure 4/5.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from ..analysis.metrics import FlowErrorJoin, flow_mean_errors, flow_std_errors
 from ..core.demux import SingleSenderDemux
+from ..core.flowstats import pooled_stats
 from ..core.injection import AdaptiveInjection, InjectionPolicy, StaticInjection
 from ..core.obslog import ObservationColumns
 from ..core.receiver import RliReceiver
@@ -196,12 +196,7 @@ class ConditionResult:
     @property
     def mean_true_latency(self) -> float:
         """Pooled true mean latency of measured regular packets."""
-        from ..core.flowstats import StreamingStats
-
-        pooled = StreamingStats()
-        for _, stats in self.receiver.flow_true.items():
-            pooled.merge(stats)
-        return pooled.mean
+        return pooled_stats(self.receiver.flow_true).mean
 
 
 def run_condition(
@@ -357,15 +352,9 @@ class ConditionSummary:
 
 
 def _flow_table_rows(table) -> Dict[FlowKey, FlowRow]:
-    # inlined StreamingStats.std (sqrt of the population variance): two
-    # attribute reads instead of two property dispatches per flow — this
-    # runs once per flow per summary, 10^5 times per sweep
-    sqrt = math.sqrt
-    return {
-        key: (s.count, s.mean,
-              sqrt(s._m2 / s.count) if s.count >= 2 else 0.0)
-        for key, s in table.items()
-    }
+    cols = table.columns()
+    return dict(zip(cols.keys, zip(cols.count.tolist(), cols.mean.tolist(),
+                                   cols.std().tolist())))
 
 
 def summarize_condition(condition: ConditionResult, estimator: str = "linear",

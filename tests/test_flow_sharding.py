@@ -4,13 +4,9 @@ import pytest
 
 import numpy as np
 
-from repro.core.flowstats import FlowStatsTable, StreamingStats
+from repro.core.flowstats import FlowStatsTable, StreamingStats, pooled_stats
 from repro.core.obslog import ObservationColumns
-from repro.core.replay import (
-    merge_shard_tables,
-    pooled_stats,
-    replay_observations,
-)
+from repro.core.replay import merge_shard_tables, replay_observations
 from repro.core.receiver import REF_OBS, REG_OBS
 from repro.traffic.divider import flow_shard
 from repro.traffic.synthetic import TraceConfig, generate_trace
@@ -140,7 +136,7 @@ class TestMergeHelpers:
         t = FlowStatsTable()
         t.add((5, 0, 0, 0, 0), 10e-6)
         t.add((1, 0, 0, 0, 0), 30e-6)
-        pooled = pooled_stats(t)
+        pooled = pooled_stats(merge_shard_tables([t]))
         assert pooled.count == 2
         assert pooled.mean == pytest.approx(20e-6)
 

@@ -4,9 +4,29 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from repro.core.flowstats import FlowStatsTable, StreamingStats
+from repro.analysis.metrics import flow_mean_errors, flow_std_errors
+from repro.core import flowstats
+from repro.core.flowstats import (
+    BoundedFlowStatsTable,
+    FlowStatsTable,
+    StreamingStats,
+    fold_flow_samples,
+    pooled_stats,
+    welford_grouped,
+)
+from repro.experiments.workloads import _flow_table_rows
+from reference_flowstats import (
+    join_dump,
+    per_sample_table,
+    reference_mean_errors,
+    reference_pooled,
+    reference_std_errors,
+    reference_table_rows,
+    reference_welford_grouped,
+    stats_dump,
+)
 
 floats = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False)
 
@@ -108,3 +128,212 @@ class TestFlowStatsTable:
         t = FlowStatsTable()
         t.add(KEY1, 1.0)
         assert dict(t.items())[KEY1].count == 1
+
+
+# ----------------------------------------------------------------------
+# the columnar fold against per-sample StreamingStats.add, bit for bit
+
+HANDOFF = flowstats._RANK_HANDOFF
+
+
+def flow_key(i):
+    return (i, 7, 1000 + i, 80, 6)
+
+
+def run_of(sizes, seed, values=None):
+    """(ids, values) of flows with the given sample counts, interleaved in
+    a seeded random order; *values* overrides the drawn delays."""
+    rng = np.random.default_rng(seed)
+    ids = np.repeat(np.arange(len(sizes)), sizes)
+    rng.shuffle(ids)
+    if values is None:
+        values = rng.exponential(20e-6, len(ids))
+    return ids.astype(np.int64), np.asarray(values, dtype=float)
+
+
+def fold_both(runs, n_flows, table=None):
+    """Fold *runs* through the columnar table and one by one through
+    ``StreamingStats.add``; returns (columnar table, per-sample dict)."""
+    keys = [flow_key(i) for i in range(n_flows)]
+    table = FlowStatsTable() if table is None else table
+    samples = []
+    for ids, values in runs:
+        fold_flow_samples(table, None, ids, keys, values)
+        samples.extend((keys[i], v) for i, v in zip(ids.tolist(), values.tolist()))
+    return table, per_sample_table(samples)
+
+
+def assert_same_stats(table, reference):
+    assert stats_dump(table.items()) == stats_dump(reference.items())
+    assert list(table.keys()) == list(reference)
+
+
+class TestColumnarFoldOracle:
+    def test_one_sample_flows(self):
+        table, ref = fold_both([run_of([1] * 50, 1)], 50)
+        assert_same_stats(table, ref)
+
+    @pytest.mark.parametrize("n_groups", [HANDOFF - 1, HANDOFF, HANDOFF + 1, 3 * HANDOFF])
+    def test_flows_at_the_handoff_length(self, n_groups):
+        sizes = [(HANDOFF - 1, HANDOFF, HANDOFF + 1)[i % 3] for i in range(n_groups)]
+        table, ref = fold_both([run_of(sizes, n_groups)], n_groups)
+        assert_same_stats(table, ref)
+
+    def test_one_flow_longer_than_every_other(self):
+        sizes = [3] * 40 + [500] + [HANDOFF + 1] * 5
+        table, ref = fold_both([run_of(sizes, 2)], len(sizes))
+        assert_same_stats(table, ref)
+
+    def test_all_equal_values_leave_no_defined_std(self):
+        sizes = [1, 2, 5, 40] * 10
+        ids, _ = run_of(sizes, 3)
+        table, ref = fold_both([(ids, np.full(len(ids), 12.5e-6))], len(sizes))
+        assert_same_stats(table, ref)
+        assert all(s._m2 == 0.0 for _, s in table.items())
+        join = flow_std_errors(table, table)
+        assert join.joined == 0
+        assert join.skipped_zero == sum(1 for n in sizes if n >= 2)
+        assert join_dump(join) == join_dump(reference_std_errors(table, table))
+
+    def test_second_fold_into_an_existing_table(self):
+        first = run_of([4, 1, HANDOFF + 3] * 15, 4)
+        second_ids, second_values = run_of([2, 0, 7, 1] * 15 + [3] * 10, 5)
+        table, ref = fold_both([first, (second_ids, second_values)], 70)
+        assert_same_stats(table, ref)
+
+    def test_empty_fold(self):
+        empty = (np.zeros(0, dtype=np.int64), np.zeros(0))
+        table, ref = fold_both([empty], 3)
+        assert len(table) == 0 and table.total_samples() == 0
+        table, ref = fold_both([run_of([2, 3], 6), empty], 2)
+        assert_same_stats(table, ref)
+
+    def test_welford_grouped_matches_the_fixed_cutoff_loop(self):
+        sizes = [1, HANDOFF - 1, HANDOFF, HANDOFF + 1, 129, 300] * 8
+        ids, values = run_of(sizes, 7)
+        order = np.argsort(ids, kind="stable")
+        ends = np.add.accumulate(sizes)
+        starts = ends - np.asarray(sizes)
+        for got, want in zip(welford_grouped(values[order], starts, ends),
+                             reference_welford_grouped(values[order], starts, ends)):
+            assert got.tobytes() == want.tobytes()
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.lists(st.integers(min_value=0, max_value=3 * HANDOFF), min_size=1, max_size=90),
+           st.integers(min_value=0, max_value=2**32 - 1),
+           st.integers(min_value=0, max_value=3),
+           st.floats(min_value=0.0, max_value=1.0))
+    def test_random_multi_flow_runs(self, sizes, seed, n_levels, split):
+        """Random flow sizes and interleavings, folded in two runs; with
+        *n_levels* > 0 the values come from that many levels (exact ties)."""
+        rng = np.random.default_rng(seed)
+        ids, values = run_of(sizes, seed)
+        if n_levels:
+            values = rng.integers(0, n_levels, len(ids)) * 1e-6
+        cut = int(len(ids) * split)
+        table, ref = fold_both([(ids[:cut], values[:cut]), (ids[cut:], values[cut:])],
+                               len(sizes))
+        assert_same_stats(table, ref)
+
+
+# ----------------------------------------------------------------------
+# the column readers against the per-flow loops they replaced
+
+
+def joined_tables(seed, table_factory=FlowStatsTable):
+    """True and estimated tables over a shared flow set: the estimate
+    misses some flows, some flows have one sample, some a zero truth."""
+    rng = np.random.default_rng(seed)
+    sizes = rng.integers(1, 3 * HANDOFF, 120)
+    ids, truth = run_of(sizes, seed)
+    truth[np.isin(ids, np.arange(0, 120, 17))] = 0.0
+    estimate = truth * rng.normal(1.0, 0.2, len(truth))
+    measured = ~np.isin(ids, np.arange(0, 120, 11))
+    keys = [flow_key(i) for i in range(120)]
+    true, est = table_factory(), table_factory()
+    fold_flow_samples(true, None, ids, keys, truth)
+    fold_flow_samples(est, None, ids[measured], keys, estimate[measured])
+    return est, true
+
+
+class TestColumnReadersOracle:
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_error_joins(self, seed):
+        est, true = joined_tables(seed)
+        for vectorized, loop in ((flow_mean_errors, reference_mean_errors),
+                                 (flow_std_errors, reference_std_errors)):
+            join = vectorized(est, true)
+            assert join_dump(join) == join_dump(loop(est, true))
+            assert join.skipped_missing and join.skipped_zero
+            assert all(type(e) is float for e in join.errors)
+
+    def test_error_joins_on_bounded_tables(self):
+        # an LRU table's column order (recency) differs from its slot order
+        est, true = joined_tables(3, lambda: BoundedFlowStatsTable(max_flows=60))
+        assert est.evicted_flows and list(est.keys()) != sorted(est.keys())
+        for vectorized, loop in ((flow_mean_errors, reference_mean_errors),
+                                 (flow_std_errors, reference_std_errors)):
+            assert join_dump(vectorized(est, true)) == join_dump(loop(est, true))
+            assert join_dump(vectorized(true, est)) == join_dump(loop(true, est))
+
+    @pytest.mark.parametrize("bounded", [False, True])
+    def test_summary_rows(self, bounded):
+        factory = (lambda: BoundedFlowStatsTable(max_flows=60)) if bounded else FlowStatsTable
+        for table in joined_tables(4, factory):
+            rows = _flow_table_rows(table)
+            want = reference_table_rows(table)
+            assert list(rows) == list(want)
+            assert [(c, m.hex(), s.hex()) for c, m, s in rows.values()] == \
+                [(c, m.hex(), s.hex()) for c, m, s in want.values()]
+            assert all(type(c) is int for c, _, _ in rows.values())
+
+    def test_pooled_mean_in_table_and_sorted_order(self):
+        est, true = joined_tables(5)
+        # flows with far-apart means: the merge's between-flow term dominates m2
+        ids, values = run_of([1, 2, 3, 50] * 30, 9)
+        spread = FlowStatsTable()
+        fold_flow_samples(spread, None, ids, [flow_key(i) for i in range(120)],
+                          values + ids * 3e-6)
+        for table in (est, true, spread):
+            assert stats_dump([(0, pooled_stats(table))]) == \
+                stats_dump([(0, reference_pooled(table.items()))])
+            in_key_order = sorted(table.items())
+            assert stats_dump([(0, pooled_stats(table.sorted_by_key()))]) == \
+                stats_dump([(0, reference_pooled(in_key_order))])
+
+    def test_table_merge_matches_accumulator_merges(self):
+        a, _ = joined_tables(6)
+        b, _ = joined_tables(7)
+        want = {key: s for key, s in a.items()}
+        for key, stats in b.items():
+            if key in want:
+                want[key].merge(stats)
+            else:
+                want[key] = stats
+        a.merge(b)
+        assert stats_dump(a.items()) == stats_dump(want.items())
+        assert stats_dump(a.sorted_by_key().items()) == stats_dump(sorted(want.items()))
+
+
+def test_fig4a_condition_builds_no_per_flow_accumulators(monkeypatch):
+    """Between the fold and the summary the flow tables stay in columns:
+    the one accumulator a default fig4a condition builds is the pooled
+    mean's result."""
+    from repro.experiments.config import ExperimentConfig
+    from repro.experiments.workloads import (PipelineWorkload, run_condition,
+                                             summarize_condition)
+
+    cfg = ExperimentConfig(scale=0.05)
+    workload = PipelineWorkload(cfg)
+    created = []
+    original = StreamingStats.__init__
+
+    def counting_init(self):
+        created.append(1)
+        original(self)
+
+    monkeypatch.setattr(StreamingStats, "__init__", counting_init)
+    condition = run_condition(workload, "adaptive", "random", max(cfg.fig4ab_utilizations))
+    summary = summarize_condition(condition)
+    assert len(summary.flow_true) > 100
+    assert len(created) == 1

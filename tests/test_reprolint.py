@@ -221,6 +221,16 @@ class TestBatchParityRules:
                           ALL_RULES, source=src)
         assert not [f for f in found if f.rule == "BATCH005"]
 
+    def test_batch006_grouped_fold_outside_the_flow_table(self):
+        pairs, _ = findings_for("src/repro/core/bad_flow_fold.py")
+        assert rule_lines(pairs, "BATCH006") == [9, 13, 14]
+
+    def test_batch006_flow_table_module_clean(self):
+        src = (FIXTURES / "src/repro/core/bad_flow_fold.py").read_text()
+        found = lint_file(pathlib.Path("src/repro/core/flowstats.py"),
+                          ALL_RULES, source=src)
+        assert not [f for f in found if f.rule == "BATCH006"]
+
     def test_batch002_getattr_string_gate_passes(self):
         src = (
             "def run(rx, cols):\n"
@@ -329,7 +339,7 @@ class TestEngine:
         assert {"DET001", "DET002", "DET003", "KEY001", "KEY002",
                 "LOCK001", "LOCK002", "LOCK003", "LOCK004",
                 "BATCH001", "BATCH002", "BATCH003", "BATCH004", "BATCH005",
-                "OBS001", "OBS002", "OBS003"} <= rules_hit
+                "BATCH006", "OBS001", "OBS002", "OBS003"} <= rules_hit
 
 
 # ----------------------------------------------------------------------

@@ -112,6 +112,12 @@ SCAN_KERNEL_MODULE = "repro/sim/queue.py"
 ESTIMATE_PRIMITIVE = "interpolate_batch"
 ESTIMATE_KERNEL_MODULE = "repro/core/interpolation.py"
 
+# The grouped Welford fold behind every flow table.  Only the flow-table
+# module may use it, so a reference anywhere else folds flows outside the
+# one columnar table (BATCH006).
+FLOW_FOLD_PRIMITIVE = "welford_grouped"
+FLOW_TABLE_MODULE = "repro/core/flowstats.py"
+
 # Only sim-layer modules orchestrate foreign batch objects; they must
 # gate on `batch_capable` before calling another object's `*_batch`.
 BATCH_GATE_SCOPE = ("repro/sim/",)

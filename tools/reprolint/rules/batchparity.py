@@ -21,6 +21,8 @@ BATCH004  reference to the queue scans' drop-free certificate or the
           re-inlined copy of the one queue-scan kernel
 BATCH005  reference to `interpolate_batch` outside core/interpolation.py
           — a re-inlined copy of the one estimate kernel
+BATCH006  reference to `welford_grouped` outside core/flowstats.py — a
+          flow fold outside the one columnar flow table
 """
 
 from __future__ import annotations
@@ -132,27 +134,43 @@ def _references(ctx: FileContext, name: str) -> Iterator[int]:
             yield node.lineno
 
 
-def _check_scan_copies(ctx: FileContext) -> Findings:
-    if ctx.posix_path.endswith(config.SCAN_KERNEL_MODULE):
+def _foreign_references(ctx: FileContext, names, module: str) -> Iterator[Tuple[int, str]]:
+    """(line, name) of every use of *names* outside their owning *module*."""
+    if ctx.posix_path.endswith(module):
         return
-    for name in config.SCAN_KERNEL_NAMES:
+    for name in names:
         for lineno in _references(ctx, name):
-            yield lineno, (
-                f"{name} outside sim/queue.py: a FIFO queue scan belongs "
-                f"in the one kernel there (FifoQueue.offer_batch / "
-                f"tapped_scan), not in a re-inlined copy"
-            )
+            yield lineno, name
+
+
+def _check_scan_copies(ctx: FileContext) -> Findings:
+    for lineno, name in _foreign_references(
+            ctx, config.SCAN_KERNEL_NAMES, config.SCAN_KERNEL_MODULE):
+        yield lineno, (
+            f"{name} outside sim/queue.py: a FIFO queue scan belongs "
+            f"in the one kernel there (FifoQueue.offer_batch / "
+            f"tapped_scan), not in a re-inlined copy"
+        )
 
 
 def _check_estimate_copies(ctx: FileContext) -> Findings:
-    if ctx.posix_path.endswith(config.ESTIMATE_KERNEL_MODULE):
-        return
-    name = config.ESTIMATE_PRIMITIVE
-    for lineno in _references(ctx, name):
+    for lineno, name in _foreign_references(
+            ctx, (config.ESTIMATE_PRIMITIVE,), config.ESTIMATE_KERNEL_MODULE):
         yield lineno, (
             f"{name} outside core/interpolation.py: estimates come from "
             f"the one estimate kernel there (estimate_streams), which live "
             f"observation and log replay share, not from a re-inlined copy"
+        )
+
+
+def _check_fold_copies(ctx: FileContext) -> Findings:
+    for lineno, name in _foreign_references(
+            ctx, (config.FLOW_FOLD_PRIMITIVE,), config.FLOW_TABLE_MODULE):
+        yield lineno, (
+            f"{name} outside core/flowstats.py: per-flow Welford state is "
+            f"folded by the one columnar flow table there "
+            f"(fold_flow_samples / FlowStatsTable.fold_grouped), not by a "
+            f"copy that builds its own per-flow accumulators"
         )
 
 
@@ -172,4 +190,7 @@ RULES = [
     Rule("BATCH005", "error",
          "per-stream interpolation used outside the estimate kernel module",
          _check_estimate_copies),
+    Rule("BATCH006", "error",
+         "grouped Welford fold used outside the flow-table module",
+         _check_fold_copies),
 ]
