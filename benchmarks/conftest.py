@@ -57,13 +57,6 @@ def bench_runner(request):
         )
 
 
-@pytest.fixture(scope="session")
-def bench_shards(request):
-    """``--shards N``: within-condition flow sharding for the extension
-    benches that support it (multihop, granularity, localization)."""
-    return request.config.getoption("--shards", default=1) or 1
-
-
 def print_banner(title: str) -> None:
     print()
     print("=" * 72)

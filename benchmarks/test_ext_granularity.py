@@ -14,12 +14,11 @@ from repro.experiments.config import default_scale
 from repro.experiments.extensions import run_granularity_comparison
 
 
-def test_ext_granularity(benchmark, bench_runner, bench_shards):
+def test_ext_granularity(benchmark, bench_runner):
     n_packets = max(4000, int(20_000 * default_scale()))
     rows = benchmark.pedantic(
         run_granularity_comparison,
-        kwargs={"n_packets": n_packets, "runner": bench_runner,
-                "shards": bench_shards},
+        kwargs={"n_packets": n_packets, "runner": bench_runner},
         rounds=1, iterations=1)
 
     print_banner("Extension: full RLI vs RLIR — cost vs localization granularity")

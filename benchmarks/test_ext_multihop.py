@@ -12,10 +12,10 @@ from repro.analysis.report import format_table
 from repro.experiments.extensions import run_multihop_ablation
 
 
-def test_ext_multihop(benchmark, bench_config, bench_runner, bench_shards):
+def test_ext_multihop(benchmark, bench_config, bench_runner):
     rows = benchmark.pedantic(
         run_multihop_ablation, args=(bench_config,),
-        kwargs={"runner": bench_runner, "shards": bench_shards},
+        kwargs={"runner": bench_runner},
         rounds=1, iterations=1)
 
     print_banner("Extension: accuracy vs measured-segment length (80% util/hop)")

@@ -47,13 +47,10 @@ MULTIHOP_UTILIZATION = 0.80
 
 def _clear_sim_caches():
     """Cold-start every in-process memo the studies consult."""
-    from repro.experiments import extension_jobs as EJ
     from repro.experiments import workloads as W
 
     W._workload_cache.clear()
     W._trace_cache.clear()
-    EJ._SIM_CACHE.clear()
-    EJ._SIM_PINNED.clear()
 
 
 def _timed(fn):

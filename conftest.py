@@ -43,9 +43,6 @@ def pytest_addoption(parser):
                     help="disable the on-disk sweep result cache")
     group.addoption("--cache-dir", default=None,
                     help="sweep result cache directory (default: .repro-cache)")
-    group.addoption("--shards", type=_positive_int, default=1,
-                    help="flow shards per condition for benches whose "
-                         "studies support within-condition sharding")
     group.addoption("--reprolint", action="store_true", default=False,
                     help="also run the reprolint/mypy gate tests "
                          "(marked 'reprolint', skipped by default)")

@@ -8,8 +8,8 @@ Operator-facing entry points for the library's main workflows:
     repro-rlir fig4a [--scale 0.1] [--jobs 4]             # likewise fig4b/fig4c/fig5
     repro-rlir fig4a --backend distributed --jobs 2       # embedded cluster
     repro-rlir placement --k 4 8 16
-    repro-rlir extensions [multihop granularity ...] [--jobs 4 --shards 4]
-    repro-rlir localize [--demux reverse-ecmp] [--jobs 4 --shards 4]
+    repro-rlir extensions [multihop granularity ...] [--jobs 4]
+    repro-rlir localize [--demux reverse-ecmp] [--jobs 4]
     repro-rlir cache info|clear
     repro-rlir fig4a --obs [--obs-trace] [--verbose]      # telemetry artifact
     repro-rlir obs artifacts/obs/run-*.json               # summarize one
@@ -25,10 +25,7 @@ Experiment subcommands print the same rows/series the paper's figures plot
 sweeps run through :mod:`repro.runner`: ``--jobs N`` fans conditions out
 over N worker processes, and results are memoized under ``.repro-cache/``
 (keyed by config, code version, and seeds) unless ``--no-cache`` is given —
-a repeated invocation answers from the cache in milliseconds.  For the
-``extensions`` and ``localize`` studies ``--shards S`` additionally splits
-each condition's per-flow estimation over S flow shards with bitwise
-identical output (see ``repro.core.replay``).
+a repeated invocation answers from the cache in milliseconds.
 
 ``--backend`` picks the execution backend explicitly: ``serial``,
 ``process`` (the multiprocessing pool ``--jobs`` implies), or
@@ -203,7 +200,7 @@ def build_parser() -> argparse.ArgumentParser:
                      help="trace seed for pipeline-based studies")
     ext.add_argument("--run-seed", type=int, default=0,
                      help="base seed for per-run random streams")
-    _add_runner_flags(ext, shards=True)
+    _add_runner_flags(ext)
 
     loc = sub.add_parser("localize", help="run the RLIR localization demo")
     loc.add_argument("--demux", choices=["marking", "reverse-ecmp"],
@@ -211,7 +208,7 @@ def build_parser() -> argparse.ArgumentParser:
     loc.add_argument("--packets", type=int, default=20_000)
     loc.add_argument("--run-seed", type=int, default=0,
                      help="base seed for the scenario's traces")
-    _add_runner_flags(loc, shards=True)
+    _add_runner_flags(loc)
 
     return parser
 
@@ -228,7 +225,7 @@ EXTENSION_STUDIES = ("multihop", "granularity", "memory", "ptp", "tail",
                      "mesh", "aqm")
 
 
-def _add_runner_flags(p: argparse.ArgumentParser, shards: bool = False) -> None:
+def _add_runner_flags(p: argparse.ArgumentParser) -> None:
     """Sweep-runner knobs shared by every experiment subcommand."""
     p.add_argument("--jobs", type=_positive_int, default=1,
                    help="worker processes for the condition sweep (default 1)")
@@ -244,10 +241,6 @@ def _add_runner_flags(p: argparse.ArgumentParser, shards: bool = False) -> None:
                    help="skip the on-disk result cache")
     p.add_argument("--cache-dir", default=None,
                    help="result cache directory (default: .repro-cache)")
-    if shards:
-        p.add_argument("--shards", type=_positive_int, default=1,
-                       help="flow shards per condition for the studies that "
-                            "support within-condition sharding (default 1)")
     p.add_argument("--obs", action="store_true",
                    help="record spans/counters and write a run artifact "
                         "under artifacts/obs/ (stdout stays byte-identical)")
@@ -425,7 +418,6 @@ def _cmd_localize(args) -> int:
         n_packets=args.packets,
         demux_method=args.demux,
         runner=_make_runner(args),
-        shards=args.shards,
         run_seed=args.run_seed,
     )
     print(format_table(
@@ -457,16 +449,14 @@ def _cmd_extensions(args) -> int:
         print(f"\n== {title} ==")
 
     if "multihop" in studies:
-        rows = ext.run_multihop_ablation(cfg, runner=runner,
-                                         shards=args.shards, run_seed=seed)
+        rows = ext.run_multihop_ablation(cfg, runner=runner, run_seed=seed)
         banner("multihop: accuracy vs measured-segment length")
         print(format_table(
             ["hops", "median RE(mean)", "true mean (us)"],
             [[h, f"{m:.4f}", f"{lat * 1e6:.1f}"] for h, m, lat in rows]))
     if "granularity" in studies:
         rows = ext.run_granularity_comparison(
-            n_packets=max(4000, int(20_000 * scale)), runner=runner,
-            shards=args.shards)
+            n_packets=max(4000, int(20_000 * scale)), runner=runner)
         banner("granularity: full RLI vs RLIR")
         print(format_table(
             ["deployment", "instances", "segments", "culprit", "granularity"],

@@ -440,10 +440,10 @@ def pooled_stats(table: FlowStatsTable) -> StreamingStats:
     """All flows' accumulators pooled by :meth:`StreamingStats.merge`, in
     table order.
 
-    The merge is a float left fold, so the order fixes the bits; a table
-    from :func:`~repro.core.replay.merge_shard_tables` is in sorted-key
-    order, so its pooled mean does not depend on how the shards were
-    split.  Reads the columns; the one accumulator built is the result.
+    The merge is a float left fold, so the order fixes the bits; pool a
+    :meth:`FlowStatsTable.sorted_by_key` copy for a mean that does not
+    depend on the order flows first appeared in.  Reads the columns; the
+    one accumulator built is the result.
     """
     counts, means, m2s, mins, maxs = (column.tolist() for column in table.columns()[1:])
     count, mean, m2 = 0, 0.0, 0.0

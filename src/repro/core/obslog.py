@@ -3,13 +3,11 @@
 A recorded receiver (``RliReceiver(observation_log=…)``) logs one event
 per observed packet — ``(REF_OBS, stream, now, delay)`` or ``(REG_OBS,
 stream, now, flow_key, truth)``.  At trace scale a single condition's log
-is millions of events, which the prepared artifact holds in memory, forked
-shard workers inherit, and distributed workers rebuild per process.
+is millions of events, held in memory until the job replays it.
 
 :class:`ObservationColumns` is the one log representation: the event
 stream as eight flat typed columns (tag, stream, time, value, and the five
-flow-key fields) — ~49 bytes per event, no per-event objects, and
-genuinely copy-on-write under ``fork``.  Every ``float`` and ``int``
+flow-key fields) — ~49 bytes per event and no per-event objects.  Every ``float`` and ``int``
 round-trips bit-exactly through the typed arrays, and replay
 (:mod:`repro.core.replay`) reads the columns directly as numpy views.
 The deployments' ``record_observations=True`` gives every receiver one.

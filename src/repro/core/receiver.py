@@ -70,10 +70,8 @@ class RliReceiver:
     observation_log:
         Optional :class:`~repro.core.obslog.ObservationColumns` the
         receiver writes its post-demux observation events to (see
-        :mod:`repro.core.replay`).  A recorded log can be replayed — in full or restricted to one flow shard — to
-        rebuild this receiver's per-flow tables without re-running the
-        simulation; the within-condition sharding of the sweep runner
-        (serial, process-pool, or distributed) is built on it.
+        :mod:`repro.core.replay`).  Replaying a recorded log rebuilds this
+        receiver's per-flow tables without re-running the simulation.
     record_only:
         With an ``observation_log``, skip the live estimation work
         (interpolation buffers and flow tables stay empty): the log is the

@@ -133,8 +133,8 @@ class RlirDeployment:
         When True every receiver records its post-demux observation
         stream (see :mod:`repro.core.replay`); :meth:`observation_logs`
         returns the logs under the same segment names
-        :meth:`RlirResult.segments` uses, so one recorded run can be
-        replayed shard-by-shard.  Each log is a columnar
+        :meth:`RlirResult.segments` uses, so each segment of one recorded
+        run can be replayed.  Each log is a columnar
         :class:`~repro.core.obslog.ObservationColumns`.  Recording receivers
         run record-only — their live tables stay empty, since replay
         recomputes every estimate from the log.

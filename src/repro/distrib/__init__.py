@@ -1,13 +1,13 @@
 """Distributed sweep execution: broker, workers, and a drop-in runner.
 
-The sweeps are embarrassingly parallel per condition and per flow shard,
-but :class:`~repro.runner.runner.ParallelRunner` tops out at one machine's
+The sweeps are embarrassingly parallel per condition, but
+:class:`~repro.runner.runner.ParallelRunner` tops out at one machine's
 ``multiprocessing`` pool.  This package scales the same job model across
 machines with nothing but the stdlib:
 
 * :class:`~repro.distrib.broker.Broker` — a small TCP job queue with
   heartbeats, dead-worker requeue (bounded retries, then structured
-  failures), shard-chunk dispatch, and live progress push;
+  failures), chunked dispatch, and live progress push;
 * :func:`~repro.distrib.worker.worker_main` — the stateless executor
   behind ``python -m repro worker --connect HOST:PORT``, fingerprint-
   verified so every peer runs identical simulator code;

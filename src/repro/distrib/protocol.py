@@ -60,12 +60,11 @@ computed by different simulator code.
 Chunking
 --------
 :func:`chunk_jobs` packs a driver's job list into dispatch units.  Jobs
-that share an expensive prepared artifact (``chunk_key`` — the runner's
-``prepare_key``, e.g. all flow shards of one recorded condition) are
-grouped and split into at most ``2 × workers`` contiguous chunks: large
-enough that a worker amortizes the shared simulation over several shard
-replays, small enough that an idle worker can steal the tail of a slow
-condition instead of watching one peer grind through it.
+that share a workload (``chunk_key`` — the job's ``config``) are grouped
+and split into at most ``2 × workers`` contiguous chunks: large enough
+that a worker builds the shared traces once for several conditions, small
+enough that an idle worker can steal the tail of a slow sweep instead of
+watching one peer grind through it.
 """
 
 from __future__ import annotations

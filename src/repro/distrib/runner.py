@@ -20,10 +20,9 @@ Two deployment shapes:
 Determinism
 -----------
 Results are placed by submission index (the inherited
-:meth:`ParallelRunner.run` fills ``results[i]``), and sweep drivers merge
-shard tables in sorted-key order — never arrival order — so the assembled
-output is byte-identical to the serial backend's no matter how workers
-race, die, or retry.  The fault-injection suite asserts exactly that.
+:meth:`ParallelRunner.run` fills ``results[i]``) — never by arrival
+order — so the assembled output is byte-identical to the serial backend's
+no matter how workers race, die, or retry.  The fault-injection suite asserts exactly that.
 """
 
 from __future__ import annotations
@@ -42,7 +41,7 @@ from typing import (Any, Callable, Iterator, List, Optional, Sequence,
 
 from .. import obs
 from ..runner.cache import ResultCache, code_fingerprint
-from ..runner.runner import ParallelRunner, _prepare_key
+from ..runner.runner import ParallelRunner, _workload_key
 from .broker import Broker
 from .progress import ProgressSnapshot
 from .protocol import (
@@ -359,7 +358,7 @@ class DistributedRunner(ParallelRunner):
         self._ensure_cluster()
         sweep_id = uuid.uuid4().hex
         remaining = {
-            seq: (_prepare_key(job), job) for seq, job in enumerate(jobs)
+            seq: (_workload_key(job), job) for seq, job in enumerate(jobs)
         }
         failures: List[JobFailure] = []
         attempts = 0

@@ -63,10 +63,8 @@ def execute_chunk(entries: List[tuple], cache: Optional[ResultCache] = None,
                   should_abort: Optional[Callable[[], bool]] = None) -> List[tuple]:
     """Run one ``[(tag, job), …]`` chunk; returns ``[(tag, value), …]``.
 
-    Jobs sharing a prepared artifact execute through their type's
-    ``run_chunk`` (one artifact build, one replay pass) when the whole
-    chunk missed the cache; otherwise each job runs individually.  Cache
-    hits skip execution, fresh results are published back.
+    Each job runs individually, in chunk order.  Cache hits skip
+    execution, fresh results are published back.
 
     *should_abort* is polled between jobs (a broker ``cancel``: the chunk
     settled elsewhere).  On abort only the *completed* ``(tag, value)``
@@ -95,32 +93,16 @@ def execute_chunk(entries: List[tuple], cache: Optional[ResultCache] = None,
             else:
                 still.append(i)
         pending = still
-    if pending and not (should_abort is not None and should_abort()):
-        first = type(jobs[pending[0]])
-        run_chunk = getattr(first, "run_chunk", None)
-        chunkable = (
-            run_chunk is not None
-            and len(pending) > 1
-            and all(type(jobs[i]) is first for i in pending)
-        )
-        if chunkable:
-            # one shared artifact, one replay pass: all-or-nothing, so the
-            # abort check above is the last one before the work happens
-            fresh = jobs[pending[0]].run_chunk([jobs[i] for i in pending])
-            for i, value in zip(pending, fresh):
-                values[i] = value
-                completed.add(i)
-        else:
-            for i in pending:
-                if should_abort is not None and should_abort():
-                    break
-                values[i] = jobs[i].run()
-                completed.add(i)
-        if cache is not None:
-            for i in pending:
-                cache_key = keys[i]
-                if cache_key is not None and i in completed:
-                    cache.put(cache_key, values[i])
+    for i in pending:
+        if should_abort is not None and should_abort():
+            break
+        values[i] = jobs[i].run()
+        completed.add(i)
+    if cache is not None:
+        for i in pending:
+            cache_key = keys[i]
+            if cache_key is not None and i in completed:
+                cache.put(cache_key, values[i])
     return [(tag, values[i])
             for i, (tag, _job) in enumerate(entries) if i in completed]
 

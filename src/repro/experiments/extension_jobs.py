@@ -7,19 +7,17 @@ pipeline conditions) and :class:`~repro.experiments.placement.PlacementJob`.
 
 Two shapes of job live here:
 
-* **whole-condition jobs** (:class:`PtpJob`, :class:`MeshJob`) — one
-  independent simulation each, parallel across conditions;
-* **shard jobs** (:class:`MultihopShardJob`, :class:`GranularityShardJob`,
-  :class:`LocalizationShardJob`) — the simulation runs *once* per condition
-  (memoized below, prewarmed pre-fork so workers inherit it copy-on-write)
-  and records every receiver's observation log
-  (:class:`~repro.core.obslog.ObservationColumns`); each shard job then
-  replays the log restricted to its flow shard (:mod:`repro.core.replay`),
-  so one large condition's per-flow estimation fans out over workers
-  instead of serializing on one core.
-  The shared ``run_chunk`` additionally replays a whole chunk of
-  same-condition shards in one log pass — the distributed backend's
-  dispatch envelope (:func:`~repro.core.replay.replay_observations_multi`).
+* **replay jobs** (:class:`MultihopJob`, :class:`GranularityJob`,
+  :class:`LocalizationJob`) — one simulation per condition whose receivers
+  record their observation logs
+  (:class:`~repro.core.obslog.ObservationColumns`); the job then replays
+  each log once (:mod:`repro.core.replay`) and returns the per-segment
+  tables in sorted-key order;
+* **plain jobs** (:class:`PtpJob`, :class:`MeshJob`) — one independent
+  simulation each, returning the study's rows directly.
+
+Every job is one condition: conditions fan out across the runner's
+workers, never a condition's flows.
 
 Seed discipline: every random sub-stream (per-hop cross traffic, per-pair
 mesh traces, PTP noise) takes a :func:`~repro.experiments.config.derive_seed`
@@ -37,152 +35,29 @@ it applies, and on the per-object reference where it does not — with
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Tuple
 
 from ..core.obslog import ObservationColumns
-from ..core.replay import ReplayTables, replay_observations, replay_observations_multi
+from ..core.replay import ReplayTables, replay_observations
 from ..runner.spec import ConfigItems
 from .config import derive_seed
 
 __all__ = [
-    "ShardedSegments",
-    "MultihopShardJob",
-    "GranularityShardJob",
-    "LocalizationShardJob",
+    "ReplayedSegments",
+    "MultihopJob",
+    "GranularityJob",
+    "LocalizationJob",
     "PtpJob",
     "MeshJob",
 ]
 
-# Fields deliberately absent from prepare_key (checked by reprolint
-# KEY002): prepare_key names the memoized *per-condition* simulation
-# artifact, which every flow shard of that condition shares — the shard
-# selector must NOT split the memo, or prewarming would rebuild one
-# simulation per shard and chunked replay could not batch shards.
-# cache_token still carries shard/n_shards, so cached *results* never
-# alias across shards.
-PREPARE_KEY_EXEMPT = {
-    "MultihopShardJob.shard": "replay selector over the shared event log",
-    "MultihopShardJob.n_shards": "replay partition count; log is shared",
-    "GranularityShardJob.shard": "replay selector over the shared event log",
-    "GranularityShardJob.n_shards": "replay partition count; log is shared",
-    "LocalizationShardJob.shard": "replay selector over the shared event log",
-    "LocalizationShardJob.n_shards": "replay partition count; log is shared",
-}
 
+class ReplayedSegments:
+    """One condition's replayed per-segment tables plus its metadata.
 
-# ----------------------------------------------------------------------
-# memoized per-condition simulation artifacts
-#
-# A condition's shard jobs all need the same recorded observation log.
-# Jobs advertise the log's identity via ``prepare_key``: the runner builds
-# it once in the parent before forking (children inherit it copy-on-write),
-# and under spawn each worker rebuilds it on first use.  Entries built by
-# ``prepare()`` are *pinned* — a prewarmed log must survive until the fork
-# however many conditions the sweep has — and unpinned again by the
-# runner's ``release_prepared()`` call once its pool is done, since the
-# parent's copy is dead weight after the children inherit it.  Entries
-# built lazily inside ``run()`` stay in a bounded FIFO so a long-lived
-# worker process does not accumulate logs forever.
-
-_SIM_CACHE: Dict[tuple, object] = {}
-_SIM_PINNED: set = set()
-_SIM_CACHE_SLOTS = 8
-
-
-def _memoized_sim(key: tuple, build: Callable[[], object],
-                  pin: bool = False) -> object:
-    artifact = _SIM_CACHE.get(key)
-    if artifact is None:
-        artifact = build()
-        evictable = [k for k in _SIM_CACHE if k not in _SIM_PINNED]
-        while evictable and len(_SIM_CACHE) >= _SIM_CACHE_SLOTS:
-            _SIM_CACHE.pop(evictable.pop(0))
-        _SIM_CACHE[key] = artifact
-    if pin:
-        _SIM_PINNED.add(key)
-    return artifact
-
-
-def _release_sim(key: tuple) -> None:
-    """Unpin and drop one prewarmed artifact (see ``_memoized_sim``)."""
-    _SIM_PINNED.discard(key)
-    _SIM_CACHE.pop(key, None)
-
-
-class _ShardJobBase:
-    """Replay/pin/chunk plumbing shared by the sharded job types.
-
-    Subclasses provide ``prepare_key``, ``_build()`` (run the simulation,
-    return its artifact), ``_segments(sim)`` (the recorded ``(name,
-    events)`` logs) and optionally ``_meta(sim)``; this base turns those
-    into the runner's job interface — ``prepare``/``release_prepared``
-    (pre-fork prewarming), ``run`` (replay one shard), and ``run_chunk``
-    (replay a whole chunk of same-condition shards in one log pass, the
-    distributed backend's dispatch envelope).
-    """
-
-    def _build(self):  # pragma: no cover - abstract
-        raise NotImplementedError
-
-    def _segments(self, sim) -> List[Tuple[str, ObservationColumns]]:  # pragma: no cover
-        raise NotImplementedError
-
-    def _meta(self, sim) -> dict:
-        return {}
-
-    def prepare(self) -> None:
-        _memoized_sim(self.prepare_key, self._build, pin=True)
-
-    def release_prepared(self) -> None:
-        _release_sim(self.prepare_key)
-
-    def run(self) -> "ShardedSegments":
-        sim = _memoized_sim(self.prepare_key, self._build)
-        segments = [
-            (name, replay_observations(events, shard=self.shard,
-                                       n_shards=self.n_shards))
-            for name, events in self._segments(sim)
-        ]
-        return ShardedSegments(segments, meta=self._meta(sim))
-
-    def run_chunk(self, jobs: Sequence["_ShardJobBase"]) -> List["ShardedSegments"]:
-        """Run several shards of one condition with a single log pass.
-
-        All *jobs* must share this job's ``prepare_key`` (the broker's
-        chunker guarantees it); each returned :class:`ShardedSegments` is
-        bitwise-identical to what that job's own :meth:`run` would build.
-        """
-        for job in jobs:
-            if job.prepare_key != self.prepare_key or job.n_shards != self.n_shards:
-                raise ValueError(
-                    f"chunk mixes conditions: {job!r} vs {self!r}"
-                )
-        sim = _memoized_sim(self.prepare_key, self._build)
-        shards = tuple(job.shard for job in jobs)
-        replayed = [
-            (name, replay_observations_multi(events, shards=shards,
-                                             n_shards=self.n_shards))
-            for name, events in self._segments(sim)
-        ]
-        return [
-            ShardedSegments(
-                [(name, by_shard[job.shard]) for name, by_shard in replayed],
-                meta=self._meta(sim),
-            )
-            for job in jobs
-        ]
-
-
-# ----------------------------------------------------------------------
-# shard results
-
-
-class ShardedSegments:
-    """One shard's replayed per-segment tables plus condition metadata.
-
-    ``segments`` preserves the deployment's segment order; each table holds
-    only the shard's flows, so shards merge by disjoint union
-    (:func:`~repro.core.replay.merge_shard_tables`).
+    ``segments`` preserves the deployment's segment order; each segment's
+    tables are in sorted-key order, so every float later folded over them
+    (e.g. :func:`~repro.core.flowstats.pooled_stats`) has fixed bits.
     """
 
     def __init__(self, segments: List[Tuple[str, ReplayTables]],
@@ -191,12 +66,24 @@ class ShardedSegments:
         self.meta = meta or {}
 
 
+def _replay_segments(logs: Iterable[Tuple[str, ObservationColumns]],
+                     meta: Optional[dict] = None) -> ReplayedSegments:
+    """Replay each recorded ``(name, log)`` once, tables in sorted-key order."""
+    segments = []
+    for name, log in logs:
+        tables = replay_observations(log)
+        segments.append((name, ReplayTables(tables.estimated.sorted_by_key(),
+                                            tables.true.sorted_by_key(),
+                                            tables.unestimated)))
+    return ReplayedSegments(segments, meta)
+
+
 # ----------------------------------------------------------------------
 # multihop ablation
 
 
 def _multihop_log(config: ConfigItems, n_hops: int, utilization: float,
-                  run_seed: int):
+                  run_seed: int) -> ObservationColumns:
     """Simulate one chain condition, returning the receiver's event log.
 
     The chain runs its columnar fast path
@@ -238,37 +125,25 @@ def _multihop_log(config: ConfigItems, n_hops: int, utilization: float,
 
 
 @dataclass(frozen=True)
-class MultihopShardJob(_ShardJobBase):
-    """One flow shard of one chain length of the multihop ablation."""
+class MultihopJob:
+    """One chain length of the multihop ablation."""
 
     config: ConfigItems
     n_hops: int
     utilization: float
     run_seed: int = 0
-    shard: int = 0
-    n_shards: int = 1
 
-    @property
-    def prepare_key(self) -> tuple:
-        return ("multihop", self.config, self.n_hops, self.utilization,
-                self.run_seed)
-
-    def _build(self):
-        return _multihop_log(self.config, self.n_hops, self.utilization,
-                             self.run_seed)
-
-    def _segments(self, sim) -> List[Tuple[str, ObservationColumns]]:
-        return [("chain", sim)]
+    def run(self) -> ReplayedSegments:
+        return _replay_segments([("chain", _multihop_log(
+            self.config, self.n_hops, self.utilization, self.run_seed))])
 
     def cache_token(self) -> dict:
         return {
-            "kind": "multihop-shard",
+            "kind": "multihop",
             "config": dict(self.config),
             "n_hops": self.n_hops,
             "utilization": self.utilization,
             "run_seed": self.run_seed,
-            "shard": self.shard,
-            "n_shards": self.n_shards,
         }
 
 
@@ -338,8 +213,8 @@ def _granularity_sim(deployment: str, n_packets: int, trace_seed: int,
 
 
 @dataclass(frozen=True)
-class GranularityShardJob(_ShardJobBase):
-    """One flow shard of one deployment of the granularity comparison.
+class GranularityJob:
+    """One deployment of the granularity comparison.
 
     Both deployments ("full", "rlir") measure the *same* trace seed by
     design — the study compares architectures on one workload — but the
@@ -351,33 +226,20 @@ class GranularityShardJob(_ShardJobBase):
     n_packets: int
     trace_seed: int = 21
     slow_factor: float = 4.0
-    shard: int = 0
-    n_shards: int = 1
 
-    @property
-    def prepare_key(self) -> tuple:
-        return ("granularity", self.deployment, self.n_packets,
-                self.trace_seed, self.slow_factor)
-
-    def _build(self):
-        return _granularity_sim(self.deployment, self.n_packets,
-                                self.trace_seed, self.slow_factor)
-
-    def _segments(self, sim) -> List[Tuple[str, ObservationColumns]]:
-        return sim["segments"]
-
-    def _meta(self, sim) -> dict:
-        return {"instances": sim["instances"], "n_segments": sim["n_segments"]}
+    def run(self) -> ReplayedSegments:
+        sim = _granularity_sim(self.deployment, self.n_packets,
+                               self.trace_seed, self.slow_factor)
+        return _replay_segments(sim["segments"], {
+            "instances": sim["instances"], "n_segments": sim["n_segments"]})
 
     def cache_token(self) -> dict:
         return {
-            "kind": "granularity-shard",
+            "kind": "granularity",
             "deployment": self.deployment,
             "n_packets": self.n_packets,
             "trace_seed": self.trace_seed,
             "slow_factor": self.slow_factor,
-            "shard": self.shard,
-            "n_shards": self.n_shards,
         }
 
 
@@ -385,7 +247,8 @@ class GranularityShardJob(_ShardJobBase):
 # localization study (the CLI demo: incast across an RLIR ToR pair)
 
 
-def _localization_sim(n_packets: int, demux_method: str, run_seed: int) -> dict:
+def _localization_logs(n_packets: int, demux_method: str,
+                       run_seed: int) -> List[Tuple[str, ObservationColumns]]:
     from ..core.injection import StaticInjection
     from ..core.rlir import RlirDeployment
     from ..sim.topology import FatTree, LinkParams
@@ -408,38 +271,27 @@ def _localization_sim(n_packets: int, demux_method: str, run_seed: int) -> dict:
                                 demux_method=demux_method,
                                 record_observations=True)
     deployment.run([measured, incast])
-    return {"segments": deployment.observation_logs()}
+    return deployment.observation_logs()
 
 
 @dataclass(frozen=True)
-class LocalizationShardJob(_ShardJobBase):
-    """One flow shard of the incast localization scenario."""
+class LocalizationJob:
+    """The incast localization scenario."""
 
     n_packets: int
     demux_method: str = "reverse-ecmp"
     run_seed: int = 0
-    shard: int = 0
-    n_shards: int = 1
 
-    @property
-    def prepare_key(self) -> tuple:
-        return ("localize", self.n_packets, self.demux_method, self.run_seed)
-
-    def _build(self):
-        return _localization_sim(self.n_packets, self.demux_method,
-                                 self.run_seed)
-
-    def _segments(self, sim) -> List[Tuple[str, ObservationColumns]]:
-        return sim["segments"]
+    def run(self) -> ReplayedSegments:
+        return _replay_segments(_localization_logs(
+            self.n_packets, self.demux_method, self.run_seed))
 
     def cache_token(self) -> dict:
         return {
-            "kind": "localization-shard",
+            "kind": "localization",
             "n_packets": self.n_packets,
             "demux_method": self.demux_method,
             "run_seed": self.run_seed,
-            "shard": self.shard,
-            "n_shards": self.n_shards,
         }
 
 

@@ -26,12 +26,9 @@ executed through a :class:`~repro.runner.runner.ParallelRunner`: pass
 ``runner=`` to fan conditions out over worker processes — or over a
 distributed broker/worker cluster
 (:class:`~repro.distrib.runner.DistributedRunner`); every backend is
-byte-identical — and memoize them on disk.  The multihop, granularity,
-and localization studies additionally
-accept ``shards=N``: the condition's simulation runs once and its per-flow
-estimation is partitioned over N flow shards
-(:mod:`repro.core.replay`), with results **bitwise identical** for every
-(jobs, shards) combination — asserted by the determinism suite.
+byte-identical — and memoize them on disk.  One job is one condition:
+the multihop, granularity and localization jobs simulate once with
+recording receivers and replay each log once (:mod:`repro.core.replay`).
 
 The simulation-backed studies run on the columnar fast path (chain scans /
 the layered fat-tree driver) wherever it applies, with bitwise-identical
@@ -48,17 +45,15 @@ from ..analysis.cdf import Ecdf
 from ..analysis.metrics import flow_mean_errors
 from ..core.flowstats import pooled_stats
 from ..core.localization import LocalizationReport, localize
-from ..core.replay import merge_shard_tables
 from ..runner.runner import ParallelRunner
 from ..runner.spec import JobSpec
 from .config import ExperimentConfig
 from .extension_jobs import (
-    GranularityShardJob,
-    LocalizationShardJob,
+    GranularityJob,
+    LocalizationJob,
     MeshJob,
-    MultihopShardJob,
+    MultihopJob,
     PtpJob,
-    ShardedSegments,
 )
 
 __all__ = [
@@ -74,24 +69,11 @@ __all__ = [
 ]
 
 
-def _merge_condition(shard_results: Sequence[ShardedSegments]):
-    """Merge one condition's shard results: (name, estimated, true) rows."""
-    merged = []
-    for index, (name, _) in enumerate(shard_results[0].segments):
-        merged.append((
-            name,
-            merge_shard_tables(r.segments[index][1].estimated for r in shard_results),
-            merge_shard_tables(r.segments[index][1].true for r in shard_results),
-        ))
-    return merged
-
-
 def run_multihop_ablation(
     cfg: Optional[ExperimentConfig] = None,
     hops: Sequence[int] = (1, 2, 4, 8),
     utilization: float = 0.80,
     runner: Optional[ParallelRunner] = None,
-    shards: int = 1,
     run_seed: int = 0,
 ) -> List[Tuple[int, float, float]]:
     """(n_hops, median flow-mean RE, mean true latency) per chain length.
@@ -107,17 +89,14 @@ def run_multihop_ablation(
     cfg = cfg or ExperimentConfig()
     runner = runner or ParallelRunner()
     frozen = config_items(cfg)
-    jobs = [
-        MultihopShardJob(frozen, n_hops, utilization, run_seed, shard, shards)
-        for n_hops in hops
-        for shard in range(shards)
-    ]
-    results = runner.run(jobs)
+    results = runner.run([MultihopJob(frozen, n_hops, utilization, run_seed)
+                          for n_hops in hops])
     rows = []
-    for i, n_hops in enumerate(hops):
-        ((_, est, true),) = _merge_condition(results[i * shards:(i + 1) * shards])
-        join = flow_mean_errors(est, true)
-        rows.append((n_hops, Ecdf(join.errors).median, pooled_stats(true).mean))
+    for n_hops, result in zip(hops, results):
+        ((_, tables),) = result.segments
+        join = flow_mean_errors(tables.estimated, tables.true)
+        rows.append((n_hops, Ecdf(join.errors).median,
+                     pooled_stats(tables.true).mean))
     return rows
 
 
@@ -135,7 +114,6 @@ class GranularityRow:
 def run_granularity_comparison(
     n_packets: int = 10_000,
     runner: Optional[ParallelRunner] = None,
-    shards: int = 1,
     trace_seed: int = 21,
     slow_factor: float = 4.0,
 ) -> List[GranularityRow]:
@@ -149,20 +127,16 @@ def run_granularity_comparison(
     """
     runner = runner or ParallelRunner()
     deployments = ("full", "rlir")
-    jobs = [
-        GranularityShardJob(deployment, n_packets, trace_seed, slow_factor,
-                            shard, shards)
+    results = runner.run([
+        GranularityJob(deployment, n_packets, trace_seed, slow_factor)
         for deployment in deployments
-        for shard in range(shards)
-    ]
-    results = runner.run(jobs)
+    ])
     rows = []
-    for i, deployment in enumerate(deployments):
-        shard_results = results[i * shards:(i + 1) * shards]
-        merged = _merge_condition(shard_results)
-        report = localize([(name, est) for name, est, _ in merged],
-                          factor=2.0, floor=5e-6, min_samples=20)
-        meta = shard_results[0].meta
+    for deployment, result in zip(deployments, results):
+        report = localize(
+            [(name, tables.estimated) for name, tables in result.segments],
+            factor=2.0, floor=5e-6, min_samples=20)
+        meta = result.meta
         if deployment == "full":
             rows.append(GranularityRow(
                 "full RLI", meta["instances"], meta["n_segments"],
@@ -187,8 +161,7 @@ def run_memory_ablation(
     """(max_flows, flows retained, samples evicted, median RE of survivors)
     per flow-table bound.
 
-    Eviction order depends on the global packet arrival order, so each
-    bound is one unsharded condition; bounds fan out across workers.
+    Each bound is one condition; bounds fan out across workers.
     """
     cfg = cfg or ExperimentConfig()
     runner = runner or ParallelRunner()
@@ -333,7 +306,6 @@ def run_localization_study(
     floor: float = 5e-6,
     min_samples: int = 20,
     runner: Optional[ParallelRunner] = None,
-    shards: int = 1,
     run_seed: int = 0,
 ) -> LocalizationReport:
     """The operator scenario behind ``repro-rlir localize``.
@@ -341,16 +313,11 @@ def run_localization_study(
     An RLIR ToR-pair deployment measures its traffic while two other pods
     incast into the destination pod; the destination-side segment inflates
     and :func:`~repro.core.localization.localize` must name it.  The
-    simulation runs once (per cache identity); per-flow estimation fans out
-    over *shards* × the runner's workers.  The simulation runs on the
-    layered columnar driver (the ``marking`` demux falls back to the
+    simulation runs on the layered columnar driver (the ``marking`` demux falls back to the
     engine — its classifier reads per-packet ToS state).
     """
     runner = runner or ParallelRunner()
-    jobs = [
-        LocalizationShardJob(n_packets, demux_method, run_seed, shard, shards)
-        for shard in range(shards)
-    ]
-    merged = _merge_condition(runner.run(jobs))
-    return localize([(name, est) for name, est, _ in merged],
-                    factor=factor, floor=floor, min_samples=min_samples)
+    result = runner.run_one(LocalizationJob(n_packets, demux_method, run_seed))
+    return localize(
+        [(name, tables.estimated) for name, tables in result.segments],
+        factor=factor, floor=floor, min_samples=min_samples)

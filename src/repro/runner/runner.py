@@ -73,15 +73,10 @@ def _execute_indexed_obs(
     return index, result, obs.drain_payload()
 
 
-def _prepare_key(job: Any) -> Any:
-    """The identity of the shared artifact a job's prepare() would build.
-
-    Jobs sharing an expensive artifact beyond their workload traces (e.g. a
-    recorded observation log) advertise it via ``prepare_key``; plain
-    condition jobs fall back to their frozen config.
-    """
-    key = getattr(job, "prepare_key", None)
-    return key if key is not None else getattr(job, "config", None)
+def _workload_key(job: Any) -> Any:
+    """The identity of the workload a job shares with others: its frozen
+    config (``None`` for jobs without one)."""
+    return getattr(job, "config", None)
 
 
 class ParallelRunner:
@@ -110,21 +105,15 @@ class ParallelRunner:
       (hashed with the code fingerprint into the cache key), required
       only when a cache is attached.
 
-    Optional extensions the runner and the distributed backend exploit:
-
-    * ``prepare()`` / ``release_prepared()`` with a hashable
-      ``prepare_key`` — build (and later drop) an expensive artifact
-      shared by every job with the same key; under ``fork`` the runner
-      prewarms it once in the parent so children inherit it
-      copy-on-write;
-    * ``run_chunk(jobs) -> [result, ...]`` — execute several same-key
-      jobs in one pass (e.g. one replay sweep over a shared observation
-      log); used by the distributed workers' chunk dispatch.
+    Optional: ``prepare()`` builds the workload shared by every job with
+    the same ``config``; under ``fork`` the runner prewarms it once in the
+    parent so children inherit it copy-on-write.  The distributed backend
+    also groups same-``config`` jobs into its dispatch chunks.
 
     Shipped implementations: :class:`~repro.runner.spec.JobSpec`
     (pipeline conditions) and the study jobs in
     :mod:`repro.experiments.extension_jobs` — see those for worked
-    ``cache_token``/``prepare_key`` examples.
+    ``cache_token`` examples.
     """
 
     def __init__(
@@ -213,53 +202,40 @@ class ParallelRunner:
             )
         ctx = multiprocessing.get_context(method)
         processes = min(self.jobs, len(jobs))
-        prepared: dict = {}
         if method == "fork":
-            # Build shared artifacts pre-fork so children inherit them
+            # Build shared workloads pre-fork so children inherit them
             # copy-on-write — but only when that wins.  Prewarming runs the
             # builds serially in the parent, so it pays off exactly when
-            # the distinct artifacts are too few to keep every worker busy
-            # on their own (the one-huge-condition case sharding exists
-            # for); with at least as many artifacts as workers, each
-            # worker builds its own in parallel instead.  Single-consumer
-            # artifacts are never worth building up front.
+            # the distinct workloads are too few to keep every worker busy
+            # on their own; with at least as many workloads as workers,
+            # each worker builds its own in parallel instead.
+            # Single-consumer workloads are never worth building up front.
             consumers: dict = {}
+            first: dict = {}
             for job in jobs:
-                key = _prepare_key(job)
+                key = _workload_key(job)
                 if key is not None and getattr(job, "prepare", None) is not None:
                     consumers[key] = consumers.get(key, 0) + 1
+                    first.setdefault(key, job)
             if len(consumers) < processes:
-                for job in jobs:
-                    prepare = getattr(job, "prepare", None)
-                    key = _prepare_key(job)
-                    if (prepare is not None and consumers.get(key, 0) >= 2
-                            and key not in prepared):
+                for key, job in first.items():
+                    if consumers[key] >= 2:
                         with obs.span("runner.prepare"):
-                            prepare()
-                        prepared[key] = job
-        try:
-            with ctx.Pool(processes=processes) as pool:
-                if obs.enabled():
-                    # obs-aware entry: each completion also carries the
-                    # worker's drained span/metric buffers, folded here so
-                    # the run artifact sees every process
-                    for index, value, payload in pool.imap_unordered(
-                        _execute_indexed_obs, list(enumerate(jobs)), chunksize=1
-                    ):
-                        obs.fold_payload(payload)
-                        yield index, value
-                else:
-                    yield from pool.imap_unordered(
-                        _execute_indexed, list(enumerate(jobs)), chunksize=1
-                    )
-        finally:
-            # children inherited the prewarmed artifacts at fork time; the
-            # parent's copies are dead once the pool is done, so let jobs
-            # that pin memory release it
-            for job in prepared.values():
-                release = getattr(job, "release_prepared", None)
-                if release is not None:
-                    release()
+                            job.prepare()
+        with ctx.Pool(processes=processes) as pool:
+            if obs.enabled():
+                # obs-aware entry: each completion also carries the
+                # worker's drained span/metric buffers, folded here so
+                # the run artifact sees every process
+                for index, value, payload in pool.imap_unordered(
+                    _execute_indexed_obs, list(enumerate(jobs)), chunksize=1
+                ):
+                    obs.fold_payload(payload)
+                    yield index, value
+            else:
+                yield from pool.imap_unordered(
+                    _execute_indexed, list(enumerate(jobs)), chunksize=1
+                )
 
     def __repr__(self) -> str:
         return (

@@ -17,36 +17,7 @@ from ..net.addressing import Prefix, PrefixTrie
 from ..net.packet import PacketKind
 from .trace import Trace
 
-__all__ = ["TrafficDivider", "flow_shard"]
-
-# FNV-1a over the flow 5-tuple's fields: cheap, well-mixed, and — unlike
-# the built-in hash() — independent of PYTHONHASHSEED, so every worker
-# process agrees on which shard owns a flow.
-_FNV_OFFSET = 0xCBF29CE484222325
-_FNV_PRIME = 0x100000001B3
-_MASK64 = 0xFFFFFFFFFFFFFFFF
-
-
-def flow_shard(key: Tuple[int, int, int, int, int], n_shards: int) -> int:
-    """The shard index in ``[0, n_shards)`` that owns flow *key*.
-
-    The within-condition analogue of :class:`TrafficDivider`'s prefix
-    classification: a pure function of the flow key, stable across
-    processes and runs, so one condition's per-flow work
-    (:mod:`repro.core.replay`) partitions identically no matter how many
-    workers there are or which one picks up which shard.
-    """
-    if n_shards < 1:
-        raise ValueError(f"n_shards must be >= 1: {n_shards}")
-    h = _FNV_OFFSET
-    for part in key:
-        value = int(part) & _MASK64
-        while True:
-            h = ((h ^ (value & 0xFF)) * _FNV_PRIME) & _MASK64
-            value >>= 8
-            if not value:
-                break
-    return h % n_shards
+__all__ = ["TrafficDivider"]
 
 
 class TrafficDivider:

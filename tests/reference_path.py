@@ -8,8 +8,7 @@ three refuse, so every driver, job and CLI command runs its existing
 per-object fallback — the oracle each fast path is checked against.
 
 Use it with a serial runner and no result cache: a cached result was
-computed by whichever path ran first.  The in-process memo of recorded
-shard-job simulations is dropped on entry and on exit for the same reason.
+computed by whichever path ran first.
 """
 
 import contextlib
@@ -18,14 +17,6 @@ from collections import Counter
 import pytest
 
 REASON = "reference-forced"
-
-
-def drop_recorded_sims():
-    """Empty the shard jobs' in-process memo of recorded simulations."""
-    from repro.experiments import extension_jobs
-
-    extension_jobs._SIM_CACHE.clear()
-    extension_jobs._SIM_PINNED.clear()
 
 
 @contextlib.contextmanager
@@ -55,18 +46,14 @@ def reference_path():
         obs_metrics.fallback("fatpath", REASON)
         return False
 
-    drop_recorded_sims()
-    try:
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(TwoSwitchPipeline, "_fast_path_blocker",
-                          refuse("pipeline"))
-            patch.setattr(SwitchChain, "_fast_path_blocker", refuse("chain"))
-            # the deployments imported try_fast_path by name
-            patch.setattr(mesh, "try_fast_path", no_fast_path)
-            patch.setattr(rlir, "try_fast_path", no_fast_path)
-            yield forced
-    finally:
-        drop_recorded_sims()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(TwoSwitchPipeline, "_fast_path_blocker",
+                      refuse("pipeline"))
+        patch.setattr(SwitchChain, "_fast_path_blocker", refuse("chain"))
+        # the deployments imported try_fast_path by name
+        patch.setattr(mesh, "try_fast_path", no_fast_path)
+        patch.setattr(rlir, "try_fast_path", no_fast_path)
+        yield forced
 
 
 @pytest.fixture

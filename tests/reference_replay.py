@@ -14,7 +14,6 @@ from repro.core.flowstats import FlowStatsTable
 from repro.core.interpolation import InterpolationBuffer
 from repro.core.receiver import REF_OBS, REG_OBS
 from repro.core.replay import ReplayTables
-from repro.traffic.divider import flow_shard
 
 
 def events_of(log) -> List[tuple]:
@@ -32,10 +31,8 @@ def events_of(log) -> List[tuple]:
     return events
 
 
-def reference_replay(events, estimator="linear", shard=0, n_shards=1):
+def reference_replay(events, estimator="linear"):
     """Rebuild per-flow estimated/true tables from event tuples, one by one."""
-    if not 0 <= shard < n_shards:
-        raise ValueError(f"shard must be in [0, {n_shards}): {shard}")
     buffers: Dict[int, InterpolationBuffer] = {}
     estimated = FlowStatsTable()
     true = FlowStatsTable()
@@ -51,8 +48,6 @@ def reference_replay(events, estimator="linear", shard=0, n_shards=1):
                 estimated.add(est.key, est.estimated)
         elif tag == REG_OBS:
             _, stream, now, key, truth = event
-            if n_shards > 1 and flow_shard(key, n_shards) != shard:
-                continue
             buffer = buffers.get(stream)
             if buffer is None:
                 buffer = buffers[stream] = InterpolationBuffer(estimator)

@@ -443,32 +443,26 @@ class TestFastPathPreflight:
 
 
 # ----------------------------------------------------------------------
-# extension jobs: the fast path composes with sharding and caching
+# extension jobs: the fast path composes with replay and caching
 
 
 class TestJobEquivalence:
-    def test_multihop_shard_job_batch_identical(self):
-        from repro.experiments.extension_jobs import MultihopShardJob
+    def test_multihop_job_batch_identical(self):
+        from repro.experiments.extension_jobs import MultihopJob
         from repro.runner.spec import config_items
 
-        frozen = config_items(ExperimentConfig(scale=0.01, seed=7))
-        jobs = [MultihopShardJob(frozen, 3, 0.8, 0, shard, 2)
-                for shard in range(2)]
+        job = MultihopJob(config_items(ExperimentConfig(scale=0.01, seed=7)),
+                          3, 0.8)
 
-        def run_shards():
-            return [
-                [(name, flow_table_state(tables.estimated),
-                  flow_table_state(tables.true))
-                 for name, tables in job.run().segments]
-                for job in jobs
-            ]
+        def run_job():
+            return [(name, flow_table_state(tables.estimated),
+                     flow_table_state(tables.true))
+                    for name, tables in job.run().segments]
 
-        # reference_path drops the shared recorded simulation on exit, so
-        # the columnar run below simulates afresh
         with reference_path() as forced:
-            reference = run_shards()
+            reference = run_job()
         assert forced["chain"] == 1
-        assert reference == run_shards()
+        assert reference == run_job()
 
     def test_mesh_job_batch_identical(self):
         from repro.experiments.extension_jobs import MeshJob
@@ -487,7 +481,7 @@ class TestJobEquivalence:
 
         from repro.experiments import extensions, fig4, fig5
         from repro.experiments.extension_jobs import (
-            LocalizationShardJob, MeshJob, MultihopShardJob)
+            LocalizationJob, MeshJob, MultihopJob)
         from repro.experiments.workloads import run_condition
         from repro.runner.spec import JobSpec, SweepSpec, config_items
         from repro.sim.pipeline import PipelineConfig
@@ -499,11 +493,11 @@ class TestJobEquivalence:
                       if name.startswith("run_")]
         for fn in callables:
             assert "batch" not in inspect.signature(fn).parameters, fn
-        for cls in (JobSpec, SweepSpec, MultihopShardJob,
-                    LocalizationShardJob, MeshJob):
+        for cls in (JobSpec, SweepSpec, MultihopJob,
+                    LocalizationJob, MeshJob):
             assert "batch" not in {f.name for f in dataclasses.fields(cls)}, cls
         frozen = config_items(ExperimentConfig(scale=0.01, seed=7))
-        for job in (MultihopShardJob(frozen, 2, 0.8), LocalizationShardJob(100),
+        for job in (MultihopJob(frozen, 2, 0.8), LocalizationJob(100),
                     MeshJob(PAIRS, 100),
                     JobSpec(frozen, "adaptive", "random", 0.67)):
             assert "batch" not in job.cache_token(), job

@@ -60,15 +60,6 @@ class TestParser:
         assert args.listen == ":7077"
         assert args.max_retries == 1
 
-    def test_shards_flag_on_sharded_subcommands(self):
-        parser = build_parser()
-        for command in ("extensions", "localize"):
-            args = parser.parse_args([command, "--shards", "3"])
-            assert args.shards == 3
-        # figure sweeps have no within-condition sharding
-        with pytest.raises(SystemExit):
-            parser.parse_args(["fig4a", "--shards", "3"])
-
 
 class TestTraceCommands:
     def test_generate_and_info_npz(self, tmp_path, capsys):
@@ -132,15 +123,15 @@ class TestAnalysisCommands:
         out = capsys.readouterr().out
         assert "culprit" in out
 
-    def test_localize_sharded_cached_rerun_matches(self, capsys, tmp_path):
+    def test_localize_parallel_cached_rerun_matches(self, capsys, tmp_path):
         cache_dir = str(tmp_path / "cache")
-        argv = ["localize", "--packets", "2000", "--jobs", "2", "--shards", "2",
+        argv = ["localize", "--packets", "2000", "--jobs", "2",
                 "--cache-dir", cache_dir]
         assert main(argv) == 0
         first = capsys.readouterr().out
         assert main(argv) == 0  # warm: answered from the cache
         assert capsys.readouterr().out == first
-        # serial, unsharded path prints the identical report
+        # the serial, uncached path prints the identical report
         assert main(["localize", "--packets", "2000", "--no-cache"]) == 0
         assert capsys.readouterr().out == first
 
@@ -158,15 +149,15 @@ class TestAnalysisCommands:
         assert main(["extensions", "warp-drive"]) == 2
         assert "unknown studies" in capsys.readouterr().err
 
-    def test_extensions_sharded_parallel_matches_serial(self, capsys,
-                                                        monkeypatch, tmp_path):
+    def test_extensions_parallel_matches_serial(self, capsys, monkeypatch,
+                                                tmp_path):
         monkeypatch.setenv("REPRO_SCALE", "0.01")
         cache_dir = str(tmp_path / "cache")
-        base = ["extensions", "multihop", "--cache-dir", cache_dir]
-        assert main(base + ["--jobs", "2", "--shards", "2"]) == 0
-        sharded = capsys.readouterr().out
+        assert main(["extensions", "multihop", "--jobs", "2",
+                     "--cache-dir", cache_dir]) == 0
+        parallel = capsys.readouterr().out
         assert main(["extensions", "multihop", "--no-cache"]) == 0
-        assert capsys.readouterr().out == sharded
+        assert capsys.readouterr().out == parallel
 
     def test_fig4a_parallel_cached_rerun_matches(self, capsys, monkeypatch,
                                                  tmp_path):

@@ -102,7 +102,7 @@ class TestChunking:
         assert chunks == [[(0, "a")], [(1, "b")]]
 
     def test_keyed_group_splits_for_stealing(self):
-        entries = [(i, "cond", f"shard{i}") for i in range(8)]
+        entries = [(i, "cond", f"job{i}") for i in range(8)]
         chunks = chunk_jobs(entries, n_workers=2)
         # at most 2*workers chunks per group, every job exactly once
         assert len(chunks) == 4
@@ -360,16 +360,25 @@ class TestDistributedMatchesSerial:
         assert [pickle.dumps(r) for r in first] == serial_blobs
         assert [pickle.dumps(r) for r in again] == serial_blobs
 
-    def test_sharded_extension_study_identical(self, cluster, cfg):
-        """Shard jobs ride the chunk envelope (one replay pass per chunk)
-        and still merge bitwise-identical to the serial study."""
-        from repro.experiments.extensions import run_multihop_ablation
+    def test_extension_studies_identical(self, cluster, cfg):
+        """The record-then-replay studies pickle identically on the
+        cluster and serially."""
+        from repro.experiments.extensions import (
+            run_granularity_comparison, run_localization_study,
+            run_multihop_ablation)
 
-        serial = run_multihop_ablation(cfg, hops=(1, 2))
-        distributed = run_multihop_ablation(cfg, hops=(1, 2),
-                                            runner=cluster, shards=3)
-        assert serial == distributed
-        assert pickle.dumps(serial) == pickle.dumps(distributed)
+        studies = [
+            lambda runner: run_multihop_ablation(cfg, hops=(1, 2), runner=runner),
+            lambda runner: run_granularity_comparison(n_packets=3000,
+                                                      runner=runner),
+            lambda runner: run_localization_study(n_packets=2000,
+                                                  runner=runner).as_rows(),
+        ]
+        for study in studies:
+            serial = study(None)
+            distributed = study(cluster)
+            assert serial == distributed
+            assert pickle.dumps(serial) == pickle.dumps(distributed)
 
 
 class TestFaultTolerance:

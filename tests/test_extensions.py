@@ -129,17 +129,46 @@ class TestRunnerRouting:
         assert runner.executed == 10
         assert runner.cache_hits == 0
 
+    def test_one_job_per_condition(self, tiny_config):
+        """No study splits a condition's flows over jobs: no driver or job
+        takes a shard knob, the CLI rejects ``--shards``, and a two-hop
+        multihop sweep executes exactly two jobs."""
+        import dataclasses
+        import inspect
+
+        from repro.cli import build_parser
+        from repro.experiments import extension_jobs, extensions, fig4, fig5
+        from repro.runner.spec import JobSpec, SweepSpec
+
+        knobs = {"shards", "shard", "n_shards"}
+        drivers = [fig4.run_fig4ab, fig4.run_fig4c, fig5.run_fig5]
+        drivers += [getattr(extensions, name) for name in extensions.__all__
+                    if name.startswith("run_")]
+        for fn in drivers:
+            assert not knobs & set(inspect.signature(fn).parameters), fn
+        jobs = [JobSpec, SweepSpec]
+        jobs += [getattr(extension_jobs, name) for name in extension_jobs.__all__
+                 if dataclasses.is_dataclass(getattr(extension_jobs, name))]
+        assert len(jobs) == 7
+        for cls in jobs:
+            assert not knobs & {f.name for f in dataclasses.fields(cls)}, cls
+        parser = build_parser()
+        for command in ("extensions", "localize"):
+            with pytest.raises(SystemExit):
+                parser.parse_args([command, "--shards", "2"])
+        runner = ParallelRunner(jobs=1)
+        run_multihop_ablation(tiny_config, hops=(1, 2), runner=runner)
+        assert runner.executed == 2
+
     def test_rerun_answers_from_cache(self, tiny_config, tmp_path):
         cache = ResultCache(root=tmp_path / "cache", fingerprint="test")
         cold = ParallelRunner(jobs=1, cache=cache)
-        first = run_multihop_ablation(tiny_config, hops=(1, 2), runner=cold,
-                                      shards=2)
-        assert cold.executed == 4  # 2 hops x 2 shards
+        first = run_multihop_ablation(tiny_config, hops=(1, 2), runner=cold)
+        assert cold.executed == 2  # one job per hop count
         warm = ParallelRunner(jobs=1, cache=cache)
-        second = run_multihop_ablation(tiny_config, hops=(1, 2), runner=warm,
-                                       shards=2)
+        second = run_multihop_ablation(tiny_config, hops=(1, 2), runner=warm)
         assert warm.executed == 0
-        assert warm.cache_hits == 4
+        assert warm.cache_hits == 2
         assert first == second
 
     def test_seeds_reach_cache_keys(self, tiny_config, tmp_path):

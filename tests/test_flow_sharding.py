@@ -1,51 +1,13 @@
-"""Unit tests for flow-hash sharding and observation-log replay."""
+"""Unit tests for observation-log replay and flow-table merging."""
 
 import pytest
 
 import numpy as np
 
-from repro.core.flowstats import FlowStatsTable, StreamingStats, pooled_stats
+from repro.core.flowstats import FlowStatsTable, pooled_stats
 from repro.core.obslog import ObservationColumns
-from repro.core.replay import merge_shard_tables, replay_observations
+from repro.core.replay import replay_observations
 from repro.core.receiver import REF_OBS, REG_OBS
-from repro.traffic.divider import flow_shard
-from repro.traffic.synthetic import TraceConfig, generate_trace
-
-
-@pytest.fixture(scope="module")
-def trace():
-    return generate_trace(TraceConfig(duration=0.5, n_packets=2000), seed=11)
-
-
-class TestFlowShard:
-    def test_stable_and_in_range(self):
-        key = (167837697, 167903233, 4242, 80, 6)
-        assert flow_shard(key, 4) == flow_shard(key, 4)
-        for n in (1, 2, 3, 7):
-            assert 0 <= flow_shard(key, n) < n
-
-    def test_single_shard_is_identity(self):
-        assert flow_shard((1, 2, 3, 4, 5), 1) == 0
-
-    def test_rejects_bad_shard_count(self):
-        with pytest.raises(ValueError):
-            flow_shard((1, 2, 3, 4, 5), 0)
-
-    def test_spreads_flows(self, trace):
-        counts = [0, 0, 0, 0]
-        for key in {p.flow_key for p in trace}:
-            counts[flow_shard(key, 4)] += 1
-        assert all(c > 0 for c in counts)
-        assert max(counts) < 2 * min(counts) + 10  # roughly balanced
-
-    def test_partitions_a_trace_exhaustively(self, trace):
-        """Every flow lands in exactly one shard — a true partition."""
-        keys = {p.flow_key for p in trace}
-        shards = [{k for k in keys if flow_shard(k, 3) == s} for s in range(3)]
-        assert set().union(*shards) == keys
-        for i in range(3):
-            for j in range(i + 1, 3):
-                assert not (shards[i] & shards[j])
 
 
 def synthetic_log():
@@ -70,22 +32,6 @@ class TestReplay:
         assert tables.unestimated == 0
         a = tables.estimated.get((1, 9, 1, 1, 6))
         assert a.count == 2  # interpolated + flushed tail
-
-    def test_sharded_union_equals_full(self):
-        full = replay_observations(synthetic_log())
-        parts = [replay_observations(synthetic_log(), shard=s, n_shards=3)
-                 for s in range(3)]
-        merged_true = merge_shard_tables(p.true for p in parts)
-        merged_est = merge_shard_tables(p.estimated for p in parts)
-        for key, stats in full.true.items():
-            assert merged_true.get(key).mean == stats.mean
-            assert merged_true.get(key).count == stats.count
-        for key, stats in full.estimated.items():
-            assert merged_est.get(key).mean == stats.mean
-
-    def test_bad_shard_rejected(self):
-        with pytest.raises(ValueError):
-            replay_observations(synthetic_log(), shard=3, n_shards=3)
 
     def test_unknown_tag_rejected(self):
         """A log whose tag column holds an unknown tag fails loudly,
@@ -126,17 +72,20 @@ class TestReplay:
 
 class TestMergeHelpers:
     def test_merge_orders_keys(self):
+        """Merging appends new flows in order; ``sorted_by_key`` sorts."""
         t1, t2 = FlowStatsTable(), FlowStatsTable()
         t2.add((1, 0, 0, 0, 0), 1e-6)
         t1.add((2, 0, 0, 0, 0), 2e-6)
-        merged = merge_shard_tables([t1, t2])
-        assert list(merged.keys()) == [(1, 0, 0, 0, 0), (2, 0, 0, 0, 0)]
+        t1.merge(t2)
+        assert list(t1.keys()) == [(2, 0, 0, 0, 0), (1, 0, 0, 0, 0)]
+        assert list(t1.sorted_by_key().keys()) == [(1, 0, 0, 0, 0),
+                                                   (2, 0, 0, 0, 0)]
 
     def test_pooled_stats_sorted_fold(self):
         t = FlowStatsTable()
         t.add((5, 0, 0, 0, 0), 10e-6)
         t.add((1, 0, 0, 0, 0), 30e-6)
-        pooled = pooled_stats(merge_shard_tables([t]))
+        pooled = pooled_stats(t.sorted_by_key())
         assert pooled.count == 2
         assert pooled.mean == pytest.approx(20e-6)
 
@@ -144,5 +93,5 @@ class TestMergeHelpers:
         t1, t2 = FlowStatsTable(), FlowStatsTable()
         t1.add((1, 0, 0, 0, 0), 1e-6)
         t2.add((1, 0, 0, 0, 0), 3e-6)
-        merged = merge_shard_tables([t1, t2])
-        assert merged.get((1, 0, 0, 0, 0)).count == 2
+        t1.merge(t2)
+        assert t1.get((1, 0, 0, 0, 0)).count == 2

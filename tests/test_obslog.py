@@ -6,7 +6,7 @@ and a malformed bulk append or tag column fails loudly.  The columnar
 replay (the shared estimate kernel on the log's columns) must rebuild
 bitwise the tables of the per-tuple reference replay
 (``tests/reference_replay.py``) — values, insertion order and the
-unestimated count — for every estimator and shard count.
+unestimated count — for every estimator.
 """
 
 import pickle
@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 from repro.core.interpolation import ESTIMATORS
 from repro.core.obslog import ObservationColumns
 from repro.core.receiver import REF_OBS, REG_OBS
-from repro.core.replay import replay_observations, replay_observations_multi
+from repro.core.replay import replay_observations
 
 from reference_replay import events_of, reference_replay, tables_dump
 
@@ -50,14 +50,6 @@ def record_tiny_run(workload):
         duration=workload.cfg.duration,
     )
     receiver.finalize()
-    return log
-
-
-def bad_tag_log():
-    """A log whose tag column holds an unknown tag at row 6."""
-    log = ObservationColumns(synthetic_events())
-    log.extend_batch(np.array([REF_OBS, 9]), np.zeros(2), np.ones(2),
-                     np.zeros(2), [np.zeros(2)] * 5)
     return log
 
 
@@ -134,15 +126,10 @@ class TestReplayEquivalence:
             == tables_dump(reference_replay(events))
 
     def test_recorded_receiver_replay_identical(self, tiny_workload):
-        """A real pipeline run's log replays to the reference tables,
-        sharded or not."""
+        """A real pipeline run's log replays to the reference tables."""
         log = record_tiny_run(tiny_workload)
-        events = events_of(log)
         assert tables_dump(replay_observations(log)) \
-            == tables_dump(reference_replay(events))
-        for shard in range(3):
-            assert tables_dump(replay_observations(log, shard=shard, n_shards=3)) \
-                == tables_dump(reference_replay(events, shard=shard, n_shards=3))
+            == tables_dump(reference_replay(events_of(log)))
 
     def test_deployment_array_mode_matches_tuple_mode(self):
         """The record_observations knob end to end: every segment log of
@@ -171,31 +158,6 @@ class TestReplayEquivalence:
                 == tables_dump(reference_replay(events_of(log))), name
 
 
-class TestReplayMulti:
-    def test_multi_matches_per_shard_bitwise(self, tiny_workload):
-        """The distributed chunk envelope: one-pass multi-shard replay is
-        bitwise-identical to shard-by-shard replay."""
-        log = record_tiny_run(tiny_workload)
-        multi = replay_observations_multi(log, shards=(0, 2, 3), n_shards=4)
-        assert sorted(multi) == [0, 2, 3]
-        for shard, tables in multi.items():
-            single = replay_observations(log, shard=shard, n_shards=4)
-            assert pickle.dumps(single.estimated) == pickle.dumps(tables.estimated)
-            assert pickle.dumps(single.true) == pickle.dumps(tables.true)
-            assert single.unestimated == tables.unestimated
-
-    def test_multi_validates_shards(self):
-        events = ObservationColumns(synthetic_events())
-        with pytest.raises(ValueError):
-            replay_observations_multi(events, shards=(0, 0), n_shards=2)
-        with pytest.raises(ValueError):
-            replay_observations_multi(events, shards=(5,), n_shards=2)
-
-    def test_multi_rejects_unknown_tag(self):
-        with pytest.raises(ValueError, match="tag 9 at log row 6"):
-            replay_observations_multi(bad_tag_log(), shards=(0,), n_shards=1)
-
-
 # ----------------------------------------------------------------------
 # differential oracle: columnar replay vs the per-tuple reference
 
@@ -205,18 +167,11 @@ A, B, C = FLOWS[:3]
 
 
 def assert_replays_match_reference(events):
-    """Every estimator, every shard of 1..5 shards, single and chunked."""
+    """Every estimator: columnar replay == per-tuple reference, bit for bit."""
     log = ObservationColumns(events)
     for estimator in ESTIMATORS:
-        for n_shards in range(1, 6):
-            multi = replay_observations_multi(
-                log, estimator, shards=range(n_shards), n_shards=n_shards)
-            for shard in range(n_shards):
-                expected = tables_dump(
-                    reference_replay(events, estimator, shard, n_shards))
-                single = replay_observations(log, estimator, shard, n_shards)
-                assert tables_dump(single) == expected, (estimator, shard, n_shards)
-                assert tables_dump(multi[shard]) == expected, (estimator, shard)
+        assert tables_dump(replay_observations(log, estimator)) \
+            == tables_dump(reference_replay(events, estimator)), estimator
 
 
 EDGE_LOGS = {
@@ -253,14 +208,13 @@ EDGE_LOGS = {
         (REG_OBS, 5, 0.010, A, 22e-6),
         (REG_OBS, 9, 0.011, B, 32e-6),
     ],
-    # stream 1 carries a single flow, so at 2..5 shards every shard but
-    # one has no regulars on it
-    "shard-without-regulars-on-a-stream": [
+    # stream 1 carries references but no regulars
+    "stream-without-regulars": [
         (REF_OBS, 0, 0.001, 10e-6), (REF_OBS, 1, 0.001, 50e-6),
-        (REG_OBS, 0, 0.002, A, 11e-6), (REG_OBS, 1, 0.002, C, 51e-6),
+        (REG_OBS, 0, 0.002, A, 11e-6),
         (REG_OBS, 0, 0.003, B, 12e-6), (REG_OBS, 0, 0.004, FLOWS[3], 13e-6),
         (REF_OBS, 0, 0.005, 14e-6), (REF_OBS, 1, 0.006, 52e-6),
-        (REG_OBS, 1, 0.007, C, 53e-6), (REG_OBS, 0, 0.008, FLOWS[4], 15e-6),
+        (REG_OBS, 0, 0.008, FLOWS[4], 15e-6),
     ],
 }
 
@@ -292,10 +246,9 @@ class TestReplayOracle:
     def test_edge_logs_exercise_their_regimes(self):
         """The named regimes really occur (guards the fixtures above)."""
         assert reference_replay(EDGE_LOGS["stream-without-reference"]).unestimated == 2
-        shards = {s for s in range(5)
-                  if reference_replay(EDGE_LOGS["shard-without-regulars-on-a-stream"],
-                                      shard=s, n_shards=5).true.get(C) is None}
-        assert shards
+        events = EDGE_LOGS["stream-without-regulars"]
+        assert {e[1] for e in events if e[0] == REF_OBS} \
+            - {e[1] for e in events if e[0] == REG_OBS} == {1}
 
     def test_unknown_estimator_rejected(self):
         """Even a log with no regular to estimate fails loudly, like the

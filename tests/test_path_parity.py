@@ -19,7 +19,7 @@ from repro import obs
 from repro.cli import main
 from repro.experiments.workloads import run_condition
 
-from reference_path import REASON, drop_recorded_sims, reference_path
+from reference_path import REASON, reference_path
 
 # argv, and the fast-path sites the command's simulations go through
 COMMANDS = {
@@ -70,7 +70,6 @@ def test_stdout_identical_on_the_reference_path(name, capsys):
 def test_default_run_takes_the_fast_path(argv, counters, tmp_path,
                                          monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)  # a cold default result cache
-    drop_recorded_sims()  # and no simulation recorded by an earlier test
     assert main(argv) == 0
     capsys.readouterr()
     assert counters("batch.fastpath") > 0

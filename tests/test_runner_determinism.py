@@ -7,12 +7,8 @@ seed (inside the frozen config) and its cross-traffic selection seed
 :class:`~repro.runner.spec.JobSpec`.  These tests pin that property: the
 serial fallback, a repeated serial run, and a 2-worker
 :class:`~repro.runner.runner.ParallelRunner` must produce summaries that
-are equal value-by-value *and* byte-identical under pickle.
-
-The extension studies add a third execution mode — within-condition flow
-sharding (``shards=N`` splits one condition's per-flow estimation over N
-replay jobs, :mod:`repro.core.replay`) — which must also be byte-identical
-to the serial and parallel paths, for every (jobs, shards) combination.
+are equal value-by-value *and* byte-identical under pickle.  The
+record-then-replay extension studies are held to the same standard.
 """
 
 import pickle
@@ -86,59 +82,30 @@ class TestParallelMatchesSerial:
             assert s.summary_row() == p.summary_row()
 
 
-class TestExtensionSharding:
-    """serial == parallel == within-condition-sharded, byte for byte."""
+class TestExtensionParallel:
+    """serial == ParallelRunner(jobs=2) for the replay studies, byte for byte."""
 
-    def test_multihop_serial_parallel_sharded_identical(self, cfg):
+    def test_multihop_serial_parallel_identical(self, cfg):
         serial = run_multihop_ablation(cfg, hops=(1, 2))
         parallel = run_multihop_ablation(cfg, hops=(1, 2),
                                          runner=ParallelRunner(jobs=2))
-        sharded = run_multihop_ablation(cfg, hops=(1, 2),
-                                        runner=ParallelRunner(jobs=2), shards=3)
-        serial_sharded = run_multihop_ablation(cfg, hops=(1, 2), shards=2)
-        blob = pickle.dumps(serial)
-        assert serial == parallel == sharded == serial_sharded
-        assert blob == pickle.dumps(parallel)
-        assert blob == pickle.dumps(sharded)
-        assert blob == pickle.dumps(serial_sharded)
+        assert serial == parallel
+        assert pickle.dumps(serial) == pickle.dumps(parallel)
 
-    def test_granularity_serial_parallel_sharded_identical(self):
+    def test_granularity_serial_parallel_identical(self):
         serial = run_granularity_comparison(n_packets=3000)
         parallel = run_granularity_comparison(n_packets=3000,
                                               runner=ParallelRunner(jobs=2))
-        sharded = run_granularity_comparison(n_packets=3000,
-                                             runner=ParallelRunner(jobs=2),
-                                             shards=3)
-        blob = pickle.dumps(serial)
-        assert serial == parallel == sharded
-        assert blob == pickle.dumps(parallel)
-        assert blob == pickle.dumps(sharded)
+        assert serial == parallel
+        assert pickle.dumps(serial) == pickle.dumps(parallel)
 
-    def test_localization_study_sharding_identical(self):
+    def test_localization_serial_parallel_identical(self):
         serial = run_localization_study(n_packets=2000)
-        sharded = run_localization_study(n_packets=2000,
-                                         runner=ParallelRunner(jobs=2),
-                                         shards=3)
-        assert serial.as_rows() == sharded.as_rows()
-        assert serial.culprit == sharded.culprit
-        assert pickle.dumps(serial.as_rows()) == pickle.dumps(sharded.as_rows())
-
-    def test_distinct_shards_cover_distinct_flows(self, cfg):
-        """The shard split is a real partition: shard jobs of one condition
-        return disjoint flow sets whose union is the unsharded set."""
-        from repro.experiments.extension_jobs import MultihopShardJob
-        from repro.runner.spec import config_items
-
-        frozen = config_items(cfg)
-        whole = MultihopShardJob(frozen, 1, 0.8).run()
-        parts = [MultihopShardJob(frozen, 1, 0.8, shard=s, n_shards=3).run()
-                 for s in range(3)]
-        whole_keys = set(whole.segments[0][1].true.keys())
-        part_keys = [set(p.segments[0][1].true.keys()) for p in parts]
-        assert set().union(*part_keys) == whole_keys
-        for i in range(3):
-            for j in range(i + 1, 3):
-                assert not (part_keys[i] & part_keys[j])
+        parallel = run_localization_study(n_packets=2000,
+                                          runner=ParallelRunner(jobs=2))
+        assert serial.as_rows() == parallel.as_rows()
+        assert serial.culprit == parallel.culprit
+        assert pickle.dumps(serial.as_rows()) == pickle.dumps(parallel.as_rows())
 
 
 class TestSweepSpecEnumeration:
