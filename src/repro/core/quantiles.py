@@ -36,13 +36,22 @@ class P2Quantile:
     (Textbook P² seeds the markers with the first five raw samples, which
     on short or adversarially ordered streams can leave the middle marker
     stranded far from the target quantile — flows here are often only tens
-    of packets, exactly that regime.)  Memory stays O(1): at most
-    ``WARMUP`` buffered floats, then five markers.
+    of packets, exactly that regime.)
+
+    Each middle marker also keeps the nearest values seen just below and
+    just above it, and a marker step never moves past them.  Textbook P²
+    lets the parabolic step jump over every sample in a wide cell: one
+    outlier held by the max marker (a single long queueing delay in a
+    30-packet flow) pulls the step for the 0.75 marker past all the other
+    samples, and the median marker follows it to rank ~0.86.  Memory stays
+    O(1): at most ``WARMUP`` buffered floats, then five markers and their
+    neighbour bounds.
     """
 
     WARMUP = 25
 
-    __slots__ = ("q", "_heights", "_positions", "_desired", "_increments", "count")
+    __slots__ = ("q", "_heights", "_positions", "_desired", "_increments",
+                 "_below", "_above", "count")
 
     def __init__(self, q: float):
         if not 0.0 < q < 1.0:
@@ -52,6 +61,9 @@ class P2Quantile:
         self._positions: Optional[List[float]] = None  # None while warming up
         self._desired: Optional[List[float]] = None
         self._increments = [0.0, q / 2.0, q, (1.0 + q) / 2.0, 1.0]
+        # per marker, the nearest values known to lie below / above it
+        self._below: List[float] = []
+        self._above: List[float] = []
         self.count = 0
 
     # ------------------------------------------------------------------
@@ -80,6 +92,13 @@ class P2Quantile:
             while value >= heights[k + 1]:
                 k += 1
 
+        below, above = self._below, self._above
+        for i in (1, 2, 3):
+            if heights[i] < value < above[i]:
+                above[i] = value
+            elif below[i] < value < heights[i]:
+                below[i] = value
+
         positions = self._positions
         for i in range(k + 1, 5):
             positions[i] += 1.0
@@ -94,10 +113,18 @@ class P2Quantile:
             ):
                 direction = 1.0 if delta >= 1.0 else -1.0
                 candidate = self._parabolic(i, direction)
-                if heights[i - 1] < candidate < heights[i + 1]:
-                    heights[i] = candidate
+                if not heights[i - 1] < candidate < heights[i + 1]:
+                    candidate = self._linear(i, direction)
+                # never step past the nearest value known beyond the marker;
+                # after the step the old height bounds the side it left and the
+                # next marker the side it faces
+                old = heights[i]
+                if direction > 0:
+                    heights[i] = min(candidate, above[i])
+                    below[i], above[i] = old, heights[i + 1]
                 else:
-                    heights[i] = self._linear(i, direction)
+                    heights[i] = max(candidate, below[i])
+                    below[i], above[i] = heights[i - 1], old
                 positions[i] += direction
 
     def _init_markers(self) -> None:
@@ -114,6 +141,8 @@ class P2Quantile:
         for i in (1, 2, 3):
             ranks[i] = max(ranks[i], ranks[i - 1] + 1)
         self._heights = [ordered[r - 1] for r in ranks]
+        self._below = [ordered[max(r - 2, 0)] for r in ranks]
+        self._above = [ordered[min(r, n - 1)] for r in ranks]
         self._positions = [float(r) for r in ranks]
         self._desired = [1.0 + p * (n - 1) for p in self._increments]
 

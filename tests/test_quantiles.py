@@ -58,6 +58,20 @@ class TestP2Quantile:
             est.add(float(i))
         assert est.count == 17
 
+    def test_outlier_does_not_drag_median(self):
+        """One far outlier past the warm-up: textbook P²'s parabolic step
+        for the 0.75 marker jumps over every other sample (to ~40), and the
+        median marker follows to rank 25 of 29.  The markers' steps are
+        bounded by the nearest samples seen beside them."""
+        values = [0.0625, -10.0, 3.0, -7.0, -5.0, -9.0, 4.0, -2.0, 1.0, -4.0,
+                  0.25, 1.5, -11.0, 0.03125, -1.0, 0.75, 0.0, 628.0, 0.015625,
+                  -8.0, -3.0, -6.0, 0.125, -12.0, 6.0, 5.0, -13.0, 2.0, 0.5]
+        est = P2Quantile(0.5)
+        for v in values:
+            est.add(v)
+        rank = np.searchsorted(np.sort(values), est.estimate)
+        assert abs(rank - 14) <= 1  # exact median: index 14 of 29
+
     @settings(max_examples=30)
     @given(st.lists(st.floats(min_value=-1e3, max_value=1e3, allow_nan=False),
                     min_size=20, max_size=300, unique=True),
