@@ -30,16 +30,14 @@ from __future__ import annotations
 from typing import Callable, Dict, List, Optional, Tuple
 
 from ..net.packet import Packet
-from ..sim.clock import Clock, PerfectClock
-from ..sim.engine import Engine
+from ..sim.clock import Clock
 from ..sim.switch import Switch
 from ..sim.topology import FatTree
-from ..traffic.trace import Trace
 from .demux import PathClassifierDemux, UpstreamPrefixDemux
 from .flowstats import FlowStatsTable
 from .injection import InjectionPolicy, StaticInjection
-from .obslog import ObservationColumns
 from .receiver import RliReceiver
+from .rlir import FatTreeDeployment
 from .sender import RefTemplate, RliSender
 
 __all__ = ["FullRliDeployment", "FullRliResult"]
@@ -60,9 +58,6 @@ class FullRliResult:
         """(name, estimated table) per hop segment, for localization."""
         return [(name, rx.flow_estimated) for name, rx in self.receivers.items()]
 
-    def true_segments(self) -> List[Tuple[str, FlowStatsTable]]:
-        return [(name, rx.flow_true) for name, rx in self.receivers.items()]
-
     def instance_count(self) -> int:
         """Interfaces instrumented on the path: one sender + one receiver
         per hop segment (dual-role instances counted once per interface)."""
@@ -70,8 +65,14 @@ class FullRliResult:
         return 2 * len(self.receivers)
 
 
-class FullRliDeployment:
-    """Instrument every switch on the (src ToR → dst ToR) paths."""
+class FullRliDeployment(FatTreeDeployment):
+    """Instrument every switch on the (src ToR → dst ToR) paths.
+
+    Its receivers at aggregation switches lie outside the layered columnar
+    driver's model, so :meth:`run` (the shared
+    :meth:`~repro.core.rlir.FatTreeDeployment.run`) falls back to the
+    engine, counted as ``fatpath:receiver-at-aggregation``.
+    """
 
     def __init__(
         self,
@@ -87,25 +88,15 @@ class FullRliDeployment:
             raise ValueError("source and destination ToR must differ")
         if src[0] == dst[0]:
             raise ValueError("inter-pod pairs only (same constraint as RLIR)")
-        self.fattree = fattree
+        super().__init__(fattree, policy_factory, estimator, clock_factory,
+                         record_observations)
         self.src = src
         self.dst = dst
-        self.policy_factory = policy_factory
-        self.estimator = estimator
-        self.clock_factory = clock_factory or PerfectClock
-        self.record_observations = record_observations
-        self.engine: Optional[Engine] = None
-        self.receivers: Dict[str, RliReceiver] = {}
         self.senders: Dict[str, RliSender] = {}
-        self._wired = False
 
     # ------------------------------------------------------------------
 
-    def wire(self, engine: Engine) -> None:
-        if self._wired:
-            raise RuntimeError("deployment already wired")
-        self._wired = True
-        self.engine = engine
+    def _attach(self) -> None:
         ft = self.fattree
         half = ft.k // 2
         src_pod, src_e = self.src
@@ -113,22 +104,18 @@ class FullRliDeployment:
         src_edge = ft.edges[src_pod][src_e]
         dst_edge = ft.edges[dst_pod][dst_e]
         src_prefix = ft.tor_prefix(src_pod, src_e)
-        dst_prefix = ft.tor_prefix(dst_pod, dst_e)
+        to_dst_tor = ("tor_map", ((dst_pod, dst_e, 0),))
 
         # ---- segment A: src edge uplink u -> agg(src_pod, u) ----
         for u in range(half):
             agg = ft.aggs[src_pod][u]
-            sender = self._attach_sender(
-                src_edge, ft.port_toward(src_edge, agg),
-                sender_id=SEG_A_BASE + u,
-                templates={0: RefTemplate(src_edge.address, agg.address)},
-                classify=None,
-            )
-            self._attach_receiver(
+            self.senders[f"A:uplink{u}"] = self.attach_sender(
+                src_edge, ft.port_toward(src_edge, agg), SEG_A_BASE + u,
+                {0: RefTemplate(src_edge.address, agg.address)}, None)
+            self.attach_receiver(
                 agg, f"A:edge->agg{u}",
                 UpstreamPrefixDemux([(src_prefix, SEG_A_BASE + u)]),
             )
-            self.senders[f"A:uplink{u}"] = sender
 
         # ---- segment B: agg(src_pod, u) port j -> core(u, j) ----
         for u in range(half):
@@ -136,17 +123,13 @@ class FullRliDeployment:
             for j in range(half):
                 core = ft.cores[u][j]
                 sid = SEG_B_BASE + u * half + j
-                sender = self._attach_sender(
-                    agg, ft.port_toward(agg, core),
-                    sender_id=sid,
-                    templates={0: RefTemplate(agg.address, core.address)},
-                    classify=None,
-                )
-                self._attach_receiver(
+                self.senders[f"B:agg{u}:port{j}"] = self.attach_sender(
+                    agg, ft.port_toward(agg, core), sid,
+                    {0: RefTemplate(agg.address, core.address)}, None)
+                self.attach_receiver(
                     core, f"B:agg{u}->core({u},{j})",
                     UpstreamPrefixDemux([(src_prefix, sid)]),
                 )
-                self.senders[f"B:agg{u}:port{j}"] = sender
 
         # ---- segment C: core(u, j) -> agg(dst_pod, u) ----
         core_sender_of = {}
@@ -156,18 +139,14 @@ class FullRliDeployment:
                 sid = SEG_C_BASE + core.node_id
                 core_sender_of[core.node_id] = sid
                 dst_agg = ft.aggs[dst_pod][u]
-                sender = self._attach_sender(
-                    core, ft.port_toward(core, dst_agg),
-                    sender_id=sid,
-                    templates={0: RefTemplate(core.address, dst_agg.address)},
-                    classify=self._dst_filter(dst_prefix),
-                )
-                self.senders[f"C:core({u},{j})"] = sender
+                self.senders[f"C:core({u},{j})"] = self.attach_sender(
+                    core, ft.port_toward(core, dst_agg), sid,
+                    {0: RefTemplate(core.address, dst_agg.address)}, to_dst_tor)
         for u in range(half):
             dst_agg = ft.aggs[dst_pod][u]
             group = {ft.cores[u][j].node_id: core_sender_of[ft.cores[u][j].node_id]
                      for j in range(half)}
-            self._attach_receiver(
+            self.attach_receiver(
                 dst_agg, f"C:cores->agg{u}",
                 PathClassifierDemux(
                     self._core_classifier(group),
@@ -182,14 +161,10 @@ class FullRliDeployment:
             dst_agg = ft.aggs[dst_pod][u]
             sid = SEG_D_BASE + u
             agg_sender_of[u] = sid
-            sender = self._attach_sender(
-                dst_agg, ft.port_toward(dst_agg, dst_edge),
-                sender_id=sid,
-                templates={0: RefTemplate(dst_agg.address, dst_edge.address)},
-                classify=self._dst_filter(dst_prefix),
-            )
-            self.senders[f"D:agg{u}"] = sender
-        self._attach_receiver(
+            self.senders[f"D:agg{u}"] = self.attach_sender(
+                dst_agg, ft.port_toward(dst_agg, dst_edge), sid,
+                {0: RefTemplate(dst_agg.address, dst_edge.address)}, to_dst_tor)
+        self.attach_receiver(
             dst_edge, "D:aggs->edge",
             PathClassifierDemux(
                 self._agg_classifier(src_edge, half, agg_sender_of),
@@ -198,14 +173,11 @@ class FullRliDeployment:
             ),
         )
 
+    def _result(self) -> FullRliResult:
+        return FullRliResult(dict(self.receivers))
+
     # ------------------------------------------------------------------
-    # classifier factories (the receiver-side "routing knowledge")
-
-    def _dst_filter(self, dst_prefix):
-        def classify(packet: Packet) -> Optional[int]:
-            return 0 if dst_prefix.contains(packet.dst) else None
-
-        return classify
+    # receiver-side path classifiers (the "routing knowledge")
 
     def _core_classifier(self, group: Dict[int, int]):
         """Reverse-ECMP: which core (within one group) did the packet use?"""
@@ -230,65 +202,3 @@ class FullRliDeployment:
             return agg_sender_of.get(u)
 
         return classify
-
-    # ------------------------------------------------------------------
-
-    def _attach_sender(self, switch: Switch, port_index: int, sender_id: int,
-                       templates, classify) -> RliSender:
-        port = switch.ports[port_index]
-        sender = RliSender(
-            sender_id=sender_id,
-            link_rate_bps=port.queue.rate_Bps * 8.0,
-            policy=self.policy_factory(),
-            templates=templates,
-            classify=classify,
-            clock=self.clock_factory(),
-        )
-
-        def tap(packet: Packet, now: float) -> None:
-            if not packet.is_regular:
-                return
-            packet.tap_time = now
-            refs = sender.on_regular(packet, now)
-            if refs:
-                for ref in refs:
-                    self.engine.forward_injected(ref, switch.inject(ref, now, port_index))
-
-        port.add_enqueue_tap(tap)
-        return sender
-
-    def observation_logs(self) -> List[Tuple[str, ObservationColumns]]:
-        """(segment name, recorded events) per receiver (after a run)."""
-        if not self.record_observations:
-            raise RuntimeError("deployment built without record_observations")
-        return [(name, rx.observation_log) for name, rx in self.receivers.items()]
-
-    def _attach_receiver(self, switch: Switch, name: str, demux) -> RliReceiver:
-        receiver = RliReceiver(demux=demux, clock=self.clock_factory(),
-                               estimator=self.estimator,
-                               observation_log=(ObservationColumns()
-                                                if self.record_observations
-                                                else None),
-                               record_only=self.record_observations)
-
-        def tap(packet: Packet, now: float, in_port: int) -> None:
-            if packet.is_regular or packet.is_reference:
-                receiver.observe(packet, now)
-
-        switch.add_arrival_tap(tap)
-        self.receivers[name] = receiver
-        return receiver
-
-    # ------------------------------------------------------------------
-
-    def run(self, traces: List[Trace], until: Optional[float] = None) -> FullRliResult:
-        """Inject traces at their source ToRs, run, finalize, collect."""
-        engine = Engine()
-        self.wire(engine)
-        ft = self.fattree
-        for trace in traces:
-            engine.inject_trace(trace.clone_packets(), lambda p: ft.edge_of(p.src))
-        engine.run(until=until)
-        for receiver in self.receivers.values():
-            receiver.finalize()
-        return FullRliResult(dict(self.receivers))

@@ -19,19 +19,14 @@ from __future__ import annotations
 
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from ..net.packet import Packet
-from ..sim.clock import Clock, PerfectClock
-from ..sim.ecmp import craft_dport_for_port
-from ..sim.engine import Engine
-from ..sim.fatpath import try_fast_path
+from ..sim.clock import Clock
 from ..sim.switch import Switch
 from ..sim.topology import FatTree
-from ..traffic.trace import Trace
 from .demux import PathClassifierDemux, UpstreamPrefixDemux
 from .injection import InjectionPolicy, StaticInjection
 from .receiver import RliReceiver
 from .reverse_ecmp import ReverseEcmpClassifier
-from .rlir import RlirResult
+from .rlir import FatTreeDeployment, RlirResult
 from .sender import RefTemplate, RliSender
 
 __all__ = ["RlirMesh", "MeshResult"]
@@ -74,20 +69,13 @@ class MeshResult:
         return RlirResult(seg1, seg2)
 
 
-class RlirMesh:
+class RlirMesh(FatTreeDeployment):
     """Shared RLIR deployment over a set of inter-pod ToR pairs.
 
     Parameters mirror :class:`~repro.core.rlir.RlirDeployment`; ``pairs``
     is a sequence of ((src_pod, src_edge), (dst_pod, dst_edge)) tuples, all
-    inter-pod.
-
-    :meth:`run` takes the layered columnar fast path
-    (:class:`~repro.sim.fatpath.FatTreeFastPath`) whenever every trace
-    carries :class:`~repro.traffic.batch.PacketBatch` columns: results are
-    **bitwise identical** to the event engine — arrival ties included,
-    reconstructed exactly from event provenance — and any non-batchable
-    component falls back to the engine, its reason counted under
-    ``batch.fallback``.
+    inter-pod.  :meth:`run` is the shared
+    :meth:`~repro.core.rlir.FatTreeDeployment.run`.
     """
 
     def __init__(
@@ -105,20 +93,13 @@ class RlirMesh:
                 raise ValueError(f"pair {src}->{dst}: ToRs must differ")
             if src[0] == dst[0]:
                 raise ValueError(f"pair {src}->{dst}: inter-pod pairs only")
-        self.fattree = fattree
+        super().__init__(fattree, policy_factory, estimator, clock_factory,
+                         record_observations=False)
         self.pairs = list(pairs)
-        self.policy_factory = policy_factory
-        self.estimator = estimator
-        self.clock_factory = clock_factory or PerfectClock
-        self.engine: Optional[Engine] = None
         self.tor_senders: Dict[Tuple[Tuple[int, int], int], RliSender] = {}
         self.core_receivers: Dict[str, RliReceiver] = {}
         self.core_senders: Dict[Tuple[str, int], RliSender] = {}
         self.dst_receivers: Dict[Tuple[int, int], RliReceiver] = {}
-        self._wired = False
-        # declarative wiring descriptions consumed by the columnar driver
-        self._sender_taps: Dict[Tuple[Switch, int], tuple] = {}
-        self._receiver_taps: Dict[Switch, RliReceiver] = {}
 
     # ------------------------------------------------------------------
     # instance ids
@@ -147,13 +128,12 @@ class RlirMesh:
                 seen.append(dst)
         return seen
 
+    def _dst_index(self, dst: Tuple[int, int]) -> int:
+        return self._dst_tors().index(dst)
+
     # ------------------------------------------------------------------
 
-    def wire(self, engine: Engine) -> None:
-        if self._wired:
-            raise RuntimeError("mesh already wired")
-        self._wired = True
-        self.engine = engine
+    def _attach(self) -> None:
         ft = self.fattree
         half = ft.k // 2
         src_tors = self._src_tors()
@@ -162,31 +142,9 @@ class RlirMesh:
 
         # ---- source ToRs: one sender per uplink ----
         for src in src_tors:
-            src_edge = ft.edges[src[0]][src[1]]
             for u in range(half):
-                agg = ft.aggs[src[0]][u]
-                port_index = ft.port_toward(src_edge, agg)
-                port = src_edge.ports[port_index]
-                templates = {}
-                for j in range(half):
-                    core = ft.cores[u][j]
-                    dport = craft_dport_for_port(
-                        agg.hasher, src_edge.address, core.address, 0, 253, half, j)
-                    if dport is None:
-                        raise RuntimeError(f"cannot craft flow to {core.name}")
-                    templates[j] = RefTemplate(src_edge.address, core.address, 0, dport)
-                sender = RliSender(
-                    sender_id=self.tor_sender_id(src, u),
-                    link_rate_bps=port.queue.rate_Bps * 8.0,
-                    policy=self.policy_factory(),
-                    templates=templates,
-                    classify=self._agg_hash_classifier(agg, half),
-                    clock=self.clock_factory(),
-                )
-                self.tor_senders[(src, u)] = sender
-                port.add_enqueue_tap(self._sender_tap(src_edge, port_index, sender))
-                self._sender_taps[(src_edge, port_index)] = (
-                    sender, ("hash", agg.hasher, half))
+                self.tor_senders[(src, u)] = self.attach_tor_uplink(
+                    src, u, self.tor_sender_id(src, u))
 
         # ---- cores: one shared receiver; one sender per involved dst pod ----
         dst_pods = sorted({dst[0] for dst in dst_tors})
@@ -197,35 +155,18 @@ class RlirMesh:
                     (ft.tor_prefix(*src), self.tor_sender_id(src, i))
                     for src in src_tors
                 ]
-                receiver = RliReceiver(
-                    demux=UpstreamPrefixDemux(mappings),
-                    clock=self.clock_factory(),
-                    estimator=self.estimator,
-                )
-                self.core_receivers[core.name] = receiver
-                core.add_arrival_tap(self._receiver_tap(receiver))
-                self._receiver_taps[core] = receiver
+                self.core_receivers[core.name] = self.attach_receiver(
+                    core, f"seg1:{core.name}", UpstreamPrefixDemux(mappings))
                 for pod in dst_pods:
-                    egress_index = ft.port_toward(core, ft.aggs[pod][i])
-                    egress = core.ports[egress_index]
                     pod_dsts = [dst for dst in dst_tors if dst[0] == pod]
                     templates = {
                         self._dst_index(dst): RefTemplate(
                             core.address, ft.edges[dst[0]][dst[1]].address, 0, 0)
                         for dst in pod_dsts
                     }
-                    sender = RliSender(
-                        sender_id=self.core_sender_id(core, pod),
-                        link_rate_bps=egress.queue.rate_Bps * 8.0,
-                        policy=self.policy_factory(),
-                        templates=templates,
-                        classify=self._dst_tor_classifier(pod_dsts),
-                        clock=self.clock_factory(),
-                    )
-                    self.core_senders[(core.name, pod)] = sender
-                    egress.add_enqueue_tap(self._sender_tap(core, egress_index, sender))
-                    self._sender_taps[(core, egress_index)] = (
-                        sender,
+                    self.core_senders[(core.name, pod)] = self.attach_sender(
+                        core, ft.port_toward(core, ft.aggs[pod][i]),
+                        self.core_sender_id(core, pod), templates,
                         ("tor_map", tuple((dst[0], dst[1], self._dst_index(dst))
                                           for dst in pod_dsts)))
 
@@ -235,88 +176,13 @@ class RlirMesh:
             core_to_sender = {c.node_id: self.core_sender_id(c, dst[0]) for c in cores}
             classifier = ReverseEcmpClassifier(ft, core_to_sender)
             sources = [ft.tor_prefix(*src) for src, d in self.pairs if d == dst]
-            receiver = RliReceiver(
-                demux=PathClassifierDemux(
+            self.dst_receivers[dst] = self.attach_receiver(
+                dst_edge, f"seg2:{dst_edge.name}",
+                PathClassifierDemux(
                     classifier,
                     sender_ids=core_to_sender.values(),
                     source_prefixes=sources,
-                ),
-                clock=self.clock_factory(),
-                estimator=self.estimator,
-            )
-            self.dst_receivers[dst] = receiver
-            dst_edge.add_arrival_tap(self._receiver_tap(receiver))
-            self._receiver_taps[dst_edge] = receiver
+                ))
 
-    def _dst_index(self, dst: Tuple[int, int]) -> int:
-        return self._dst_tors().index(dst)
-
-    # ------------------------------------------------------------------
-    # tap/classifier factories
-
-    def _agg_hash_classifier(self, agg: Switch, half: int):
-        def classify(packet: Packet) -> int:
-            return agg.hasher.choose(packet.flow_key, half)
-
-        return classify
-
-    def _dst_tor_classifier(self, pod_dsts: Sequence[Tuple[int, int]]):
-        prefixes = [(self.fattree.tor_prefix(*dst), self._dst_index(dst))
-                    for dst in pod_dsts]
-
-        def classify(packet: Packet) -> Optional[int]:
-            for prefix, index in prefixes:
-                if prefix.contains(packet.dst):
-                    return index
-            return None
-
-        return classify
-
-    def _sender_tap(self, switch: Switch, port_index: int, sender: RliSender):
-        def tap(packet: Packet, now: float) -> None:
-            if not packet.is_regular:
-                return
-            packet.tap_time = now
-            refs = sender.on_regular(packet, now)
-            if refs:
-                for ref in refs:
-                    self.engine.forward_injected(ref, switch.inject(ref, now, port_index))
-
-        return tap
-
-    def _receiver_tap(self, receiver: RliReceiver):
-        def tap(packet: Packet, now: float, in_port: int) -> None:
-            if packet.is_regular or packet.is_reference:
-                receiver.observe(packet, now)
-
-        return tap
-
-    # ------------------------------------------------------------------
-
-    def run(self, traces: List[Trace], until: Optional[float] = None) -> MeshResult:
-        """Inject traces, run (columnar or event engine), collect results.
-
-        With batch-backed traces the layered columnar driver replaces the
-        event calendar (``until`` must be None — a truncated run needs the
-        calendar); anything non-batchable falls back to the engine with
-        identical output.
-        """
-        engine = Engine()
-        self.wire(engine)
-        ft = self.fattree
-        if try_fast_path(ft, self._sender_taps, self._receiver_taps, traces,
-                         until):
-            return self._finish()
-        for trace in traces:
-            packets = (trace.clone_packets() if hasattr(trace, "clone_packets")
-                       else trace.to_packets())
-            engine.inject_trace(packets, lambda p: ft.edge_of(p.src))
-        engine.run(until=until)
-        return self._finish()
-
-    def _finish(self) -> MeshResult:
-        for receiver in self.core_receivers.values():
-            receiver.finalize()
-        for receiver in self.dst_receivers.values():
-            receiver.finalize()
+    def _result(self) -> MeshResult:
         return MeshResult(self)

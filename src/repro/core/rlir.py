@@ -24,6 +24,12 @@ Wiring per the paper's Section 3 solutions:
 
 Ground-truth segment delays ride on the packets' ``tap_time`` bookkeeping,
 so every estimate is paired with exact truth.
+
+:class:`FatTreeDeployment` holds the attach-and-run plumbing every
+fat-tree deployment shares — this one, the multi-pair
+:class:`~repro.core.mesh.RlirMesh` and full RLI
+(:class:`~repro.core.full_rli.FullRliDeployment`) only declare their
+instances.
 """
 
 from __future__ import annotations
@@ -34,7 +40,7 @@ from ..net.packet import Packet
 from ..sim.clock import Clock, PerfectClock
 from ..sim.ecmp import craft_dport_for_port
 from ..sim.engine import Engine
-from ..sim.fatpath import try_fast_path
+from ..sim.fatpath import spec_classifier, try_fast_path
 from ..sim.switch import Switch
 from ..sim.topology import FatTree
 from ..traffic.trace import Trace
@@ -47,7 +53,7 @@ from .receiver import RliReceiver
 from .reverse_ecmp import ReverseEcmpClassifier
 from .sender import RefTemplate, RliSender
 
-__all__ = ["RlirDeployment", "RlirResult"]
+__all__ = ["FatTreeDeployment", "RlirDeployment", "RlirResult"]
 
 TOR_SENDER_BASE = 1000
 CORE_SENDER_BASE = 2000
@@ -112,7 +118,178 @@ class RlirResult:
         return out
 
 
-class RlirDeployment:
+class FatTreeDeployment:
+    """RLI instances on a fat-tree's taps, run on the engine or columnar.
+
+    The paper's placement unit (Section 3) is an RLI instance at an
+    interface: a sender tapping one egress port's enqueues, or a receiver
+    tapping a switch's arrivals.  A deployment only declares its
+    instances in :meth:`_attach`, through :meth:`attach_sender` and
+    :meth:`attach_receiver`; this base owns the engine taps, the
+    declarative wiring :class:`~repro.sim.fatpath.FatTreeFastPath` reads,
+    :meth:`run` and the recorded observation logs.
+
+    A sender's path classifier is declared once, as a classify spec —
+    ``("hash", hasher, n)``, ``("tor_map", ((pod, edge, class), ...))`` or
+    ``None`` for the single-class default.  The engine runs its scalar
+    form (:func:`~repro.sim.fatpath.spec_classifier`); the columnar driver
+    vectorizes the same spec.
+
+    Receivers are kept in :attr:`receivers` under their segment names, in
+    attach order; with ``record_observations`` each records its
+    post-demux observation stream (see :mod:`repro.core.replay`) and runs
+    record-only — its live tables stay empty, since replay recomputes
+    every estimate from the log.
+    """
+
+    def __init__(
+        self,
+        fattree: FatTree,
+        policy_factory: Callable[[], InjectionPolicy],
+        estimator: str,
+        clock_factory: Optional[Callable[[], Clock]],
+        record_observations: bool,
+    ):
+        self.fattree = fattree
+        self.policy_factory = policy_factory
+        self.estimator = estimator
+        self.clock_factory = clock_factory or PerfectClock
+        self.record_observations = record_observations
+        self.engine: Optional[Engine] = None
+        self.receivers: Dict[str, RliReceiver] = {}
+        self._wired = False
+        # declarative wiring descriptions consumed by the columnar driver
+        self._sender_taps: Dict[Tuple[Switch, int], tuple] = {}
+        self._receiver_taps: Dict[Switch, RliReceiver] = {}
+
+    def _attach(self) -> None:
+        """Declare every instance (subclasses)."""
+        raise NotImplementedError
+
+    def _result(self):
+        """The run's result over the finalized receivers (subclasses)."""
+        raise NotImplementedError
+
+    # ------------------------------------------------------------------
+
+    def wire(self, engine: Engine) -> None:
+        """Attach all measurement instances (once per deployment)."""
+        if self._wired:
+            raise RuntimeError("deployment already wired")
+        self._wired = True
+        self.engine = engine
+        self._attach()
+
+    def attach_sender(self, switch: Switch, port_index: int, sender_id: int,
+                      templates: Dict[int, RefTemplate], spec) -> RliSender:
+        """An :class:`RliSender` on one egress port, classifying by *spec*."""
+        port = switch.ports[port_index]
+        sender = RliSender(
+            sender_id=sender_id,
+            link_rate_bps=port.queue.rate_Bps * 8.0,
+            policy=self.policy_factory(),
+            templates=templates,
+            classify=spec_classifier(self.fattree, spec),
+            clock=self.clock_factory(),
+        )
+
+        def tap(packet: Packet, now: float) -> None:
+            if not packet.is_regular:
+                return
+            packet.tap_time = now  # ground truth: the segment starts here
+            refs = sender.on_regular(packet, now)
+            if refs:
+                for ref in refs:
+                    self.engine.forward_injected(ref, switch.inject(ref, now, port_index))
+
+        port.add_enqueue_tap(tap)
+        self._sender_taps[(switch, port_index)] = (sender, spec)
+        return sender
+
+    def attach_receiver(self, switch: Switch, name: str, demux) -> RliReceiver:
+        """An :class:`RliReceiver` on *switch*'s arrivals, as segment *name*."""
+        receiver = RliReceiver(
+            demux=demux,
+            clock=self.clock_factory(),
+            estimator=self.estimator,
+            observation_log=(ObservationColumns()
+                             if self.record_observations else None),
+            record_only=self.record_observations,
+        )
+
+        def tap(packet: Packet, now: float, in_port: int) -> None:
+            if packet.is_regular or packet.is_reference:
+                receiver.observe(packet, now)
+
+        switch.add_arrival_tap(tap)
+        self.receivers[name] = receiver
+        self._receiver_taps[switch] = receiver
+        return receiver
+
+    def attach_tor_uplink(self, tor: Tuple[int, int], u: int,
+                          sender_id: int) -> RliSender:
+        """The sender on ToR *tor*'s uplink *u*.
+
+        One reference template per core reachable through aggregation
+        *u*, its dport crafted against that aggregation's hash so each
+        equal-cost path carries references; a packet's path class is the
+        aggregation's core choice.
+        """
+        ft = self.fattree
+        half = ft.k // 2
+        edge = ft.edges[tor[0]][tor[1]]
+        agg = ft.aggs[tor[0]][u]
+        templates: Dict[int, RefTemplate] = {}
+        for j in range(half):
+            core = ft.cores[u][j]
+            dport = craft_dport_for_port(
+                agg.hasher, edge.address, core.address, 0, 253, half, j)
+            if dport is None:
+                raise RuntimeError(
+                    f"could not craft reference flow for {core.name} via {agg.name}")
+            templates[j] = RefTemplate(edge.address, core.address, 0, dport)
+        return self.attach_sender(edge, ft.port_toward(edge, agg), sender_id,
+                                  templates, ("hash", agg.hasher, half))
+
+    def observation_logs(self) -> List[Tuple[str, ObservationColumns]]:
+        """(segment name, recorded events) per receiver (after a run)."""
+        if not self.record_observations:
+            raise RuntimeError("deployment built without record_observations")
+        return [(name, rx.observation_log) for name, rx in self.receivers.items()]
+
+    def run(self, traces: List[Trace], until: Optional[float] = None):
+        """Inject traces (packets enter at their source ToR), run, collect.
+
+        ``traces`` may include background traffic between arbitrary host
+        pairs; only flows covered by the deployment are measured — that is
+        the whole point of the demultiplexers.
+
+        With batch-backed traces the layered columnar fast path
+        (:class:`~repro.sim.fatpath.FatTreeFastPath`) replaces the event
+        calendar: **bitwise identical** to the event engine — arrival ties
+        included, reconstructed exactly from event provenance — several
+        times the throughput.  Non-batchable configurations — packet
+        marking (the classifier reads per-packet ToS state), receivers at
+        aggregation switches (full RLI), jittered clocks, an ``until``
+        bound — fall back to the engine, their reason counted under
+        ``batch.fallback``.
+        """
+        engine = Engine()
+        self.wire(engine)
+        ft = self.fattree
+        if not try_fast_path(ft, self._sender_taps, self._receiver_taps,
+                             traces, until):
+            for trace in traces:
+                packets = (trace.clone_packets() if hasattr(trace, "clone_packets")
+                           else trace.to_packets())
+                engine.inject_trace(packets, lambda p: ft.edge_of(p.src))
+            engine.run(until=until)
+        for receiver in self.receivers.values():
+            receiver.finalize()
+        return self._result()
+
+
+class RlirDeployment(FatTreeDeployment):
     """Instrument a fat-tree for ToR-pair measurements and run traces.
 
     Parameters
@@ -131,13 +308,10 @@ class RlirDeployment:
         Builds the clock of each instance (default: perfect sync).
     record_observations:
         When True every receiver records its post-demux observation
-        stream (see :mod:`repro.core.replay`); :meth:`observation_logs`
-        returns the logs under the same segment names
-        :meth:`RlirResult.segments` uses, so each segment of one recorded
-        run can be replayed.  Each log is a columnar
-        :class:`~repro.core.obslog.ObservationColumns`.  Recording receivers
-        run record-only — their live tables stay empty, since replay
-        recomputes every estimate from the log.
+        stream; :meth:`observation_logs` returns the logs under the same
+        segment names :meth:`RlirResult.segments` uses, so each segment of
+        one recorded run can be replayed.  Each log is a columnar
+        :class:`~repro.core.obslog.ObservationColumns`.
     """
 
     def __init__(
@@ -160,24 +334,15 @@ class RlirDeployment:
                 "ToRs in the same pod never cross a core; RLIR core placement "
                 "covers inter-pod pairs"
             )
-        self.fattree = fattree
+        super().__init__(fattree, policy_factory, estimator, clock_factory,
+                         record_observations)
         self.src = src
         self.dst = dst
-        self.policy_factory = policy_factory
         self.demux_method = demux_method
-        self.estimator = estimator
-        self.clock_factory = clock_factory or PerfectClock
-        self.record_observations = record_observations
-        self.engine: Optional[Engine] = None
-
         self.tor_senders: Dict[int, RliSender] = {}  # uplink -> sender
         self.core_receivers: Dict[str, RliReceiver] = {}  # core name -> rx
         self.core_senders: Dict[str, RliSender] = {}  # core name -> tx
         self.dst_receiver: Optional[RliReceiver] = None
-        self._wired = False
-        # declarative wiring descriptions consumed by the columnar driver
-        self._sender_taps: Dict[Tuple[Switch, int], tuple] = {}
-        self._receiver_taps: Dict[Switch, RliReceiver] = {}
 
     # ------------------------------------------------------------------
     # instance id helpers
@@ -190,48 +355,17 @@ class RlirDeployment:
 
     # ------------------------------------------------------------------
 
-    def wire(self, engine: Engine) -> None:
-        """Attach all measurement instances (idempotent per deployment)."""
-        if self._wired:
-            raise RuntimeError("deployment already wired")
-        self._wired = True
-        self.engine = engine
+    def _attach(self) -> None:
         ft = self.fattree
         half = ft.k // 2
-        src_pod, src_e = self.src
         dst_pod, dst_e = self.dst
-        src_edge = ft.edges[src_pod][src_e]
         dst_edge = ft.edges[dst_pod][dst_e]
-        src_prefix = ft.tor_prefix(src_pod, src_e)
+        src_prefix = ft.tor_prefix(*self.src)
 
         # ---- source ToR: one sender per uplink interface ----
         for u in range(half):
-            agg = ft.aggs[src_pod][u]
-            port_index = ft.port_toward(src_edge, agg)
-            port = src_edge.ports[port_index]
-            templates: Dict[int, RefTemplate] = {}
-            for j in range(half):
-                core = ft.cores[u][j]
-                dport = craft_dport_for_port(
-                    agg.hasher, src_edge.address, core.address, 0, 253, half, j
-                )
-                if dport is None:
-                    raise RuntimeError(
-                        f"could not craft reference flow for {core.name} via {agg.name}"
-                    )
-                templates[j] = RefTemplate(src_edge.address, core.address, 0, dport)
-            sender = RliSender(
-                sender_id=self.tor_sender_id(u),
-                link_rate_bps=port.queue.rate_Bps * 8.0,
-                policy=self.policy_factory(),
-                templates=templates,
-                classify=self._make_core_classifier(agg, half),
-                clock=self.clock_factory(),
-            )
-            self.tor_senders[u] = sender
-            port.add_enqueue_tap(self._make_tor_tap(src_edge, port_index, sender))
-            self._sender_taps[(src_edge, port_index)] = (
-                sender, ("hash", agg.hasher, half))
+            self.tor_senders[u] = self.attach_tor_uplink(
+                self.src, u, self.tor_sender_id(u))
 
         # ---- cores: receiver (segment 1) + sender (segment 2) ----
         cores = [ft.cores[i][j] for i in range(half) for j in range(half)]
@@ -246,146 +380,30 @@ class RlirDeployment:
             core_to_sender = {core.node_id: self.core_sender_id(core) for core in cores}
             path_classifier = ReverseEcmpClassifier(ft, core_to_sender)
 
-        dst_prefix = ft.tor_prefix(dst_pod, dst_e)
         for i in range(half):
             for j in range(half):
                 core = ft.cores[i][j]
                 # receiver: packets from the src ToR reached this core via
                 # uplink i, so the associated sender is tor_senders[i]
-                receiver = RliReceiver(
-                    demux=UpstreamPrefixDemux([(src_prefix, self.tor_sender_id(i))]),
-                    clock=self.clock_factory(),
-                    estimator=self.estimator,
-                    observation_log=(ObservationColumns()
-                                     if self.record_observations else None),
-                    record_only=self.record_observations,
-                )
-                self.core_receivers[core.name] = receiver
-                core.add_arrival_tap(self._make_arrival_tap(receiver))
-                self._receiver_taps[core] = receiver
-
-                # sender: egress interface toward the destination pod
-                egress_index = ft.port_toward(core, ft.aggs[dst_pod][i])
-                egress = core.ports[egress_index]
-                sender = RliSender(
-                    sender_id=self.core_sender_id(core),
-                    link_rate_bps=egress.queue.rate_Bps * 8.0,
-                    policy=self.policy_factory(),
-                    templates={0: RefTemplate(core.address, dst_edge.address, 0, 0)},
-                    classify=self._make_dst_filter(dst_prefix),
-                    clock=self.clock_factory(),
-                )
-                self.core_senders[core.name] = sender
-                egress.add_enqueue_tap(self._make_core_tap(core, egress_index, sender))
-                self._sender_taps[(core, egress_index)] = (
-                    sender, ("tor_map", ((dst_pod, dst_e, 0),)))
+                self.core_receivers[core.name] = self.attach_receiver(
+                    core, f"seg1:{core.name}",
+                    UpstreamPrefixDemux([(src_prefix, self.tor_sender_id(i))]))
+                # sender: egress interface toward the destination pod; its
+                # enqueue tap restamps tap_time (segment 1 already read)
+                self.core_senders[core.name] = self.attach_sender(
+                    core, ft.port_toward(core, ft.aggs[dst_pod][i]),
+                    self.core_sender_id(core),
+                    {0: RefTemplate(core.address, dst_edge.address, 0, 0)},
+                    ("tor_map", ((dst_pod, dst_e, 0),)))
 
         # ---- destination ToR: downstream receiver ----
-        self.dst_receiver = RliReceiver(
-            demux=PathClassifierDemux(
+        self.dst_receiver = self.attach_receiver(
+            dst_edge, "seg2:to-dst-tor",
+            PathClassifierDemux(
                 path_classifier,
                 sender_ids=[self.core_sender_id(c) for c in cores],
                 source_prefixes=[src_prefix],
-            ),
-            clock=self.clock_factory(),
-            estimator=self.estimator,
-            observation_log=(ObservationColumns()
-                             if self.record_observations else None),
-            record_only=self.record_observations,
-        )
-        dst_edge.add_arrival_tap(self._make_arrival_tap(self.dst_receiver))
-        self._receiver_taps[dst_edge] = self.dst_receiver
+            ))
 
-    def observation_logs(self) -> List[Tuple[str, ObservationColumns]]:
-        """(segment name, recorded events) per receiver (after a run)."""
-        if not self.record_observations:
-            raise RuntimeError("deployment built without record_observations")
-        out = [
-            (f"seg1:{name}", receiver.observation_log)
-            for name, receiver in self.core_receivers.items()
-        ]
-        out.append(("seg2:to-dst-tor", self.dst_receiver.observation_log))
-        return out
-
-    # ------------------------------------------------------------------
-    # tap factories (closures keep per-instance wiring explicit)
-
-    def _make_core_classifier(self, agg: Switch, half: int):
-        def classify(packet: Packet) -> int:
-            return agg.hasher.choose(packet.flow_key, half)
-
-        return classify
-
-    def _make_dst_filter(self, dst_prefix):
-        def classify(packet: Packet) -> Optional[int]:
-            return 0 if dst_prefix.contains(packet.dst) else None
-
-        return classify
-
-    def _make_tor_tap(self, switch: Switch, port_index: int, sender: RliSender):
-        def tap(packet: Packet, now: float) -> None:
-            if not packet.is_regular:
-                return
-            packet.tap_time = now
-            refs = sender.on_regular(packet, now)
-            if refs:
-                for ref in refs:
-                    self.engine.forward_injected(ref, switch.inject(ref, now, port_index))
-
-        return tap
-
-    def _make_core_tap(self, switch: Switch, port_index: int, sender: RliSender):
-        def tap(packet: Packet, now: float) -> None:
-            if not packet.is_regular:
-                return
-            packet.tap_time = now  # segment-2 entry (segment 1 already read)
-            refs = sender.on_regular(packet, now)
-            if refs:
-                for ref in refs:
-                    self.engine.forward_injected(ref, switch.inject(ref, now, port_index))
-
-        return tap
-
-    def _make_arrival_tap(self, receiver: RliReceiver):
-        def tap(packet: Packet, now: float, in_port: int) -> None:
-            if packet.is_regular or packet.is_reference:
-                receiver.observe(packet, now)
-
-        return tap
-
-    # ------------------------------------------------------------------
-
-    def run(self, traces: List[Trace], until: Optional[float] = None) -> RlirResult:
-        """Inject traces (packets enter at their source ToR), run, collect.
-
-        ``traces`` may include background traffic between arbitrary host
-        pairs; only flows covered by the deployment are measured — that is
-        the whole point of the demultiplexers.
-
-        With batch-backed traces the layered columnar fast path
-        (:class:`~repro.sim.fatpath.FatTreeFastPath`) replaces the event
-        calendar: **bitwise identical** to the event engine — arrival ties
-        included, reconstructed exactly from event provenance — several
-        times the throughput.  Non-batchable configurations — packet
-        marking (the classifier reads per-packet ToS state), jittered
-        clocks, an ``until`` bound — fall back to the engine, their reason
-        counted under ``batch.fallback``.
-        """
-        engine = Engine()
-        self.wire(engine)
-        ft = self.fattree
-        if try_fast_path(ft, self._sender_taps, self._receiver_taps, traces,
-                         until):
-            return self._finish()
-        for trace in traces:
-            packets = (trace.clone_packets() if hasattr(trace, "clone_packets")
-                       else trace.to_packets())
-            engine.inject_trace(packets, lambda p: ft.edge_of(p.src))
-        engine.run(until=until)
-        return self._finish()
-
-    def _finish(self) -> RlirResult:
-        for receiver in self.core_receivers.values():
-            receiver.finalize()
-        self.dst_receiver.finalize()
+    def _result(self) -> RlirResult:
         return RlirResult(dict(self.core_receivers), self.dst_receiver)

@@ -177,11 +177,13 @@ def _granularity_sim(deployment: str, n_packets: int, trace_seed: int,
                      slow_factor: float) -> dict:
     """Run one deployment over the degraded fabric; record all receivers.
 
-    Both halves stay on the event engine by design: the RLIR deployment
+    Both halves run the shared ``FatTreeDeployment.run`` and stay on the
+    event engine by design, each fallback counted: the RLIR deployment
     here uses the paper's *marking* demux (the classifier reads per-packet
-    ToS state, which no columnar pass reproduces, so the fast path counts a
-    fallback) and full RLI's per-hop segments terminate references at
-    aggregation switches, outside the layered driver's model.
+    ToS state, which no columnar pass reproduces:
+    ``fatpath:receiver-not-batch-capable``), and full RLI's per-hop
+    segments terminate references at aggregation switches, outside the
+    layered driver's model (``fatpath:receiver-at-aggregation``).
     """
     from ..core.full_rli import FullRliDeployment
     from ..core.injection import StaticInjection

@@ -56,7 +56,7 @@ and counters, observation logs, queue statistics — is bit-exact, which
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -67,19 +67,26 @@ from .clock import DriftingClock, OffsetClock, PerfectClock
 from .queue import FifoQueue, tapped_scan
 from .topology import FatTree
 
-__all__ = ["FastPathUnavailable", "FatTreeFastPath", "try_fast_path"]
+__all__ = ["FastPathUnavailable", "FatTreeFastPath", "spec_classifier",
+           "try_fast_path"]
 
 _REGULAR = int(PacketKind.REGULAR)
+
+#: Classify-spec kinds whose references the layers route: a ``hash``
+#: sender sits on a ToR uplink and its references climb to a core, a
+#: ``tor_map`` sender on a core egress and its references descend to a ToR.
+_ROUTED_SPECS = ("hash", "tor_map")
 
 
 class FastPathUnavailable(Exception):
     """The layered columnar pass cannot reproduce this run bit-exactly.
 
-    Raised during pre-flight — a non-batchable component (exotic queue or
-    observation log, custom policy, jittered clock), prior queue state, or
-    a trace outside the fabric's host blocks.  The compute phase mutates
-    nothing, so catching this and re-running on the event engine is always
-    safe.
+    Raised during pre-flight — a receiver at an aggregation switch, a
+    sender classify spec with no layered route, a non-batchable component
+    (exotic queue or observation log, custom policy, jittered clock),
+    prior queue state, or a trace outside the fabric's host blocks.  The
+    compute phase mutates nothing, so catching this and re-running on the
+    event engine is always safe.
 
     ``reason`` is a short stable slug for the ``batch.fallback`` counter
     (the human-readable detail stays in the exception message).
@@ -94,8 +101,9 @@ def try_fast_path(fattree: FatTree, sender_taps: Dict, receiver_taps: Dict,
                   traces: Sequence, until: Optional[float] = None) -> bool:
     """Attempt one layered columnar run of *traces*; ``True`` on success.
 
-    The deployments' shared dispatch (``RlirDeployment.run`` /
-    ``RlirMesh.run``): refuses a truncated run (``until`` needs the
+    The fat-tree deployments' one dispatch
+    (:meth:`repro.core.rlir.FatTreeDeployment.run`, shared by RLIR, the
+    mesh and full RLI): refuses a truncated run (``until`` needs the
     calendar), coerces every trace to columns (any failure → ``False``),
     and treats :class:`FastPathUnavailable` as a clean miss — the compute
     phase mutates nothing, so the caller simply proceeds with the event
@@ -231,19 +239,24 @@ class FatTreeFastPath:
         clones continue from zero backlog, exactly like a fresh run.
     sender_taps:
         ``(switch, port_index) -> (sender, classify_spec)`` for every
-        enqueue-tapped port.  ``classify_spec`` is the declarative,
-        vectorizable description of the closure the deployment wired as
-        the sender's ``classify``:
+        enqueue-tapped port.  ``classify_spec`` is the one representation
+        of the sender's path classifier: the engine runs its scalar form
+        (:func:`spec_classifier`), this driver its vectorized form
+        (:meth:`_classes`).  Three forms:
 
         * ``("hash", hasher, n)`` — path class = ``hasher.choose`` of the
           packet 5-tuple over *n* ports (the ToR uplink senders: the
           aggregation switch's core choice);
         * ``("tor_map", ((pod, edge, class), ...))`` — first ToR /24
           prefix containing ``dst`` wins, no match = no class (the core
-          egress senders).
+          egress senders);
+        * ``None`` — every packet in class 0 (the sender's single-class
+          default).  Pre-flight refuses it: such a sender's references
+          follow no route the layers model.
     receiver_taps:
-        ``switch -> receiver`` for every arrival-tapped switch (cores and
-        destination ToRs).
+        ``switch -> receiver`` for every arrival-tapped switch.  Only
+        cores and edges are snapshot; a receiver at an aggregation switch
+        is refused in pre-flight.
     """
 
     def __init__(self, fattree: FatTree, sender_taps: Dict, receiver_taps: Dict):
@@ -265,6 +278,20 @@ class FatTreeFastPath:
     # pre-flight
 
     def _check(self) -> None:
+        at_agg = self.receiver_taps.keys() & {
+            agg.node_id for pod in self.ft.aggs for agg in pod}
+        if at_agg:
+            raise FastPathUnavailable(
+                f"receivers at aggregation switches {sorted(at_agg)}: the "
+                f"layers never snapshot aggregation arrivals",
+                reason="receiver-at-aggregation")
+        for tx, spec in self.sender_taps.values():
+            kind = None if spec is None else spec[0]
+            if kind not in _ROUTED_SPECS:
+                raise FastPathUnavailable(
+                    f"sender {tx.sender_id}: classify spec {kind!r} has no "
+                    f"layered reference route",
+                    reason="unknown-classify-spec")
         for rx in self.receiver_taps.values():
             if rx._finalized:
                 raise FastPathUnavailable(
@@ -334,7 +361,6 @@ class FatTreeFastPath:
         if not np.all(ok):
             raise FastPathUnavailable("trace packets outside the host blocks",
                                       reason="trace-outside-fabric")
-        self._dpod, self._dedge = dpod, dedge
 
         cols = (gb.src, gb.dst, gb.sport, gb.dport, gb.proto)
         local = (spod == dpod) & (sedge == dedge)  # intra-ToR: no queue
@@ -568,14 +594,44 @@ class FatTreeFastPath:
                        stream.origin[scan.rows])
 
     def _classes(self, spec, rows: np.ndarray, cols) -> np.ndarray:
-        """Vectorized path classes for *rows* under a classify spec (-1 = None)."""
+        """Vectorized path classes for *rows* under a classify spec (-1 = None).
+
+        Row for row the same classes as :func:`spec_classifier`'s scalar
+        form, on any header values.
+        """
+        if spec is None:
+            return np.zeros(len(rows), dtype=np.int64)
         if spec[0] == "hash":
             _tag, hasher, n_ports = spec
             return hasher.choose_batch(*(c[rows] for c in cols), n_ports)
-        if spec[0] == "tor_map":
-            out = np.full(len(rows), -1, dtype=np.int64)
-            for pod, e, cls in reversed(spec[1]):  # first match wins
-                out[(self._dpod[rows] == pod) & (self._dedge[rows] == e)] = cls
-            return out
-        raise FastPathUnavailable(f"unknown classify spec {spec[0]!r}",
-                                  reason="unknown-classify-spec")
+        dst = cols[1][rows]
+        out = np.full(len(rows), -1, dtype=np.int64)
+        for pod, e, cls in reversed(spec[1]):  # first match wins
+            prefix = self.ft.tor_prefix(pod, e)
+            out[(dst & prefix.mask) == prefix.network] = cls
+        return out
+
+
+def spec_classifier(fattree: FatTree, spec
+                    ) -> Optional[Callable[[Packet], Optional[int]]]:
+    """The engine's per-packet form of a classify spec.
+
+    ``None`` stays ``None`` — the sender's single-class default.  The
+    vectorized form is :meth:`FatTreeFastPath._classes`.
+    """
+    if spec is None:
+        return None
+    if spec[0] == "hash":
+        _tag, hasher, n_ports = spec
+        return lambda packet: hasher.choose(packet.flow_key, n_ports)
+    if spec[0] == "tor_map":
+        prefixes = [(fattree.tor_prefix(pod, e), cls) for pod, e, cls in spec[1]]
+
+        def classify(packet: Packet) -> Optional[int]:
+            for prefix, cls in prefixes:
+                if prefix.contains(packet.dst):
+                    return cls
+            return None
+
+        return classify
+    raise ValueError(f"unknown classify spec {spec[0]!r}")

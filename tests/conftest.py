@@ -1,7 +1,10 @@
-"""Shared fixtures: tiny-scale workloads and small topologies."""
+"""Shared fixtures: tiny-scale workloads, small topologies, obs counters."""
+
+import os
 
 import pytest
 
+from repro import obs
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.workloads import PipelineWorkload
 from repro.sim.topology import FatTree, LinkParams
@@ -36,3 +39,22 @@ def fattree4():
 @pytest.fixture()
 def fattree8():
     return FatTree(8, LinkParams(rate_bps=1e9, buffer_bytes=256 * 1024))
+
+
+@pytest.fixture
+def counters():
+    """obs recording on for the test; returns a counter-prefix summer."""
+    saved = os.environ.get("REPRO_OBS")
+    obs.reset_metrics()
+    obs.enable()
+
+    def total(prefix):
+        return sum(value for key, value
+                   in obs.registry_snapshot()["counters"].items()
+                   if key.startswith(prefix))
+
+    yield total
+    obs.disable()
+    obs.reset_metrics()
+    if saved is not None:
+        os.environ["REPRO_OBS"] = saved

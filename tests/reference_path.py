@@ -28,7 +28,7 @@ def reference_path():
     reference actually ran.  Each refusal is counted under
     ``batch.fallback`` with reason :data:`REASON`, like a natural one.
     """
-    from repro.core import mesh, rlir
+    from repro.core import rlir
     from repro.obs import metrics as obs_metrics
     from repro.sim.chain import SwitchChain
     from repro.sim.pipeline import TwoSwitchPipeline
@@ -50,8 +50,8 @@ def reference_path():
         patch.setattr(TwoSwitchPipeline, "_fast_path_blocker",
                       refuse("pipeline"))
         patch.setattr(SwitchChain, "_fast_path_blocker", refuse("chain"))
-        # the deployments imported try_fast_path by name
-        patch.setattr(mesh, "try_fast_path", no_fast_path)
+        # every fat-tree deployment runs FatTreeDeployment.run, whose
+        # module imported try_fast_path by name
         patch.setattr(rlir, "try_fast_path", no_fast_path)
         yield forced
 

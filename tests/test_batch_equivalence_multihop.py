@@ -7,9 +7,11 @@ suite does the same for the paths vectorized beyond it:
 * :meth:`repro.sim.chain.SwitchChain.run_batch` — multihop segment chains
   with per-hop cross traffic and a sender-tapped first hop;
 * :class:`repro.sim.fatpath.FatTreeFastPath` — the layered columnar
-  replacement for the event calendar that ``RlirMesh.run`` and
-  ``RlirDeployment.run`` try first, including its exact reconstruction of
-  the engine's ``(time, insertion seq)`` tie-break from event provenance;
+  replacement for the event calendar that the fat-tree deployments' shared
+  ``FatTreeDeployment.run`` tries first, including its exact reconstruction
+  of the engine's ``(time, insertion seq)`` tie-break from event
+  provenance, its pre-flight refusals, and the agreement of a sender's
+  classify spec in its engine and vectorized forms;
 * the extension-study jobs that run them through the runner
   (:mod:`repro.experiments.extension_jobs`).
 
@@ -26,6 +28,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from repro.core.demux import SingleSenderDemux
+from repro.core.full_rli import FullRliDeployment
 from repro.core.injection import AdaptiveInjection, StaticInjection
 from repro.core.mesh import RlirMesh
 from repro.core.obslog import ObservationColumns
@@ -34,9 +37,10 @@ from repro.core.rlir import RlirDeployment
 from repro.core.sender import RefTemplate, RliSender
 from repro.experiments.config import ExperimentConfig, derive_seed
 from repro.net.addressing import Prefix, ip_to_int
+from repro.net.packet import Packet
 from repro.sim.chain import ChainConfig, SwitchChain
 from repro.sim.clock import DriftingClock
-from repro.sim.fatpath import FastPathUnavailable, FatTreeFastPath
+from repro.sim.fatpath import FastPathUnavailable, FatTreeFastPath, spec_classifier
 from repro.sim.topology import FatTree, LinkParams
 from repro.traffic.batch import PacketBatch
 from repro.traffic.crosstraffic import BurstyModel, UniformModel
@@ -422,7 +426,6 @@ class TestFastPathPreflight:
         mesh = RlirMesh(ft, [((0, 0), (1, 0))])
         from repro.sim.engine import Engine
         mesh.wire(Engine())
-        from repro.net.packet import Packet
         edge = ft.edges[0][0]
         uplink = edge.ports[ft.port_toward(edge, ft.aggs[0][0])]
         uplink.queue.offer(Packet(src=1, dst=2, size=100, ts=0.0), 0.0)
@@ -440,6 +443,117 @@ class TestFastPathPreflight:
         fp = FatTreeFastPath(ft, mesh._sender_taps, mesh._receiver_taps)
         with pytest.raises(FastPathUnavailable):
             fp.run([trace.batch])
+
+    @pytest.mark.parametrize("spec", [None, ("bogus",)], ids=["none", "bogus"])
+    def test_unrouted_classify_spec_is_rejected_up_front(self, spec):
+        ft = FatTree(4, LinkParams(rate_bps=1e9, buffer_bytes=256 * 1024))
+        mesh = RlirMesh(ft, [((0, 0), (1, 0))])
+        from repro.sim.engine import Engine
+        mesh.wire(Engine())
+        taps = dict(mesh._sender_taps)
+        key = next(iter(taps))
+        taps[key] = (taps[key][0], spec)
+        fp = FatTreeFastPath(ft, taps, mesh._receiver_taps)
+        with pytest.raises(FastPathUnavailable) as info:
+            fp.run([mesh_traces(ft, 50, 0, pairs=[((0, 0), (1, 0))])[0].batch])
+        assert info.value.reason == "unknown-classify-spec"
+
+    def test_receiver_at_aggregation_is_rejected_untouched(self):
+        ft = FatTree(4, LinkParams(rate_bps=1e9, buffer_bytes=256 * 1024))
+        dep = FullRliDeployment(ft, src=(0, 0), dst=(1, 0))
+        from repro.sim.engine import Engine
+        dep.wire(Engine())
+
+        def state():
+            return ([queue_state(port.queue) for sw in ft.switches
+                     for port in sw.ports],
+                    {name: sender_state(tx) for name, tx in dep.senders.items()},
+                    {name: receiver_state(rx)
+                     for name, rx in dep.receivers.items()})
+
+        before = state()
+        fp = FatTreeFastPath(ft, dep._sender_taps, dep._receiver_taps)
+        with pytest.raises(FastPathUnavailable) as info:
+            fp.run([mesh_traces(ft, 200, 0, pairs=[((0, 0), (1, 0))])[0].batch])
+        assert info.value.reason == "receiver-at-aggregation"
+        assert state() == before
+
+    def test_full_rli_counts_its_fallback(self, counters):
+        def run_full(forced):
+            ft = FatTree(4, LinkParams(rate_bps=40e6, buffer_bytes=256 * 1024))
+            dep = FullRliDeployment(ft, src=(0, 0), dst=(1, 0),
+                                    policy_factory=lambda: StaticInjection(20))
+            traces = mesh_traces(ft, 1500, 0, pairs=[((0, 0), (1, 0))])
+            if forced:
+                with reference_path():
+                    result = dep.run(traces)
+            else:
+                result = dep.run(traces)
+            return {name: receiver_state(rx)
+                    for name, rx in result.receivers.items()}
+
+        default = run_full(False)
+        assert counters("batch.fallback[fatpath:receiver-at-aggregation]") == 1
+        assert counters("batch.fallback") == 1
+        assert counters("batch.fastpath") == 0
+        assert all(state["estimated"] for state in default.values())
+        assert default == run_full(True)
+
+
+# ----------------------------------------------------------------------
+# one classify spec, two forms: the engine's closure, the driver's columns
+
+SPEC_FT = FatTree(4)
+_fabric_addr = st.builds(lambda p, e, h: (10 << 24) | (p << 16) | (e << 8) | h,
+                         st.integers(0, 3), st.integers(0, 1),
+                         st.integers(0, 255))
+_any_addr = st.one_of(_fabric_addr, st.integers(0, 2 ** 32 - 1))
+_header_rows = st.lists(
+    st.tuples(_any_addr, _any_addr, st.integers(0, 65535),
+              st.integers(0, 65535), st.sampled_from([6, 17])),
+    min_size=1, max_size=60)
+
+
+class TestClassifySpecOracle:
+    @pytest.mark.parametrize("spec", [
+        ("hash", SPEC_FT.aggs[0][1].hasher, 2),
+        ("hash", SPEC_FT.aggs[2][0].hasher, 4),
+        ("hash", SPEC_FT.edges[3][1].hasher, 2),
+        ("hash", SPEC_FT.cores[1][0].hasher, 4),
+        ("tor_map", ((1, 0, 0),)),
+        # overlapping entries: the first match wins
+        ("tor_map", ((2, 1, 3), (1, 0, 1), (2, 1, 0), (1, 0, 2))),
+        None,
+    ], ids=["hash-agg-2", "hash-agg-4", "hash-edge-2", "hash-core-4",
+            "tor-map-one", "tor-map-overlap", "none"])
+    @given(rows=_header_rows)
+    @settings(max_examples=40, deadline=None)
+    def test_scalar_closure_equals_vectorized_classes(self, spec, rows):
+        cols = tuple(np.array(col, dtype=np.int64) for col in zip(*rows))
+        vectorized = FatTreeFastPath(SPEC_FT, {}, {})._classes(
+            spec, np.arange(len(rows)), cols).tolist()
+        sender = RliSender(sender_id=1, link_rate_bps=1e9,
+                           policy=StaticInjection(10),
+                           classify=spec_classifier(SPEC_FT, spec))
+        scalar = [sender._classify(Packet(src=s, dst=d, sport=sp, dport=dp,
+                                          proto=pr, size=100, ts=0.0))
+                  for s, d, sp, dp, pr in rows]
+        assert vectorized == [-1 if c is None else c for c in scalar]
+        if spec is None:
+            assert set(vectorized) == {0}
+
+    def test_tor_map_no_match_is_no_class(self):
+        spec = ("tor_map", ((1, 0, 0), (1, 0, 1)))
+        dst = SPEC_FT.host_address(2, 1, 0)
+        cols = tuple(np.array([v], dtype=np.int64)
+                     for v in (SPEC_FT.host_address(0, 0, 0), dst, 1, 2, 6))
+        assert FatTreeFastPath(SPEC_FT, {}, {})._classes(
+            spec, np.arange(1), cols).tolist() == [-1]
+        packet = Packet(src=int(cols[0][0]), dst=dst, sport=1, dport=2, proto=6)
+        assert spec_classifier(SPEC_FT, spec)(packet) is None
+        match = Packet(src=1, dst=SPEC_FT.host_address(1, 0, 1), sport=1,
+                       dport=2, proto=6)
+        assert spec_classifier(SPEC_FT, spec)(match) == 0
 
 
 # ----------------------------------------------------------------------

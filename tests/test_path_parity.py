@@ -11,11 +11,8 @@ halves of that contract at the CLI:
   would keep the numbers but make every run several times slower.
 """
 
-import os
-
 import pytest
 
-from repro import obs
 from repro.cli import main
 from repro.experiments.workloads import run_condition
 
@@ -29,26 +26,10 @@ COMMANDS = {
                     "--no-cache"], ("chain", "fatpath")),
     "localize": (["localize", "--packets", "6000", "--no-cache"],
                  ("fatpath",)),
+    # full RLI and the marking demux: both fall back to the engine
+    "granularity": (["extensions", "granularity", "--scale", "0.02",
+                     "--no-cache"], ("fatpath",)),
 }
-
-
-@pytest.fixture
-def counters():
-    """obs recording on for the test; returns a counter-prefix summer."""
-    saved = os.environ.get("REPRO_OBS")
-    obs.reset_metrics()
-    obs.enable()
-
-    def total(prefix):
-        return sum(value for key, value
-                   in obs.registry_snapshot()["counters"].items()
-                   if key.startswith(prefix))
-
-    yield total
-    obs.disable()
-    obs.reset_metrics()
-    if saved is not None:
-        os.environ["REPRO_OBS"] = saved
 
 
 @pytest.mark.parametrize("name", sorted(COMMANDS))
