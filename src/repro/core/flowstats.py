@@ -192,11 +192,30 @@ def flow_ids(keys, rows: np.ndarray) -> Tuple[np.ndarray, List[Key]]:
     sample i belongs to flow ``ids[i]``, whose 5-tuple key (plain ints) is
     ``flow_keys[ids[i]]``.  Each key tuple is built once, so the tables a
     caller folds these samples into share the key objects.
+
+    Flows are numbered in ``np.lexsort((b, a))`` order of the packed key
+    words (see :func:`~repro.traffic.batch.pack_flow_keys`).  The (src,
+    dst) word ``a`` alone tells most flows apart, so one stable sort on
+    ``a`` does most of the work, and only the runs of equal ``a`` whose
+    ``b`` differ are re-sorted by ``b``.
     """
     a, b = pack_flow_keys(*(column[rows] for column in keys))
-    order = np.lexsort((b, a))
+    order = np.argsort(a, kind="stable")
     a_s = a[order]
     b_s = b[order]
+    same_a = a_s[1:] == a_s[:-1]
+    split = same_a & (b_s[1:] != b_s[:-1])
+    if split.any():
+        run = np.empty(len(order), dtype=np.int64)
+        run[:1] = 0
+        run[1:] = np.add.accumulate(~same_a)
+        mixed = np.zeros(int(run[-1]) + 1, dtype=bool)
+        mixed[run[1:][split]] = True
+        pos = np.flatnonzero(mixed[run])
+        # both sorts are stable, so equal keys keep their sample order
+        sub = pos[np.lexsort((b_s[pos], run[pos]))]
+        order[pos] = order[sub]
+        b_s[pos] = b_s[sub]
     boundary = np.empty(len(order), dtype=np.int64)
     boundary[:1] = 1
     boundary[1:] = (a_s[1:] != a_s[:-1]) | (b_s[1:] != b_s[:-1])

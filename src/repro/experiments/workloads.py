@@ -7,7 +7,9 @@ RLI senders/receivers for one condition of Figure 4/5.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Dict, List, Optional, Tuple
 
 from ..analysis.metrics import FlowErrorJoin, flow_mean_errors, flow_std_errors
@@ -20,7 +22,7 @@ from ..core.sender import RefTemplate, RliSender
 from ..net.addressing import Prefix, ip_to_int
 from ..net.packet import Packet, PacketKind
 from ..sim.clock import OffsetClock
-from ..sim.pipeline import PipelineConfig, PipelineResult, TwoSwitchPipeline
+from ..sim.pipeline import PipelineConfig, PipelineResult, Switch1, TwoSwitchPipeline
 from ..traffic.crosstraffic import (
     BurstyModel,
     UniformModel,
@@ -47,7 +49,11 @@ __all__ = [
 
 PIPELINE_SENDER_ID = 1
 
-_trace_cache: Dict[Tuple, Trace] = {}
+# traces by generation parameters, held weakly: a trace stays while some
+# workload (e.g. one in _workload_cache) uses it, so configs that share
+# trace parameters share one trace, and a process that runs many configs
+# keeps only the traces of the workloads it still holds
+_trace_cache: "weakref.WeakValueDictionary[Tuple, Trace]" = weakref.WeakValueDictionary()
 
 
 def _cached_trace(kind: str, cfg: ExperimentConfig) -> Trace:
@@ -102,6 +108,8 @@ class PipelineWorkload:
             proc_delay=cfg.proc_delay,
         )
         self.regular_prefix = Prefix.parse(f"{REGULAR_SRC_BASE}/16")
+        # the tail-drop Switch 1 per (scheme, static_n); see switch1()
+        self._switch1: Dict[Tuple[Optional[str], Optional[int]], Switch1] = {}
 
     # ------------------------------------------------------------------
 
@@ -140,7 +148,12 @@ class PipelineWorkload:
             return AdaptiveInjection(self.cfg.adaptive_n_min, self.cfg.adaptive_n_max)
         raise ValueError(f"unknown injection scheme: {scheme}")
 
-    def make_sender(self, scheme: str) -> RliSender:
+    def make_sender(self, scheme: str, static_n: Optional[int] = None) -> RliSender:
+        """A fresh sender for *scheme*; *static_n* overrides its policy
+        with a static gap (the injection-gap ablation)."""
+        policy = self.make_policy(scheme)
+        if static_n is not None:
+            policy = StaticInjection(static_n)
         template = RefTemplate(
             src=ip_to_int(REGULAR_SRC_BASE) + 1,
             dst=ip_to_int("10.2.255.254"),
@@ -148,9 +161,28 @@ class PipelineWorkload:
         return RliSender(
             sender_id=PIPELINE_SENDER_ID,
             link_rate_bps=self.rate_bps,
-            policy=self.make_policy(scheme),
+            policy=policy,
             templates={0: template},
         )
+
+    def switch1(self, scheme: Optional[str], static_n: Optional[int]) -> Switch1:
+        """The tail-drop Switch 1 of every condition with this sender.
+
+        Switch 1 reads the regular trace, the workload's switch
+        parameters and the sender, and nothing else a condition sets, so
+        conditions that differ in load, cross model, run seed or
+        receiver share one :class:`~repro.sim.pipeline.Switch1`: built
+        on first use, kept as long as the workload.  :func:`run_condition`
+        hands it to ``run_batch``, which reads it only for a run its
+        blocker admits, so a per-object run never builds nor reads it.
+        """
+        key = (scheme, static_n)
+        first = self._switch1.get(key)
+        if first is None:
+            sender = self.make_sender(scheme, static_n) if scheme is not None else None
+            first = TwoSwitchPipeline(self.pipeline_config).switch1(self.regular, sender)
+            self._switch1[key] = first
+        return first
 
     def make_receiver(
         self,
@@ -226,6 +258,9 @@ def run_condition(
     The condition runs through the columnar pipeline fast path; the
     pipeline falls back to the per-object path by itself where the fast
     path does not apply (e.g. RED queues), with bitwise-identical numbers.
+    On the fast path a tail-drop condition scans Switch 2 alone, on the
+    workload's shared :meth:`PipelineWorkload.switch1` for its scheme and
+    ``static_n``; a fallback run scans both switches with its own sender.
     """
     if scheme is None:
         contradictory = [
@@ -240,9 +275,7 @@ def run_condition(
                 f"scheme=None runs no receiver, so {', '.join(contradictory)} "
                 f"would be silently ignored; drop them or pick a scheme"
             )
-    sender = workload.make_sender(scheme) if scheme is not None else None
-    if sender is not None and static_n is not None:
-        sender.policy = StaticInjection(static_n)
+    sender = workload.make_sender(scheme, static_n) if scheme is not None else None
     receiver = (
         workload.make_receiver(estimator, max_flows=max_flows, quantiles=quantiles)
         if scheme is not None
@@ -257,6 +290,8 @@ def run_condition(
         sender=sender,
         receiver=receiver,
         duration=workload.cfg.duration,
+        # an AQM swaps queue 1 too, so only tail-drop runs share Switch 1
+        switch1=None if aqm is not None else partial(workload.switch1, scheme, static_n),
     )
     if receiver is not None:
         receiver.finalize()
@@ -397,11 +432,12 @@ def summarize_condition(condition: ConditionResult, estimator: str = "linear",
     return summary
 
 
-# per-process workload memo so repeated jobs in one worker share traces;
-# bounded FIFO: a sweep touches one or two configs, so a handful of slots
-# gives full reuse without retaining workloads for every config a
-# long-lived process ever ran (the heavyweight traces are deduped one
-# level down in _trace_cache regardless)
+# per-process workload memo so repeated jobs in one worker share traces
+# and each workload's Switch 1 (PipelineWorkload.switch1); bounded FIFO: a
+# sweep touches one or two configs, so a handful of slots gives full reuse
+# without retaining workloads for every config a long-lived process ever
+# ran.  An evicted workload takes its Switch-1 values with it, and its
+# traces leave _trace_cache once no other workload uses them.
 _workload_cache: Dict[Tuple, PipelineWorkload] = {}
 _WORKLOAD_CACHE_SLOTS = 4
 

@@ -32,7 +32,7 @@ Receiver protocol
 from __future__ import annotations
 
 import heapq
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
@@ -42,7 +42,7 @@ from ..traffic.batch import PacketBatch
 from .chain import _component_blocker, _hop, _observe, _offer, _regular_stream
 from .queue import FifoQueue
 
-__all__ = ["PipelineConfig", "PipelineResult", "TwoSwitchPipeline"]
+__all__ = ["PipelineConfig", "PipelineResult", "Switch1", "TwoSwitchPipeline"]
 
 
 class PipelineConfig:
@@ -100,6 +100,45 @@ class PipelineResult:
         """Loss rate of *kind* packets at the bottleneck switch."""
         arrivals = self.arrivals2[kind]
         return self.drops2[kind] / arrivals if arrivals else 0.0
+
+
+class Switch1:
+    """Everything that leaves Switch 1 on the columnar path, as a value.
+
+    Cross traffic joins at Switch 2, so Switch 1 sees the regular trace
+    alone: its departures, the references the sender injects, queue 1's
+    statistics and the sender's final state depend only on that trace,
+    the Switch-1 parameters and the sender.  Runs that differ downstream
+    (load, cross model, run seed, receiver) can share one value through
+    :meth:`TwoSwitchPipeline.run_batch`'s ``switch1``.  Sharing is exact
+    because nothing downstream writes it: the stream's arrays are
+    read-only, switch 2 and the receiver only read the references, and
+    :meth:`commit` copies the sender's state instead of handing the
+    sender out.
+
+    ``stream`` is the columnar stream ``(time, size, kind, hidx, refslot,
+    refs)`` of Switch-1 departures (see :mod:`repro.sim.chain`);
+    ``refs_injected`` counts the references the sender built.
+    """
+
+    __slots__ = ("stream", "queue1", "sender", "refs_injected")
+
+    def __init__(self, reg: PacketBatch, queue1: FifoQueue, sender=None):
+        stream, self.refs_injected = _hop(_regular_stream(reg), None, queue1,
+                                          sender)
+        *cols, refs = stream
+        for col in cols:
+            col.flags.writeable = False
+        self.stream = (*cols, tuple(refs))
+        self.queue1 = queue1
+        self.sender = sender
+
+    def commit(self, sender) -> None:
+        """Leave *sender*, built like this value's sender and not yet run,
+        in the state Switch 1 left that sender."""
+        done = self.sender
+        sender.fast_scan_commit(*done.fast_scan_state(), done.regulars_seen,
+                                done.refs_injected)
 
 
 class TwoSwitchPipeline:
@@ -172,6 +211,7 @@ class TwoSwitchPipeline:
         sender=None,
         receiver=None,
         duration: Optional[float] = None,
+        switch1: Optional[Callable[[], Switch1]] = None,
     ) -> PipelineResult:
         """Run the pipeline on columnar packet batches.
 
@@ -191,6 +231,14 @@ class TwoSwitchPipeline:
         none); any other combination falls back to :meth:`run` with
         identical numbers, and ``_fast_path_blocker``'s reason is counted
         under ``batch.fallback``.
+
+        ``switch1`` lets runs that share their first hop share its work:
+        a zero-argument callable returning the :class:`Switch1` that
+        :meth:`switch1` computes for *regular* and a fresh sender built
+        like *sender* (a caller's memo).  It is called only once the
+        blocker admits the columnar path, so a run that falls back never
+        reads nor builds it; the run then scans switch 2 alone and leaves
+        *sender* in the state switch 1 left the memo's sender.
         """
         reg = PacketBatch.coerce(regular)
         if reg is None:
@@ -209,14 +257,21 @@ class TwoSwitchPipeline:
                             receiver=receiver, duration=duration)
         obs_metrics.taken("pipeline.run_batch")
 
-        # switch 1: the chain's first hop with no cross traffic
-        stage1, refs_injected = _hop(_regular_stream(reg), None, queue1,
-                                     sender)
-        result = PipelineResult(queue1, queue2, duration or 0.0)
-        result.refs_injected = refs_injected
+        if switch1 is None:
+            first = Switch1(reg, queue1, sender)
+        else:
+            first = switch1()
+            if sender is not None:
+                first.commit(sender)
+        result = PipelineResult(first.queue1, queue2, duration or 0.0)
+        result.refs_injected = first.refs_injected
 
-        # switch 2: stage-1 departures merged with the cross arrivals
-        merged, departures, accepted2 = _offer(stage1, crs, queue2)
+        # switch 2: stage-1 departures merged with the cross arrivals.
+        # _offer gets no reference objects, so it flags none that switch 2
+        # drops: no caller holds them past the run, and a shared Switch1's
+        # packets stay untouched.
+        *stage1, refs = first.stream
+        merged, departures, accepted2 = _offer((*stage1, ()), crs, queue2)
         kind2, hdr2, refslot2 = merged[2:]
 
         kind_counts = np.bincount(kind2, minlength=len(PacketKind))
@@ -228,11 +283,25 @@ class TwoSwitchPipeline:
         if receiver is not None:
             observed = accepted2 & (kind2 != int(PacketKind.CROSS))
             _observe(receiver, reg, departures[observed], kind2[observed],
-                     hdr2[observed], refslot2[observed], stage1[-1])
+                     hdr2[observed], refslot2[observed], refs)
 
         if duration is None:
-            result.duration = max(queue1.stats.last_departure, queue2.stats.last_departure)
+            result.duration = max(first.queue1.stats.last_departure,
+                                  queue2.stats.last_departure)
         return result
+
+    def switch1(self, regular, sender=None) -> Switch1:
+        """Run switch 1 alone on the columnar path (see :class:`Switch1`).
+
+        For a caller that shares one first hop among runs through
+        :meth:`run_batch`'s ``switch1``; *regular* and *sender* must be
+        ones that :meth:`run_batch`'s blocker admits.
+        """
+        cfg = self.config
+        return Switch1(
+            PacketBatch.coerce(regular),
+            cfg.queue_factory(cfg.rate1_bps, cfg.buffer1_bytes, cfg.proc_delay, "switch1"),
+            sender)
 
     def _fast_path_blocker(self, queue1, queue2, sender, receiver, reg, crs) -> Optional[str]:
         """Why the run can't be driven columnar — ``None`` when it can.

@@ -18,6 +18,7 @@ import numpy as np
 
 from repro.analysis.metrics import FlowErrorJoin
 from repro.core.flowstats import StreamingStats
+from repro.traffic.batch import pack_flow_keys
 
 Key = Tuple[int, int, int, int, int]
 
@@ -70,6 +71,21 @@ def reference_welford_grouped(values, starts, ends, rank_cutoff=128):
     inverse = np.empty(n_groups, dtype=np.int64)
     inverse[by_size] = np.arange(n_groups)
     return counts, mean[inverse], m2[inverse], mn[inverse], mx[inverse]
+
+
+def reference_flow_ids(keys, rows) -> Tuple[np.ndarray, List[Key]]:
+    """:func:`repro.core.flowstats.flow_ids` as one two-word lexsort."""
+    a, b = pack_flow_keys(*(column[rows] for column in keys))
+    order = np.lexsort((b, a))
+    a_s = a[order]
+    b_s = b[order]
+    boundary = np.empty(len(order), dtype=np.int64)
+    boundary[:1] = 1
+    boundary[1:] = (a_s[1:] != a_s[:-1]) | (b_s[1:] != b_s[:-1])
+    ids = np.empty(len(order), dtype=np.int64)
+    ids[order] = np.add.accumulate(boundary) - 1
+    first_rows = rows[order[np.flatnonzero(boundary)]]
+    return ids, list(zip(*(column[first_rows].tolist() for column in keys)))
 
 
 def object_fold(table: Dict[Key, StreamingStats], ids, flow_keys, values) -> None:

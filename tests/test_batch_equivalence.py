@@ -12,6 +12,7 @@ job-level comparisons reach the per-object reference through
 """
 
 import pickle
+import random
 
 import numpy as np
 import pytest
@@ -27,7 +28,8 @@ from repro.net.packet import Packet, PacketKind
 from repro.sim.pipeline import PipelineConfig, TwoSwitchPipeline
 from repro.sim.queue import FifoQueue
 from repro.sim.red import RedQueue
-from repro.experiments.workloads import run_condition, summarize_condition
+from repro.experiments.workloads import (PipelineWorkload, run_condition,
+                                         summarize_condition)
 from repro.traffic.crosstraffic import BurstyModel, UniformModel
 from repro.traffic.synthetic import TraceConfig, generate_trace
 from repro.traffic.trace import Trace
@@ -417,6 +419,81 @@ class TestConditionEquivalence:
             return sender.refs_injected, receiver_state(receiver)
 
         assert drive(False) == drive(True)
+
+
+# (scheme, model, target_util, knobs): every scheme, a static_n override on
+# two schemes, every receiver knob, both cross models and two run seeds
+SHARED_SWITCH1_GRID = [
+    (None, "random", 0.93, {}),
+    (None, "bursty", 0.67, {"run_seed": 2}),
+    ("static", "random", 0.93, {}),
+    ("static", "bursty", 0.93, {"estimator": "previous"}),
+    ("static", "random", 0.67, {"static_n": 13}),
+    ("adaptive", "random", 0.93, {"static_n": 13}),
+    ("adaptive", "random", 0.93, {}),
+    ("adaptive", "bursty", 0.8, {"clock_offset": 5e-6}),
+    ("adaptive", "random", 0.67, {"max_flows": 32, "run_seed": 3}),
+    ("adaptive", "random", 0.93, {"quantiles": (0.5, 0.99)}),
+    ("adaptive", "bursty", 0.93, {"estimator": "nearest", "run_seed": 1}),
+]
+
+
+def condition_summary(workload, scheme, model, util, knobs):
+    condition = run_condition(workload, scheme, model, util, **knobs)
+    return summarize_condition(condition, estimator=knobs.get("estimator", "linear"),
+                               run_seed=knobs.get("run_seed", 0))
+
+
+class TestSharedSwitch1:
+    """Conditions of one workload share its Switch 1 per (scheme,
+    static_n); sharing must change no byte of any summary, whatever order
+    the conditions run in."""
+
+    @pytest.mark.parametrize("order_seed", [0, 1])
+    def test_shared_grid_matches_fresh_workloads(self, tiny_config, order_seed):
+        grid = list(SHARED_SWITCH1_GRID)
+        random.Random(order_seed).shuffle(grid)
+        shared = PipelineWorkload(tiny_config)
+        for scheme, model, util, knobs in grid:
+            got = condition_summary(shared, scheme, model, util, knobs)
+            # the per-object reference scans both switches afresh
+            with reference_path():
+                want = condition_summary(PipelineWorkload(tiny_config), scheme,
+                                         model, util, knobs)
+            assert pickle.dumps(got) == pickle.dumps(want), (scheme, model, util, knobs)
+        assert len(shared._switch1) == len(
+            {(scheme, knobs.get("static_n")) for scheme, _, _, knobs in grid})
+
+    def test_reference_path_never_reads_a_used_workloads_switch1(
+            self, tiny_workload, monkeypatch):
+        columnar = condition_summary(tiny_workload, "static", "random", 0.93, {})
+        memo = dict(tiny_workload._switch1)
+
+        def unreadable(*args):
+            raise AssertionError("a per-object run read the shared Switch 1")
+
+        grid = [("static", {}), (None, {}), ("adaptive", {}),
+                ("static", {"static_n": 17})]
+        with reference_path() as forced:
+            monkeypatch.setattr(tiny_workload, "switch1", unreadable)
+            reference = [condition_summary(tiny_workload, scheme, "random",
+                                           0.93, knobs)
+                         for scheme, knobs in grid]
+            monkeypatch.undo()
+        assert forced["pipeline"] == len(grid)
+        assert tiny_workload._switch1 == memo
+        assert reference[0] == columnar
+
+    def test_shared_arrays_are_read_only(self, tiny_workload):
+        first = tiny_workload.switch1("adaptive", None)
+        assert first is tiny_workload.switch1("adaptive", None)
+        *columns, refs = first.stream
+        assert refs and all(len(column) for column in columns)
+        for column in columns:
+            with pytest.raises(ValueError):
+                column[0] = column[-1]
+        with pytest.raises(TypeError):
+            refs[0] = None
 
 
 class TestBatchJobs:

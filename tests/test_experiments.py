@@ -52,6 +52,30 @@ class TestWorkload:
         b = PipelineWorkload(tiny_config)
         assert a.regular is b.regular
 
+    def test_trace_cache_keeps_only_traces_in_use(self, monkeypatch):
+        """A long-lived process that runs many seeds keeps the traces of
+        the workloads it still caches, not of every config it ever ran;
+        configs that differ outside the trace parameters share traces."""
+        import gc
+
+        from repro.experiments import workloads
+        from repro.runner.spec import config_items
+
+        # fresh, empty memos of the module's own kind
+        monkeypatch.setattr(workloads, "_trace_cache", type(workloads._trace_cache)())
+        monkeypatch.setattr(workloads, "_workload_cache", {})
+        for seed in range(10):
+            workloads.workload_for(config_items(ExperimentConfig(scale=0.01, seed=seed)))
+        gc.collect()
+        assert len(workloads._trace_cache) <= 2 * workloads._WORKLOAD_CACHE_SLOTS
+
+        small = ExperimentConfig(scale=0.01, seed=3)
+        small.buffer_bytes = 16 * 1024
+        a = workloads.workload_for(config_items(ExperimentConfig(scale=0.01, seed=3)))
+        b = workloads.workload_for(config_items(small))
+        assert a is not b
+        assert a.regular is b.regular and a.cross is b.cross
+
     def test_measured_utilization_close_to_target(self, tiny_workload):
         run = run_condition(tiny_workload, None, "random", 0.67)
         assert run.measured_util == pytest.approx(0.67, abs=0.05)

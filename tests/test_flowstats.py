@@ -20,6 +20,7 @@ from repro.experiments.workloads import _flow_table_rows
 from reference_flowstats import (
     join_dump,
     per_sample_table,
+    reference_flow_ids,
     reference_mean_errors,
     reference_pooled,
     reference_std_errors,
@@ -313,6 +314,55 @@ class TestColumnReadersOracle:
         a.merge(b)
         assert stats_dump(a.items()) == stats_dump(want.items())
         assert stats_dump(a.sorted_by_key().items()) == stats_dump(sorted(want.items()))
+
+
+def key_columns(n_keys, seed, n_pairs, n_ports):
+    """Five flow-key columns whose (src, dst) pairs and ports come from
+    small pools, so many flows share a pair and many rows share a key."""
+    rng = np.random.default_rng(seed)
+    pairs = rng.integers(0, 2**32, size=(max(n_pairs, 1), 2))
+    pick = rng.integers(0, len(pairs), size=n_keys)
+    return (pairs[pick, 0], pairs[pick, 1],
+            rng.integers(0, n_ports, size=n_keys) * 4099 % 65536,
+            rng.integers(0, n_ports, size=n_keys) * 7919 % 65536,
+            rng.choice(np.array([6, 17]), size=n_keys))
+
+
+def assert_flow_ids_match(keys, rows):
+    ids, flow_keys = flowstats.flow_ids(keys, rows)
+    want_ids, want_keys = reference_flow_ids(keys, rows)
+    assert ids.dtype == want_ids.dtype
+    assert ids.tolist() == want_ids.tolist()
+    assert flow_keys == want_keys
+
+
+class TestFlowIdsOracle:
+    """``flow_ids`` sorts on the (src, dst) word and repairs the ties; its
+    numbering must equal the two-word lexsort's, whatever the ties."""
+
+    @given(n_keys=st.integers(1, 60), n_rows=st.integers(0, 200),
+           seed=st.integers(0, 2**31), n_pairs=st.integers(1, 6),
+           n_ports=st.integers(1, 8))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_the_lexsort(self, n_keys, n_rows, seed, n_pairs, n_ports):
+        keys = key_columns(n_keys, seed, n_pairs, n_ports)
+        rows = np.random.default_rng(seed + 1).integers(0, n_keys, size=n_rows)
+        assert_flow_ids_match(keys, rows)
+
+    def test_many_flows_share_one_pair(self):
+        keys = key_columns(300, 3, 1, 40)
+        rows = np.random.default_rng(4).integers(0, 300, size=2000)
+        assert_flow_ids_match(keys, rows)
+        assert len(flowstats.flow_ids(keys, rows)[1]) > 100
+
+    def test_every_row_identical(self):
+        keys = key_columns(1, 5, 1, 1)
+        assert_flow_ids_match(keys, np.zeros(50, dtype=np.int64))
+
+    @pytest.mark.parametrize("n_rows", [0, 1])
+    def test_empty_and_one_row(self, n_rows):
+        assert_flow_ids_match(key_columns(4, 6, 2, 2),
+                              np.arange(n_rows, dtype=np.int64))
 
 
 def test_fig4a_condition_builds_no_per_flow_accumulators(monkeypatch):

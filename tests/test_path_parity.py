@@ -22,6 +22,9 @@ from reference_path import REASON, reference_path
 COMMANDS = {
     "fig4a": (["fig4a", "--scale", "0.02", "--no-cache", "--no-plot"],
               ("pipeline",)),
+    # the scheme=None baseline and drop-heavy loads, on a shared Switch 1
+    "fig5": (["fig5", "--scale", "0.02", "--seeds", "1", "--no-cache",
+              "--no-plot"], ("pipeline",)),
     "extensions": (["extensions", "multihop", "mesh", "--scale", "0.02",
                     "--no-cache"], ("chain", "fatpath")),
     "localize": (["localize", "--packets", "6000", "--no-cache"],
