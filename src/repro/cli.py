@@ -629,10 +629,9 @@ def _cmd_obs(args) -> int:
 def _cmd_broker_stats(args) -> int:
     import json
     import time as _time
-    from multiprocessing.connection import Client
 
     from .analysis.report import format_table
-    from .distrib.protocol import authkey_from_env, parse_address
+    from .distrib.protocol import authkey_from_env, open_connection, parse_address
     from .runner.cache import code_fingerprint
 
     try:
@@ -641,7 +640,7 @@ def _cmd_broker_stats(args) -> int:
         print(f"repro-rlir broker-stats: error: {exc}", file=sys.stderr)
         return 2
     try:
-        conn = Client(address, authkey=authkey_from_env(args.authkey))
+        conn = open_connection(address, authkey_from_env(args.authkey))
     except (OSError, EOFError) as exc:
         print(f"repro-rlir broker-stats: cannot connect to {args.connect}: "
               f"{exc}", file=sys.stderr)

@@ -34,25 +34,34 @@ or, against a standing cluster::
     runner = DistributedRunner(broker="coord:7077")
 """
 
-from .broker import Broker
-from .journal import SweepJournal, load_journals
-from .progress import ProgressPrinter, ProgressSnapshot
-from .protocol import BrokerUnavailableError, DistributedSweepError, JobFailure
-from .runner import DistributedRunner
-from .shaping import LinkShape, ShapingProxy
-from .worker import worker_main
+from importlib import import_module
+from typing import Any
 
-__all__ = [
-    "Broker",
-    "BrokerUnavailableError",
-    "DistributedRunner",
-    "DistributedSweepError",
-    "JobFailure",
-    "LinkShape",
-    "ProgressPrinter",
-    "ProgressSnapshot",
-    "ShapingProxy",
-    "SweepJournal",
-    "load_journals",
-    "worker_main",
-]
+# Exported names resolve on first use (PEP 562), so a worker process,
+# which needs only ``worker`` and ``protocol``, never imports the broker,
+# the runner, the journal or the shaping relay.
+_EXPORTS = {
+    "Broker": "broker",
+    "BrokerUnavailableError": "protocol",
+    "DistributedRunner": "runner",
+    "DistributedSweepError": "protocol",
+    "JobFailure": "protocol",
+    "LinkShape": "shaping",
+    "ProgressPrinter": "progress",
+    "ProgressSnapshot": "progress",
+    "ShapingProxy": "shaping",
+    "SweepJournal": "journal",
+    "load_journals": "journal",
+    "worker_main": "worker",
+}
+
+__all__ = sorted(_EXPORTS)
+
+
+def __getattr__(name: str) -> Any:
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value

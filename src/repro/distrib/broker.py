@@ -93,7 +93,8 @@ from typing import Callable, Dict, List, Optional, Tuple
 from ..obs.metrics import MetricsRegistry
 from ..runner.cache import code_fingerprint
 from .journal import SweepJournal, load_journals
-from .protocol import DEFAULT_AUTHKEY, PROTOCOL_VERSION, chunk_jobs
+from .protocol import (DEFAULT_AUTHKEY, PROTOCOL_VERSION, accept_connection,
+                       chunk_jobs)
 
 __all__ = ["Broker"]
 
@@ -229,15 +230,16 @@ class _Chunk:
     """One dispatch unit: a slice of a sweep's jobs plus its retry state."""
 
     __slots__ = ("id", "sweep_id", "entries", "failures", "last_error",
-                 "dispatched_at")
+                 "queued_at", "dispatched_at")
 
     def __init__(self, chunk_id: int, sweep_id: str,
-                 entries: List[tuple]) -> None:
+                 entries: List[tuple], queued_at: float) -> None:
         self.id = chunk_id
         self.sweep_id = sweep_id
         self.entries = entries  # [(seq, job), ...]
         self.failures = 0
         self.last_error: Optional[str] = None
+        self.queued_at = queued_at  # broker clock when (re)queued
         self.dispatched_at: Optional[float] = None  # broker clock at dispatch
 
 
@@ -368,7 +370,8 @@ class Broker:
                 # back on the queue immediately: workers resume the sweep
                 # before its driver has even reconnected
                 self._pending.extend(
-                    _Chunk(next(self._chunk_ids), sweep.id, chunk)
+                    _Chunk(next(self._chunk_ids), sweep.id, chunk,
+                           self._clock())
                     for chunk in chunk_jobs(unsettled, rec.workers_hint)
                 )
 
@@ -440,12 +443,14 @@ class Broker:
             return len(self._sweeps)
 
     def wait_for_workers(self, count: int, timeout: float = 30.0) -> bool:
-        deadline = time.monotonic() + timeout
-        while time.monotonic() < deadline:
-            if self.worker_count() >= count:
-                return True
-            time.sleep(0.05)
-        return self.worker_count() >= count
+        """Block until *count* workers joined, or *timeout* passed.
+
+        Wakes on the registration itself (``_serve_peer`` notifies), not
+        on a poll tick.
+        """
+        with self._wake:
+            return self._wake.wait_for(lambda: len(self._workers) >= count,
+                                       timeout)
 
     # ------------------------------------------------------------------
     # connection handling
@@ -453,7 +458,7 @@ class Broker:
     def _accept_loop(self) -> None:
         while not self._closed:
             try:
-                conn = self._listener.accept()
+                conn = accept_connection(self._listener)
             except (OSError, EOFError):
                 if self._closed:
                     return
@@ -534,6 +539,7 @@ class Broker:
                     conn.close()
                     return
                 self._workers[peer_id] = worker
+                self._wake.notify_all()  # wakes wait_for_workers
             try:
                 worker.send(("welcome", peer_id, self.fingerprint, meta))
             except (OSError, ValueError):
@@ -597,6 +603,7 @@ class Broker:
                         results: List[tuple],
                         obs_payload: Optional[dict]) -> None:
         self.metrics.count("distrib.chunk_complete")
+        rtt: Optional[float] = None
         with self._wake:
             chunk = self._assignments.get(worker.id)
             if chunk is not None and chunk.id == chunk_id:
@@ -606,23 +613,25 @@ class Broker:
                 if worker.alive:
                     self._idle.add(worker.id)
                     self._wake.notify_all()
+                if chunk.dispatched_at is not None:
+                    rtt = max(0.0, self._clock() - chunk.dispatched_at)
                 sweep = self._sweeps.get(chunk.sweep_id)
-                if sweep is not None and chunk.dispatched_at is not None:
+                if sweep is not None and rtt is not None:
                     # completion-time EWMA feeds the hedge trigger; a
                     # cancelled loser or a slow straggler inflating the
                     # estimate only delays hedging, never settlement
-                    elapsed = max(0.0, self._clock() - chunk.dispatched_at)
                     if sweep.chunk_ewma <= 0.0:
-                        sweep.chunk_ewma = elapsed
+                        sweep.chunk_ewma = rtt
                     else:
-                        sweep.chunk_ewma += _HB_ALPHA * (elapsed
-                                                         - sweep.chunk_ewma)
+                        sweep.chunk_ewma += _HB_ALPHA * (rtt - sweep.chunk_ewma)
             # else: a result for a chunk this worker does NOT hold — a late
             # duplicate, or a reply from a worker already declared dead for
             # it.  Deliver anyway (settlement is idempotent, first outcome
             # wins) but do not touch the live assignment and do NOT mark
             # the worker idle: re-idling a worker that still holds a chunk
             # would let dispatch overwrite — and silently lose — that chunk.
+        if rtt is not None:
+            self.metrics.observe("distrib.chunk_rtt_s", rtt)
         if obs_payload is not None:
             # relay before delivering: the delivery may finish the sweep,
             # after which the driver stops reading and the payload is lost
@@ -709,6 +718,7 @@ class Broker:
         if attempts <= self.max_retries:
             self.metrics.count("distrib.requeue")
             with self._wake:
+                chunk.queued_at = self._clock()
                 self._pending.appendleft(chunk)  # retries jump the queue
                 self._wake.notify_all()
             self._progress_for(sweep)
@@ -818,7 +828,7 @@ class Broker:
             target_id = min(targets)
             self._idle.discard(target_id)
             target = self._workers[target_id]
-            hedge = _Chunk(next(self._chunk_ids), chunk.sweep_id, entries)
+            hedge = _Chunk(next(self._chunk_ids), chunk.sweep_id, entries, now)
             hedge.dispatched_at = now
             self._assignments[target_id] = hedge
             seqs = [seq for seq, _job in entries]
@@ -904,8 +914,9 @@ class Broker:
                     sweep.remaining.update(seq for seq, _key, _job in fresh)
                     if sweep.journal is not None:
                         sweep.journal.record_submit(fresh, hint)
+                    now = self._clock()
                     self._pending.extend(
-                        _Chunk(next(self._chunk_ids), sweep_id, chunk)
+                        _Chunk(next(self._chunk_ids), sweep_id, chunk, now)
                         for chunk in chunk_jobs(fresh, hint)
                     )
                     self._wake.notify_all()
@@ -1126,6 +1137,7 @@ class Broker:
             self._idle.discard(worker_id)
             worker = self._workers[worker_id]
             chunk.dispatched_at = self._clock()
+            queue_wait = max(0.0, chunk.dispatched_at - chunk.queued_at)
             self._assignments[worker_id] = chunk
             payload = (
                 "jobs",
@@ -1138,6 +1150,7 @@ class Broker:
             self._worker_lost(worker)  # requeues the chunk
             return True
         self.metrics.count("distrib.dispatch")
+        self.metrics.observe("distrib.queue_wait_s", queue_wait)
         self._progress_for(sweep)
         return True
 

@@ -34,7 +34,7 @@ import sys
 import threading
 import time
 import uuid
-from multiprocessing.connection import Client, Connection
+from multiprocessing.connection import Connection
 from pathlib import Path
 from typing import (Any, Callable, Iterator, List, Optional, Sequence,
                     TextIO, Tuple)
@@ -50,6 +50,7 @@ from .protocol import (
     JobFailure,
     authkey_from_env,
     format_address,
+    open_connection,
     parse_address,
 )
 
@@ -266,6 +267,7 @@ class DistributedRunner(ParallelRunner):
             return
         broker = self._embedded_broker()
         alive = sum(1 for p in self._procs if p.poll() is None)
+        started = time.monotonic()
         spawned = [self.spawn_worker()
                    for _ in range(max(0, self.workers - alive))]
         # wait for the *full* complement, not just one: a worker that
@@ -275,11 +277,13 @@ class DistributedRunner(ParallelRunner):
         # is not a failed join — workers connecting through a high-latency
         # path (shaping proxy, WAN) retry the handshake within their own
         # budget, and only a worker that *exited* is proof of failure.
-        deadline = time.monotonic() + self.join_timeout
-        while time.monotonic() < deadline:
+        # The wait wakes on each registration; the 50 ms slices only bound
+        # how late an exited worker is noticed.
+        deadline = started + self.join_timeout
+        while not broker.wait_for_workers(self.workers, timeout=0.05):
+            if time.monotonic() >= deadline:
+                break
             joined = broker.worker_count()
-            if joined >= self.workers:
-                return
             exited = sum(1 for p in spawned if p.poll() is not None)
             if exited and joined + exited >= self.workers:
                 # a fresh worker exited and every other one has joined or
@@ -287,9 +291,10 @@ class DistributedRunner(ParallelRunner):
                 # starting up had its chance to join (the error names the
                 # true count, not a snapshot of a spawn race)
                 break
-            time.sleep(0.05)
         joined = broker.worker_count()
         if joined >= self.workers:
+            if spawned:
+                obs.observe("distrib.join_s", time.monotonic() - started)
             return
         exits = [p.poll() for p in self._procs]
         raise RuntimeError(
@@ -365,7 +370,7 @@ class DistributedRunner(ParallelRunner):
         done = False
         while not done and remaining:
             try:
-                conn = Client(self.address, authkey=self._authkey)
+                conn = open_connection(self.address, self._authkey)
             except (OSError, EOFError) as exc:
                 attempts += 1
                 self._backoff(attempts, exc)

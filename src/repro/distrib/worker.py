@@ -49,12 +49,12 @@ import sys
 import threading
 import time
 import traceback
-from multiprocessing.connection import Client, Connection
+from multiprocessing.connection import Connection
 from typing import Any, Callable, List, Optional, Tuple
 
 from .. import obs
 from ..runner.cache import ResultCache, code_fingerprint
-from .protocol import authkey_from_env, parse_address
+from .protocol import authkey_from_env, open_connection, parse_address
 
 __all__ = ["worker_main", "execute_chunk"]
 
@@ -159,7 +159,7 @@ def worker_main(
     failures = 0
     while True:
         try:
-            conn = Client(address, authkey=key)
+            conn = open_connection(address, key)
             conn.send(("hello", "worker", fingerprint,
                        {"pid": os.getpid(), "host": socket.gethostname()}))
             reply = conn.recv()

@@ -23,6 +23,7 @@ from ..net.addressing import Prefix, ip_to_int
 from ..net.packet import Packet, PacketKind
 from ..sim.clock import OffsetClock
 from ..sim.pipeline import PipelineConfig, PipelineResult, Switch1, TwoSwitchPipeline
+from ..traffic.batch import BATCH_COLUMNS, PacketBatch
 from ..traffic.crosstraffic import (
     BurstyModel,
     UniformModel,
@@ -110,6 +111,8 @@ class PipelineWorkload:
         self.regular_prefix = Prefix.parse(f"{REGULAR_SRC_BASE}/16")
         # the tail-drop Switch 1 per (scheme, static_n); see switch1()
         self._switch1: Dict[Tuple[Optional[str], Optional[int]], Switch1] = {}
+        # the last cross selection drawn, as ((model, util, seed), batch)
+        self._cross_batch: Optional[Tuple[Tuple[str, float, int], PacketBatch]] = None
 
     # ------------------------------------------------------------------
 
@@ -136,9 +139,23 @@ class PipelineWorkload:
         """Build one run's cross-traffic arrivals under *model*."""
         return self._cross_model(model, target_util, seed).arrivals(self.cross)
 
-    def cross_arrivals_batch(self, model: str, target_util: float, seed: int = 0):
-        """Columnar :meth:`cross_arrivals`: identical selection, no objects."""
-        return self._cross_model(model, target_util, seed).arrivals_batch(self.cross)
+    def cross_arrivals_batch(self, model: str, target_util: float,
+                             seed: int = 0) -> PacketBatch:
+        """Columnar :meth:`cross_arrivals`: identical selection, no objects.
+
+        The last selection is kept, read-only: sweeps order their
+        conditions so that those differing only in scheme or receiver
+        knobs follow each other, and they all draw the same columns.
+        Only one selection is ever held.
+        """
+        key = (model, target_util, seed)
+        if self._cross_batch is None or self._cross_batch[0] != key:
+            self._cross_batch = None  # never hold two while drawing
+            batch = self._cross_model(model, target_util, seed).arrivals_batch(self.cross)
+            for name in BATCH_COLUMNS:
+                getattr(batch, name).flags.writeable = False
+            self._cross_batch = (key, batch)
+        return self._cross_batch[1]
 
     def make_policy(self, scheme: str) -> InjectionPolicy:
         """The paper's static 1-and-100 or adaptive 1-and-[10..300]."""

@@ -30,6 +30,7 @@ from repro.sim.queue import FifoQueue
 from repro.sim.red import RedQueue
 from repro.experiments.workloads import (PipelineWorkload, run_condition,
                                          summarize_condition)
+from repro.traffic.batch import BATCH_COLUMNS
 from repro.traffic.crosstraffic import BurstyModel, UniformModel
 from repro.traffic.synthetic import TraceConfig, generate_trace
 from repro.traffic.trace import Trace
@@ -494,6 +495,54 @@ class TestSharedSwitch1:
                 column[0] = column[-1]
         with pytest.raises(TypeError):
             refs[0] = None
+
+
+# (model, target_util, run_seed): the cross selections of TestSharedCrossSelection
+CROSS_SELECTIONS = [
+    ("random", 0.93, 0),
+    ("bursty", 0.8, 0),
+    ("random", 0.93, 2),
+    ("random", 0.67, 0),
+]
+
+
+class TestSharedCrossSelection:
+    """Consecutive conditions with one (model, target_util, run_seed)
+    draw the cross selection once; the memo must change no byte of any
+    summary, whatever order the conditions run in."""
+
+    @pytest.mark.parametrize("order_seed", [0, 1, 2])
+    def test_shuffled_grid_matches_fresh_workloads(self, tiny_config, order_seed,
+                                                   monkeypatch):
+        grid = [(scheme, selection) for selection in CROSS_SELECTIONS
+                for scheme in (None, "static", "adaptive")]
+        if order_seed:  # order 0 keeps each selection's schemes adjacent
+            random.Random(order_seed).shuffle(grid)
+        shared = PipelineWorkload(tiny_config)
+        draws = []
+        draw = shared._cross_model
+        monkeypatch.setattr(shared, "_cross_model",
+                            lambda *key: draws.append(key) or draw(*key))
+        for scheme, (model, util, run_seed) in grid:
+            knobs = {"run_seed": run_seed}
+            got = condition_summary(shared, scheme, model, util, knobs)
+            want = condition_summary(PipelineWorkload(tiny_config), scheme,
+                                     model, util, knobs)
+            assert pickle.dumps(got) == pickle.dumps(want), (scheme, model, util)
+        runs = 1 + sum(a != b for (_, a), (_, b) in zip(grid, grid[1:]))
+        assert len(draws) == runs
+        assert shared._cross_batch[0] == grid[-1][1]  # only the last is held
+
+    def test_shared_columns_are_read_only(self, tiny_workload):
+        first = tiny_workload.cross_arrivals_batch("random", 0.67)
+        assert len(first) and first is tiny_workload.cross_arrivals_batch("random", 0.67)
+        for name in BATCH_COLUMNS:
+            column = getattr(first, name)
+            with pytest.raises(ValueError):
+                column[0] = column[-1]
+        other = tiny_workload.cross_arrivals_batch("random", 0.67, seed=1)
+        assert other is not first
+        assert tiny_workload.cross_arrivals_batch("random", 0.67) is not first
 
 
 class TestBatchJobs:

@@ -8,11 +8,17 @@ a forced mid-job worker death; fingerprint-mismatched workers rejected
 with a clear error; exhausted retries surfacing structured failures.
 """
 
+import ast
 import os
 import pickle
+import socket
+import statistics
 import subprocess
 import sys
+import threading
 import time
+from multiprocessing.connection import Client, Listener
+from pathlib import Path
 
 import pytest
 
@@ -24,16 +30,22 @@ from repro.distrib import (
     ProgressPrinter,
     ProgressSnapshot,
 )
+from repro.distrib import worker as worker_module
 from repro.distrib.protocol import (
+    DEFAULT_AUTHKEY,
+    accept_connection,
     authkey_from_env,
     chunk_jobs,
     format_address,
+    open_connection,
     parse_address,
 )
 from repro.experiments.config import ExperimentConfig
 from repro.runner import JobSpec, ParallelRunner, ResultCache, make_runner
+from repro.runner.cache import code_fingerprint
 
 POLL_TIMEOUT = 300.0  # driver watchdog: generous for slow CI boxes
+SRC = Path(__file__).resolve().parent.parent / "src" / "repro"
 
 
 @pytest.fixture(scope="module")
@@ -559,3 +571,181 @@ class TestExternalBroker:
         finally:
             runner.close()
             broker.close()
+
+
+# ----------------------------------------------------------------------
+# unit: lazy package exports
+
+
+class TestLazyExports:
+    def test_worker_import_skips_the_coordinator_modules(self):
+        src_root = str(SRC.parent)
+        probe = ("import sys, repro.distrib.worker; "
+                 "print(*sorted(m for m in sys.modules "
+                 "if m.startswith('repro.distrib')))")
+        env = dict(os.environ, PYTHONPATH=src_root)
+        loaded = subprocess.run([sys.executable, "-c", probe], env=env,
+                                capture_output=True, text=True, check=True)
+        assert loaded.stdout.split() == [
+            "repro.distrib", "repro.distrib.protocol", "repro.distrib.worker"]
+
+    def test_every_export_resolves(self):
+        import repro.distrib as package
+
+        for name in package.__all__:
+            value = getattr(package, name)
+            assert value.__name__ == name
+        with pytest.raises(AttributeError):
+            package.no_such_export
+
+
+# ----------------------------------------------------------------------
+# integration: connection setup (no Nagle stalls, no join polling)
+
+
+def nodelay(conn):
+    sock = socket.socket(fileno=conn.fileno())
+    try:
+        return sock.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY)
+    finally:
+        sock.detach()
+
+
+def join(address, role):
+    """Open a connection, say hello as *role*; the connection and reply."""
+    conn = open_connection(address, DEFAULT_AUTHKEY)
+    conn.send(("hello", role, code_fingerprint(), {}))
+    return conn, conn.recv()
+
+
+class TestConnectionSetup:
+    def test_driver_connection_sets_nodelay_on_both_ends(self):
+        with Broker() as broker:
+            conn, reply = join(broker.address, "driver")
+            try:
+                assert reply[0] == "welcome"
+                assert nodelay(conn)
+                with broker._lock:
+                    accepted = [d.conn for d in broker._drivers.values()]
+                assert len(accepted) == 1 and nodelay(accepted[0])
+            finally:
+                conn.close()
+
+    def test_worker_connection_sets_nodelay_on_both_ends(self, monkeypatch):
+        opened = []
+        real = worker_module.open_connection
+
+        def recording(address, authkey):
+            conn = real(address, authkey)
+            opened.append(conn)
+            return conn
+
+        monkeypatch.setattr(worker_module, "open_connection", recording)
+        broker = Broker().start()
+        thread = threading.Thread(
+            target=worker_module.worker_main,
+            args=(format_address(broker.address),),
+            kwargs={"quiet": True, "reconnects": 0}, daemon=True)
+        try:
+            thread.start()
+            assert broker.wait_for_workers(1, timeout=30)
+            with broker._lock:
+                accepted = [w.conn for w in broker._workers.values()]
+            assert len(opened) == 1 and nodelay(opened[0])
+            assert len(accepted) == 1 and nodelay(accepted[0])
+        finally:
+            broker.close()
+            thread.join(timeout=30)
+        assert not thread.is_alive()
+
+    def test_non_tcp_connection_is_left_alone(self, tmp_path):
+        with Listener(str(tmp_path / "sock"), family="AF_UNIX") as listener:
+            client = Client(listener.address)
+            conn = accept_connection(listener)
+            try:
+                conn.send("frame")
+                assert client.recv() == "frame"
+            finally:
+                conn.close()
+                client.close()
+
+    def test_no_connection_bypasses_the_protocol_helpers(self):
+        """Every cluster connection is made by ``open_connection`` or
+        ``accept_connection``; the shaping relay forwards raw sockets that
+        model link delay on purpose, so it is not a cluster endpoint."""
+        files = sorted((SRC / "distrib").glob("*.py")) + [SRC / "cli.py"]
+        exempt = {"protocol.py", "shaping.py"}
+        offenders = []
+        for path in files:
+            if path.name in exempt:
+                continue
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.ImportFrom):
+                    names = {alias.name for alias in node.names}
+                    if "Client" in names:
+                        offenders.append(f"{path.name}:{node.lineno} imports Client")
+                elif isinstance(node, ast.Call):
+                    func = node.func
+                    name = (func.id if isinstance(func, ast.Name)
+                            else func.attr if isinstance(func, ast.Attribute)
+                            else None)
+                    if name in ("Client", "accept"):
+                        offenders.append(f"{path.name}:{node.lineno} {name}()")
+        assert not offenders, offenders
+
+    def test_driver_joins_without_a_nagle_stall(self):
+        """hello -> welcome on a fresh connection.  With Nagle on, the
+        hello waits for the ACK of the handshake's last frame, which the
+        broker delays by ~40 ms; with TCP_NODELAY it takes ~1 ms."""
+        with Broker() as broker:
+            latencies = []
+            for _ in range(10):
+                started = time.perf_counter()
+                conn, reply = join(broker.address, "driver")
+                latencies.append(time.perf_counter() - started)
+                assert reply[0] == "welcome"
+                conn.send(("bye",))
+                conn.close()
+        assert statistics.median(latencies) < 0.020, latencies
+
+    def test_wait_for_workers_wakes_on_registration(self):
+        """The join wait returns when the worker registers, not at the
+        next tick of a poll: each joiner connects 0.1 s after the wait
+        starts, just past where a 50 ms poll would have looked."""
+        with Broker() as broker:
+            lags = []
+            conns = []
+            for count in range(1, 6):
+                welcomed = []
+
+                def joiner():
+                    time.sleep(0.1)
+                    conn, reply = join(broker.address, "worker")
+                    welcomed.append(time.perf_counter())
+                    conns.append(conn)
+
+                thread = threading.Thread(target=joiner, daemon=True)
+                thread.start()
+                assert broker.wait_for_workers(count, timeout=30)
+                returned = time.perf_counter()
+                thread.join(timeout=30)
+                lags.append(returned - welcomed[0])
+            for conn in conns:
+                conn.close()
+        assert statistics.median(lags) < 0.020, lags
+
+    def test_worker_exiting_on_spawn_fails_fast(self, jobs):
+        class BogusSpawn(DistributedRunner):
+            def spawn_worker(self, extra_env=None):
+                return super().spawn_worker(
+                    dict(extra_env or {}, REPRO_WORKER_FINGERPRINT="bogus"))
+
+        runner = BogusSpawn(workers=1, join_timeout=60.0,
+                            poll_timeout=POLL_TIMEOUT)
+        started = time.monotonic()
+        try:
+            with pytest.raises(RuntimeError, match=r"only 0 of 1 workers joined"):
+                runner.run(jobs[:1])
+        finally:
+            runner.close()
+        assert time.monotonic() - started < 30.0

@@ -348,8 +348,12 @@ class TestByteIdentity:
         procs = {r["process"] for r in obs.merged_spans()}
         assert any(p.startswith("worker-") for p in procs)
         # the end-of-sweep broker stats query folded in prefixed counters
-        counters = obs.build_artifact()["counters"]
-        assert any(k.startswith("broker.distrib.") for k in counters)
+        doc = obs.build_artifact()
+        assert any(k.startswith("broker.distrib.") for k in doc["counters"])
+        # and the distributed pass's time split: join, queue wait, chunk RTT
+        for key in ("distrib.join_s", "broker.distrib.queue_wait_s",
+                    "broker.distrib.chunk_rtt_s"):
+            assert doc["histograms"][key]["count"] >= 1, key
 
     def test_cached_rerun_identical_and_counted(self, jobs, serial_blobs,
                                                 tmp_path):
