@@ -80,7 +80,6 @@ class FullRliDeployment(FatTreeDeployment):
         src: Tuple[int, int],
         dst: Tuple[int, int],
         policy_factory: Callable[[], InjectionPolicy] = lambda: StaticInjection(100),
-        estimator: str = "linear",
         clock_factory: Optional[Callable[[], Clock]] = None,
         record_observations: bool = False,
     ):
@@ -88,7 +87,7 @@ class FullRliDeployment(FatTreeDeployment):
             raise ValueError("source and destination ToR must differ")
         if src[0] == dst[0]:
             raise ValueError("inter-pod pairs only (same constraint as RLIR)")
-        super().__init__(fattree, policy_factory, estimator, clock_factory,
+        super().__init__(fattree, policy_factory, clock_factory,
                          record_observations)
         self.src = src
         self.dst = dst

@@ -83,7 +83,6 @@ class RlirMesh(FatTreeDeployment):
         fattree: FatTree,
         pairs: Sequence[Tuple[Tuple[int, int], Tuple[int, int]]],
         policy_factory: Callable[[], InjectionPolicy] = lambda: StaticInjection(100),
-        estimator: str = "linear",
         clock_factory: Optional[Callable[[], Clock]] = None,
     ):
         if not pairs:
@@ -93,7 +92,7 @@ class RlirMesh(FatTreeDeployment):
                 raise ValueError(f"pair {src}->{dst}: ToRs must differ")
             if src[0] == dst[0]:
                 raise ValueError(f"pair {src}->{dst}: inter-pod pairs only")
-        super().__init__(fattree, policy_factory, estimator, clock_factory,
+        super().__init__(fattree, policy_factory, clock_factory,
                          record_observations=False)
         self.pairs = list(pairs)
         self.tor_senders: Dict[Tuple[Tuple[int, int], int], RliSender] = {}

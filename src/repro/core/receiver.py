@@ -70,14 +70,12 @@ class RliReceiver:
     observation_log:
         Optional :class:`~repro.core.obslog.ObservationColumns` the
         receiver writes its post-demux observation events to (see
-        :mod:`repro.core.replay`).  Replaying a recorded log rebuilds this
-        receiver's per-flow tables without re-running the simulation.
-    record_only:
-        With an ``observation_log``, skip the live estimation work
-        (interpolation buffers and flow tables stay empty): the log is the
-        only output, and replaying it would recompute every estimate
-        anyway.  Demux classification, clocking, and the tap/measurement
-        accounting are unchanged, so the log is identical either way.
+        :mod:`repro.core.replay`).  A recording receiver skips the live
+        estimation work (interpolation buffers and flow tables stay
+        empty): the log is its only output, and replaying it rebuilds the
+        per-flow tables a live receiver would hold without re-running the
+        simulation.  Demux classification, clocking, and the
+        tap/measurement accounting are the same as a live receiver's.
     """
 
     def __init__(
@@ -89,13 +87,9 @@ class RliReceiver:
         max_flows: Optional[int] = None,
         quantiles: Optional[Sequence[float]] = None,
         observation_log: Optional["ObservationColumns"] = None,
-        record_only: bool = False,
     ):
-        if record_only and observation_log is None:
-            raise ValueError("record_only requires an observation_log")
         self.demux = demux
         self.observation_log = observation_log
-        self.record_only = record_only
         self.clock = clock or PerfectClock()
         self.estimator = estimator
         self.collect_estimates = collect_estimates
@@ -135,8 +129,7 @@ class RliReceiver:
             delay = self.clock.now(now) - packet.ref_timestamp
             if self.observation_log is not None:
                 self.observation_log.append((REF_OBS, stream, now, delay))
-                if self.record_only:
-                    return
+                return
             for estimate in self._buffer(stream).add_reference(now, delay):
                 self._record(estimate)
         elif packet.is_regular:
@@ -154,8 +147,7 @@ class RliReceiver:
             if self.observation_log is not None:
                 self.observation_log.append(
                     (REG_OBS, stream, now, packet.flow_key, truth))
-                if self.record_only:
-                    return
+                return
             self.flow_true.add(packet.flow_key, truth)
             if self.flow_true_quantiles is not None:
                 self.flow_true_quantiles.add(packet.flow_key, truth)
@@ -287,8 +279,7 @@ class RliReceiver:
         if self.observation_log is not None:
             self._log_batch((ref_pos, ref_streams, ref_t, ref_d),
                             (mpos, mstreams, mtimes, truth), keys, mhidx)
-            if self.record_only:
-                return
+            return
 
         ids, flow_keys = flow_ids(keys, mhidx)
         fold_flow_samples(self.flow_true, self.flow_true_quantiles, ids,

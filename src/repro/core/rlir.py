@@ -43,6 +43,7 @@ from ..sim.engine import Engine
 from ..sim.fatpath import spec_classifier, try_fast_path
 from ..sim.switch import Switch
 from ..sim.topology import FatTree
+from ..traffic.batch import PacketBatch
 from ..traffic.trace import Trace
 from .demux import PathClassifierDemux, UpstreamPrefixDemux
 from .flowstats import FlowStatsTable
@@ -146,13 +147,11 @@ class FatTreeDeployment:
         self,
         fattree: FatTree,
         policy_factory: Callable[[], InjectionPolicy],
-        estimator: str,
         clock_factory: Optional[Callable[[], Clock]],
         record_observations: bool,
     ):
         self.fattree = fattree
         self.policy_factory = policy_factory
-        self.estimator = estimator
         self.clock_factory = clock_factory or PerfectClock
         self.record_observations = record_observations
         self.engine: Optional[Engine] = None
@@ -211,10 +210,8 @@ class FatTreeDeployment:
         receiver = RliReceiver(
             demux=demux,
             clock=self.clock_factory(),
-            estimator=self.estimator,
             observation_log=(ObservationColumns()
                              if self.record_observations else None),
-            record_only=self.record_observations,
         )
 
         def tap(packet: Packet, now: float, in_port: int) -> None:
@@ -264,7 +261,7 @@ class FatTreeDeployment:
         pairs; only flows covered by the deployment are measured — that is
         the whole point of the demultiplexers.
 
-        With batch-backed traces the layered columnar fast path
+        The layered columnar fast path
         (:class:`~repro.sim.fatpath.FatTreeFastPath`) replaces the event
         calendar: **bitwise identical** to the event engine — arrival ties
         included, reconstructed exactly from event provenance — several
@@ -280,9 +277,8 @@ class FatTreeDeployment:
         if not try_fast_path(ft, self._sender_taps, self._receiver_taps,
                              traces, until):
             for trace in traces:
-                packets = (trace.clone_packets() if hasattr(trace, "clone_packets")
-                           else trace.to_packets())
-                engine.inject_trace(packets, lambda p: ft.edge_of(p.src))
+                engine.inject_trace(PacketBatch.coerce(trace).to_packets(),
+                                    lambda p: ft.edge_of(p.src))
             engine.run(until=until)
         for receiver in self.receivers.values():
             receiver.finalize()
@@ -302,8 +298,6 @@ class RlirDeployment(FatTreeDeployment):
         Builds a fresh injection policy per sender instance.
     demux_method:
         ``"marking"`` or ``"reverse-ecmp"`` for the downstream receiver.
-    estimator:
-        Interpolation strategy for all receivers.
     clock_factory:
         Builds the clock of each instance (default: perfect sync).
     record_observations:
@@ -321,7 +315,6 @@ class RlirDeployment(FatTreeDeployment):
         dst: Tuple[int, int],
         policy_factory: Callable[[], InjectionPolicy] = lambda: StaticInjection(100),
         demux_method: str = "marking",
-        estimator: str = "linear",
         clock_factory: Optional[Callable[[], Clock]] = None,
         record_observations: bool = False,
     ):
@@ -334,7 +327,7 @@ class RlirDeployment(FatTreeDeployment):
                 "ToRs in the same pod never cross a core; RLIR core placement "
                 "covers inter-pod pairs"
             )
-        super().__init__(fattree, policy_factory, estimator, clock_factory,
+        super().__init__(fattree, policy_factory, clock_factory,
                          record_observations)
         self.src = src
         self.dst = dst

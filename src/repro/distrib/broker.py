@@ -274,11 +274,6 @@ class Broker:
         at least this multiple of the sweep's per-chunk completion EWMA
         (and the queue is otherwise drained — hedging is a tail
         optimization, not a scheduler).
-    handshake_timeout:
-        Seconds a connecting peer may take to finish the HMAC challenge
-        and send its hello.  Defaults to ``max(10, 3 x
-        heartbeat_timeout)`` so a high-latency but healthy link (e.g.
-        through a shaping proxy) is not cut off mid-join.
     fingerprint:
         Code fingerprint to enforce on joining peers; defaults to this
         process's :func:`~repro.runner.cache.code_fingerprint`.
@@ -300,7 +295,6 @@ class Broker:
         journal_dir: Optional[str] = None,
         max_hedges_per_chunk: int = 1,
         hedge_factor: float = 3.0,
-        handshake_timeout: Optional[float] = None,
     ) -> None:
         # No authkey on the Listener: with one, accept() would run the HMAC
         # challenge inline in the accept loop, where a silent TCP peer (port
@@ -316,9 +310,10 @@ class Broker:
         self.journal_dir = str(journal_dir) if journal_dir else None
         self.max_hedges_per_chunk = max(0, int(max_hedges_per_chunk))
         self.hedge_factor = max(1.0, float(hedge_factor))
-        self.handshake_timeout = (
-            float(handshake_timeout) if handshake_timeout is not None
-            else max(10.0, 3.0 * heartbeat_timeout))
+        # seconds a connecting peer may take to finish the HMAC challenge
+        # and send its hello: generous, so a high-latency but healthy link
+        # (e.g. through a shaping proxy) is not cut off mid-join
+        self.handshake_timeout = max(10.0, 3.0 * heartbeat_timeout)
         # injectable for the deterministic harness (tests/chaos.py scripts time)
         self._clock: Callable[[], float] = time.monotonic
         # Always-on instance registry (its own lock, never the broker's):

@@ -86,6 +86,28 @@ def _relay_stderr(pipe: TextIO, label: str,
             pass
 
 
+def _stats_since(snap: dict, last: dict) -> dict:
+    """The part of metrics snapshot *snap* that *last* does not hold.
+
+    Counters and histogram ``count``/``total`` are cumulative, so they
+    fold as differences; histogram ``min``/``max`` and gauges fold as
+    they are, since folding them again changes nothing.
+    """
+    old_counters = last.get("counters", {})
+    old_hists = last.get("histograms", {})
+    hists = {}
+    for key, stats in snap.get("histograms", {}).items():
+        old = old_hists.get(key, {})
+        hists[key] = dict(stats, count=stats["count"] - old.get("count", 0),
+                          total=stats["total"] - old.get("total", 0.0))
+    return {
+        "counters": {key: val - old_counters.get(key, 0)
+                     for key, val in snap.get("counters", {}).items()},
+        "gauges": snap.get("gauges", {}),
+        "histograms": hists,
+    }
+
+
 class DistributedRunner(ParallelRunner):
     """Run sweep jobs on a broker/worker cluster with result caching.
 
@@ -182,6 +204,8 @@ class DistributedRunner(ParallelRunner):
         self._atexit_registered = False
         self.retries_observed = 0
         self.hedges_observed = 0
+        # the broker's stats snapshot last folded into the obs registry
+        self._broker_folded: dict = {}
 
     # ------------------------------------------------------------------
     # cluster lifecycle
@@ -331,6 +355,7 @@ class DistributedRunner(ParallelRunner):
         if self._broker is not None:
             self._broker.close()
             self._broker = None
+            self._broker_folded = {}
 
     def __enter__(self) -> "DistributedRunner":
         return self
@@ -456,7 +481,9 @@ class DistributedRunner(ParallelRunner):
         The broker's lifetime counters (dispatches, requeues, hedges,
         suspect flips, heartbeat interarrivals) live broker-side; with
         obs on, the driver pulls one snapshot after the sweep settles
-        and folds it under the ``broker.`` key prefix.  Telemetry only:
+        and folds it under the ``broker.`` key prefix — only what changed
+        since the snapshot this runner folded last, so a runner that
+        drives several sweeps counts each dispatch once.  Telemetry only:
         any failure or timeout is swallowed — the sweep's results are
         already in hand and must not be risked for a diagnostic.
         """
@@ -469,7 +496,9 @@ class DistributedRunner(ParallelRunner):
                 message = conn.recv()
                 tag = message[0]
                 if tag == "stats":
-                    obs.fold_metrics(message[1], prefix="broker.")
+                    obs.fold_metrics(_stats_since(message[1], self._broker_folded),
+                                     prefix="broker.")
+                    self._broker_folded = message[1]
                     return
                 if tag == "obs":
                     obs.fold_payload(message[1])

@@ -106,7 +106,7 @@ def _multihop_log(config: ConfigItems, n_hops: int, utilization: float,
     )
     sender = workload.make_sender("static")
     log = ObservationColumns()
-    receiver = workload.make_receiver(observation_log=log, record_only=True)
+    receiver = workload.make_receiver(observation_log=log)
     models = {
         hop: UniformModel(prob, seed=derive_seed(run_seed, "multihop-cross", hop))
         for hop in range(n_hops)

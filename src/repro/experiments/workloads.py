@@ -207,7 +207,6 @@ class PipelineWorkload:
         max_flows: Optional[int] = None,
         quantiles: Optional[Tuple[float, ...]] = None,
         observation_log: Optional[ObservationColumns] = None,
-        record_only: bool = False,
     ) -> RliReceiver:
         return RliReceiver(
             demux=SingleSenderDemux(PIPELINE_SENDER_ID, regular_prefixes=[self.regular_prefix]),
@@ -215,7 +214,6 @@ class PipelineWorkload:
             max_flows=max_flows,
             quantiles=quantiles,
             observation_log=observation_log,
-            record_only=record_only,
         )
 
 

@@ -123,9 +123,8 @@ class Packet:
 
         The tuple is cached on first access — demux, receiver and flow-stats
         hot loops read it several times per packet.  Header fields must not
-        be mutated after the first read; transformations that rewrite
-        headers (e.g. ``Trace.remap_addresses``) operate on fresh clones,
-        whose cache starts empty.
+        be mutated after the first read; code that rewrites headers works
+        on fresh clones, whose cache starts empty.
         """
         key = self._flow_key
         if key is None:

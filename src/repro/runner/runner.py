@@ -91,9 +91,8 @@ class ParallelRunner:
         Optional :class:`ResultCache`; hits skip execution entirely and
         fresh results are persisted, so interrupted sweeps resume where
         they stopped.
-    mp_context:
-        ``multiprocessing`` start method (``"fork"``/``"spawn"``/
-        ``"forkserver"``); defaults to ``fork`` where available.
+
+    Worker processes start with ``fork`` where available, else ``spawn``.
 
     The job protocol
     ----------------
@@ -120,13 +119,11 @@ class ParallelRunner:
         self,
         jobs: int = 1,
         cache: Optional[ResultCache] = None,
-        mp_context: Optional[str] = None,
     ) -> None:
         if jobs < 1:
             raise ValueError(f"jobs must be >= 1: {jobs}")
         self.jobs = jobs
         self.cache = cache
-        self.mp_context = mp_context
         self.executed = 0
         self.cache_hits = 0
 
@@ -193,13 +190,8 @@ class ParallelRunner:
             for index, job in enumerate(jobs):
                 yield index, _execute(job)
             return
-        method = self.mp_context
-        if method is None:
-            method = (
-                "fork"
-                if "fork" in multiprocessing.get_all_start_methods()
-                else "spawn"
-            )
+        method = ("fork" if "fork" in multiprocessing.get_all_start_methods()
+                  else "spawn")
         ctx = multiprocessing.get_context(method)
         processes = min(self.jobs, len(jobs))
         if method == "fork":

@@ -189,17 +189,12 @@ class SwitchChain:
     # ------------------------------------------------------------------
     # columnar fast path
 
-    def _coerce_cross(self, cross_per_hop) -> Optional[Dict[int, PacketBatch]]:
-        """Per-hop cross traffic as batches, or None if any hop cannot."""
+    def _coerce_cross(self, cross_per_hop) -> Dict[int, PacketBatch]:
+        """Per-hop cross traffic as batches (``None`` or ``[]``: none)."""
         out: Dict[int, PacketBatch] = {}
         for hop, cross in (cross_per_hop or {}).items():
-            if cross is None or (isinstance(cross, (list, tuple)) and not cross):
-                out[hop] = PacketBatch.empty()
-                continue
-            batch = PacketBatch.coerce(cross)
-            if batch is None:
-                return None
-            out[hop] = batch
+            empty = cross is None or (isinstance(cross, (list, tuple)) and not cross)
+            out[hop] = PacketBatch.empty() if empty else PacketBatch.coerce(cross)
         return out
 
     def run_batch(
@@ -213,9 +208,9 @@ class SwitchChain:
         """Run the chain on columnar packet batches.
 
         Accepts a time-sorted :class:`~repro.traffic.batch.PacketBatch` (or
-        batch-backed :class:`~repro.traffic.trace.Trace`) of regular
-        traffic and a ``hop -> PacketBatch`` map of cross traffic whose
-        ``ts`` column is the hop arrival time.  Results are
+        a :class:`~repro.traffic.trace.Trace`, whose batch it reads) of
+        regular traffic and a ``hop -> PacketBatch`` map of cross traffic
+        whose ``ts`` column is the hop arrival time.  Results are
         **bitwise-identical** to :meth:`run` on the materialized packets:
         every hop applies the same per-packet float operations in the same
         order (the first hop's scan interleaves cross arrivals and the
@@ -229,13 +224,7 @@ class SwitchChain:
         ``batch.fallback``.
         """
         reg = PacketBatch.coerce(regular)
-        if reg is None:
-            raise TypeError(
-                f"run_batch needs a PacketBatch or batch-backed Trace, got "
-                f"{type(regular).__name__}")
         cross = self._coerce_cross(cross_per_hop)
-        if cross is None:
-            raise TypeError("cross_per_hop values must be PacketBatch columns")
         cfg = self.config
         unknown = set(cross) - set(range(cfg.n_hops))
         if unknown:

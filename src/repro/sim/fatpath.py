@@ -104,18 +104,15 @@ def try_fast_path(fattree: FatTree, sender_taps: Dict, receiver_taps: Dict,
     The fat-tree deployments' one dispatch
     (:meth:`repro.core.rlir.FatTreeDeployment.run`, shared by RLIR, the
     mesh and full RLI): refuses a truncated run (``until`` needs the
-    calendar), coerces every trace to columns (any failure → ``False``),
-    and treats :class:`FastPathUnavailable` as a clean miss — the compute
-    phase mutates nothing, so the caller simply proceeds with the event
-    engine against untouched simulation objects.
+    calendar), reads every trace's columns, and treats
+    :class:`FastPathUnavailable` as a clean miss — the compute phase
+    mutates nothing, so the caller simply proceeds with the event engine
+    against untouched simulation objects.
     """
     if until is not None:
         obs_metrics.fallback("fatpath", "until-unsupported")
         return False
     batches = [PacketBatch.coerce(t) for t in traces]
-    if any(b is None for b in batches):
-        obs_metrics.fallback("fatpath", "trace-not-columnar")
-        return False
     try:
         FatTreeFastPath(fattree, sender_taps, receiver_taps).run(batches)
     except FastPathUnavailable as exc:

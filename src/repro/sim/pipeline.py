@@ -216,9 +216,9 @@ class TwoSwitchPipeline:
         """Run the pipeline on columnar packet batches.
 
         Accepts a :class:`~repro.traffic.batch.PacketBatch` (or a
-        batch-backed :class:`~repro.traffic.trace.Trace`) of time-sorted
-        regular traffic, and one of cross traffic whose ``ts`` column is the
-        Switch-2 arrival time (the output of a cross model's
+        :class:`~repro.traffic.trace.Trace`, whose batch it reads) of
+        time-sorted regular traffic, and one of cross traffic whose ``ts``
+        column is the Switch-2 arrival time (the output of a cross model's
         ``arrivals_batch``).  Results are **bitwise-identical** to
         :meth:`run` on the materialized packets — the queue scans apply the
         same per-packet float operations (``max(t, free_at) + size/rate``)
@@ -241,11 +241,7 @@ class TwoSwitchPipeline:
         *sender* in the state switch 1 left the memo's sender.
         """
         reg = PacketBatch.coerce(regular)
-        if reg is None:
-            raise TypeError(f"run_batch needs a PacketBatch or batch-backed Trace, got {type(regular).__name__}")
         crs = PacketBatch.coerce(cross) if cross is not None else PacketBatch.empty()
-        if crs is None:
-            raise TypeError(f"cross must be a PacketBatch or batch-backed Trace, got {type(cross).__name__}")
         cfg = self.config
         queue1 = cfg.queue_factory(cfg.rate1_bps, cfg.buffer1_bytes, cfg.proc_delay, "switch1")
         queue2 = cfg.queue_factory(cfg.rate2_bps, cfg.buffer2_bytes, cfg.proc_delay, "switch2")

@@ -22,7 +22,7 @@ the represented columns and drops the rest, exactly like ``Trace.save`` /
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Sequence
+from typing import Iterable, List, Sequence
 
 import numpy as np
 
@@ -106,12 +106,15 @@ class PacketBatch:
         return cls(ts=ts, **cols)
 
     @classmethod
-    def coerce(cls, obj) -> Optional["PacketBatch"]:
-        """The batch behind *obj* (PacketBatch or batchable Trace), else None."""
+    def coerce(cls, obj) -> "PacketBatch":
+        """The batch behind *obj*: a PacketBatch itself, or a Trace's."""
         if isinstance(obj, PacketBatch):
             return obj
-        batch = getattr(obj, "batch", None)
-        return batch if isinstance(batch, PacketBatch) else None
+        from .trace import Trace
+
+        if isinstance(obj, Trace):
+            return obj.batch
+        raise TypeError(f"expected a PacketBatch or a Trace, got {type(obj).__name__}")
 
     # ------------------------------------------------------------------
     # materialization

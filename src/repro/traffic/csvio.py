@@ -8,16 +8,20 @@ but opaque; CSV is the lingua franca for importing real captures (e.g. a
 
 ``src``/``dst`` are dotted quads; ``kind`` is optional (0=regular, 1=
 reference, 2=cross; defaults to regular).  Rows must be time-sorted, as any
-capture is.
+capture is.  Both directions work on the trace's columns: :func:`load_csv`
+parses and validates each row into column lists and builds one
+:class:`~repro.traffic.batch.PacketBatch`; :func:`save_csv` writes rows
+straight from the batch.
 """
 
 from __future__ import annotations
 
 import csv
-from typing import List, Optional
+from typing import Dict, List, Optional
 
 from ..net.addressing import int_to_ip, ip_to_int
-from ..net.packet import Packet, PacketKind
+from ..net.packet import PacketKind
+from .batch import PacketBatch
 from .trace import Trace
 
 __all__ = ["save_csv", "load_csv"]
@@ -28,21 +32,19 @@ _REQUIRED = ("ts", "src", "dst", "sport", "dport", "proto", "size")
 def save_csv(trace: Trace, path: str, include_kind: bool = True) -> None:
     """Write *trace* as a CSV file with a header row."""
     fields = list(_REQUIRED) + (["kind"] if include_kind else [])
+    batch = trace.batch
+    columns = [getattr(batch, name).tolist() for name in fields]
     with open(path, "w", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(fields)
-        for p in trace:
-            row = [f"{p.ts:.9f}", int_to_ip(p.src), int_to_ip(p.dst),
-                   p.sport, p.dport, p.proto, p.size]
-            if include_kind:
-                row.append(int(p.kind))
-            writer.writerow(row)
+        for ts, src, dst, *rest in zip(*columns):
+            writer.writerow([f"{ts:.9f}", int_to_ip(src), int_to_ip(dst), *rest])
 
 
 def load_csv(path: str, name: Optional[str] = None) -> Trace:
     """Read a CSV trace written by :func:`save_csv` (or any conformant
     export).  Raises ValueError on missing columns or unsorted rows."""
-    packets: List[Packet] = []
+    columns: Dict[str, List] = {c: [] for c in _REQUIRED + ("kind",)}
     with open(path, newline="") as handle:
         reader = csv.DictReader(handle)
         missing = [c for c in _REQUIRED if c not in (reader.fieldnames or [])]
@@ -51,21 +53,22 @@ def load_csv(path: str, name: Optional[str] = None) -> Trace:
         last_ts = float("-inf")
         for line_no, row in enumerate(reader, start=2):
             try:
-                ts = float(row["ts"])
-                packet = Packet(
-                    src=ip_to_int(row["src"]),
-                    dst=ip_to_int(row["dst"]),
-                    sport=int(row["sport"]),
-                    dport=int(row["dport"]),
-                    proto=int(row["proto"]),
-                    size=int(row["size"]),
-                    ts=ts,
-                    kind=PacketKind(int(row["kind"])) if row.get("kind") else PacketKind.REGULAR,
+                values = (
+                    float(row["ts"]),
+                    ip_to_int(row["src"]),
+                    ip_to_int(row["dst"]),
+                    int(row["sport"]),
+                    int(row["dport"]),
+                    int(row["proto"]),
+                    int(row["size"]),
+                    int(PacketKind(int(row["kind"])) if row.get("kind")
+                        else PacketKind.REGULAR),
                 )
             except (KeyError, ValueError) as exc:
                 raise ValueError(f"bad CSV trace row at line {line_no}: {exc}") from exc
-            if ts < last_ts:
+            if values[0] < last_ts:
                 raise ValueError(f"CSV trace not time-sorted at line {line_no}")
-            last_ts = ts
-            packets.append(packet)
-    return Trace(packets, name=name or path, check_sorted=False)
+            last_ts = values[0]
+            for column, value in zip(columns.values(), values):
+                column.append(value)
+    return Trace(PacketBatch(**columns), name=name or path, check_sorted=False)

@@ -4,16 +4,18 @@
 traffic ones or cross traffic ones based on IP addresses."
 
 Given prefix sets describing the regular traffic's address space, the
-divider splits a merged trace into a regular trace and a cross trace.  It is
-the same longest-prefix-match machinery the RLIR receivers use for origin
-identification.
+divider splits a merged trace into a regular trace and a cross trace with
+one prefix mask over the source-address column — the same test the RLIR
+receivers' batch demultiplexers apply for origin identification.
 """
 
 from __future__ import annotations
 
 from typing import Iterable, Tuple
 
-from ..net.addressing import Prefix, PrefixTrie
+import numpy as np
+
+from ..net.addressing import Prefix
 from ..net.packet import PacketKind
 from .trace import Trace
 
@@ -24,32 +26,26 @@ class TrafficDivider:
     """Classify packets as regular or cross by source-address prefix."""
 
     def __init__(self, regular_prefixes: Iterable[Prefix]):
-        self._trie: PrefixTrie[bool] = PrefixTrie()
-        count = 0
-        for prefix in regular_prefixes:
-            self._trie.insert(prefix, True)
-            count += 1
-        if count == 0:
+        self._prefixes: Tuple[Prefix, ...] = tuple(regular_prefixes)
+        if not self._prefixes:
             raise ValueError("at least one regular prefix required")
 
     def is_regular(self, src: int) -> bool:
         """True if *src* falls under a regular-traffic prefix."""
-        return self._trie.lookup(src) is not None
+        return any(prefix.contains(src) for prefix in self._prefixes)
 
     def split(self, trace: Trace) -> Tuple[Trace, Trace]:
-        """Split *trace* into (regular, cross) traces (packets cloned).
+        """Split *trace* into (regular, cross) traces.
 
         Regular packets keep their kind; cross packets are marked CROSS.
         """
-        regular, cross = [], []
-        for packet in trace.packets:
-            clone = packet.clone()
-            if self.is_regular(packet.src):
-                regular.append(clone)
-            else:
-                clone.kind = PacketKind.CROSS
-                cross.append(clone)
+        batch = trace.batch
+        regular = np.zeros(len(batch), dtype=bool)
+        for prefix in self._prefixes:
+            regular |= (batch.src & prefix.mask) == prefix.network
         return (
-            Trace(regular, name=f"{trace.name}/regular", check_sorted=False),
-            Trace(cross, name=f"{trace.name}/cross", check_sorted=False),
+            Trace(batch.take(regular), name=f"{trace.name}/regular",
+                  check_sorted=False),
+            Trace(batch.take(~regular).with_kind(PacketKind.CROSS),
+                  name=f"{trace.name}/cross", check_sorted=False),
         )

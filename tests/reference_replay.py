@@ -31,6 +31,36 @@ def events_of(log) -> List[tuple]:
     return events
 
 
+class TeeReceiver:
+    """One arrival stream fed to a live and a recording receiver.
+
+    A receiver with an observation log records only, so a test that
+    checks a log against the live tables it replays to drives both
+    receivers from one run through this tee.  Capable of the columnar
+    path when both are.
+    """
+
+    def __init__(self, live, recording):
+        self.live = live
+        self.recording = recording
+
+    @property
+    def batch_capable(self) -> bool:
+        return self.live.batch_capable and self.recording.batch_capable
+
+    def observe(self, packet, now):
+        self.live.observe(packet, now)
+        self.recording.observe(packet, now)
+
+    def observe_batch(self, *args, **kwargs):
+        self.live.observe_batch(*args, **kwargs)
+        self.recording.observe_batch(*args, **kwargs)
+
+    def finalize(self):
+        self.live.finalize()
+        self.recording.finalize()
+
+
 def reference_replay(events, estimator="linear"):
     """Rebuild per-flow estimated/true tables from event tuples, one by one."""
     buffers: Dict[int, InterpolationBuffer] = {}

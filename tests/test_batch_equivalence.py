@@ -354,22 +354,24 @@ class TestConditionEquivalence:
         summary = summarize_condition(condition)
         assert pickle.loads(pickle.dumps(summary)) == summary
 
-    @pytest.mark.parametrize("record_only", [False, True])
     def test_observation_log_recorded_identically_on_fast_path(
-            self, tiny_workload, record_only):
+            self, tiny_workload):
         """Recording receivers ride the fast path and write the identical
-        per-event observation log, alongside identical live estimation
-        state when not record-only."""
+        per-event observation log; a live receiver fed the same stream
+        holds identical estimation state on both paths, and the log
+        replays to its tables."""
         from repro.core.obslog import ObservationColumns
-        from reference_replay import events_of
+        from repro.core.replay import replay_observations
+        from reference_replay import TeeReceiver, events_of
 
         logs = []
         receivers = []
         for batch in (False, True):
             log = ObservationColumns()
-            receiver = tiny_workload.make_receiver(observation_log=log,
-                                                   record_only=record_only)
-            assert receiver.batch_capable
+            receiver = tiny_workload.make_receiver()
+            tee = TeeReceiver(receiver,
+                              tiny_workload.make_receiver(observation_log=log))
+            assert tee.batch_capable
             sender = tiny_workload.make_sender("adaptive")
             pipeline = TwoSwitchPipeline(PipelineConfig(
                 rate1_bps=tiny_workload.rate_bps, rate2_bps=tiny_workload.rate_bps,
@@ -379,18 +381,25 @@ class TestConditionEquivalence:
             cross_b = tiny_workload.cross_arrivals_batch("random", 0.67)
             if batch:
                 pipeline.run_batch(tiny_workload.regular, cross_b,
-                                   sender=sender, receiver=receiver,
+                                   sender=sender, receiver=tee,
                                    duration=tiny_workload.cfg.duration)
             else:
                 pipeline.run(tiny_workload.regular.clone_packets(),
                              tiny_workload.cross_arrivals("random", 0.67),
-                             sender=sender, receiver=receiver,
+                             sender=sender, receiver=tee,
                              duration=tiny_workload.cfg.duration)
-            receiver.finalize()
+            tee.finalize()
             logs.append(log)
             receivers.append(receiver)
         assert events_of(logs[0]) == events_of(logs[1])
         assert receiver_state(receivers[0]) == receiver_state(receivers[1])
+        assert receivers[0].regulars_measured > 0
+        for log, receiver in zip(logs, receivers):
+            replayed = replay_observations(log)
+            assert flow_table_state(replayed.true) == \
+                flow_table_state(receiver.flow_true)
+            assert flow_table_state(replayed.estimated) == \
+                flow_table_state(receiver.flow_estimated)
 
     def test_custom_classifier_sender_forces_fallback(self, tiny_workload):
         """A sender whose classifier inspects packets keeps exact numbers

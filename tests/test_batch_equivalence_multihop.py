@@ -33,6 +33,7 @@ from repro.core.injection import AdaptiveInjection, StaticInjection
 from repro.core.mesh import RlirMesh
 from repro.core.obslog import ObservationColumns
 from repro.core.receiver import RliReceiver
+from repro.core.replay import replay_observations
 from repro.core.rlir import RlirDeployment
 from repro.core.sender import RefTemplate, RliSender
 from repro.experiments.config import ExperimentConfig, derive_seed
@@ -47,7 +48,7 @@ from repro.traffic.crosstraffic import BurstyModel, UniformModel
 from repro.traffic.synthetic import TraceConfig, generate_fattree_trace, generate_trace
 
 from reference_path import reference_path
-from reference_replay import events_of
+from reference_replay import TeeReceiver, events_of
 from test_batch_equivalence import regime_traces
 
 REGULAR_PREFIX = Prefix.parse("10.1.0.0/16")
@@ -107,14 +108,19 @@ def make_sender(rate_bps, scheme, classify=None):
 
 def drive_chain(batch, reg, cross, model, n_hops, rate, buffer_bytes,
                 scheme, log=None, classify=None):
-    """One chain run on either driver; returns (result, receiver, sender)."""
+    """One chain run on either driver; returns (result, receiver, sender).
+
+    With *log*, a recording receiver writing to it sees the same stream
+    as the live receiver returned."""
     chain = SwitchChain(ChainConfig(
         n_hops=n_hops, rate_bps=rate, buffer_bytes=buffer_bytes,
         proc_delay=1e-6))
     sender = make_sender(rate, scheme, classify=classify) if scheme else None
     receiver = RliReceiver(
+        demux=SingleSenderDemux(1, regular_prefixes=[REGULAR_PREFIX]))
+    tap = receiver if log is None else TeeReceiver(receiver, RliReceiver(
         demux=SingleSenderDemux(1, regular_prefixes=[REGULAR_PREFIX]),
-        observation_log=log)
+        observation_log=log))
     cross_per_hop = {
         hop: (UniformModel(model.prob, seed=model.seed + hop).arrivals_batch(cross)
               if batch else
@@ -123,8 +129,8 @@ def drive_chain(batch, reg, cross, model, n_hops, rate, buffer_bytes,
     }
     run = chain.run_batch if batch else chain.run
     result = run(reg if batch else reg.clone_packets(), cross_per_hop,
-                 sender=sender, receiver=receiver)
-    receiver.finalize()
+                 sender=sender, receiver=tap)
+    tap.finalize()
     return result, receiver, sender
 
 
@@ -174,13 +180,20 @@ class TestChainProperty:
         reg, cross = build_traces(11, 600, 1200, 0.25)
         rate = reg.total_bytes * 8.0 / (0.25 * 0.5)
         model = UniformModel(0.5, seed=2)
-        logs = []
+        logs, live = [], []
         for batch in (False, True):
             log = ObservationColumns()
-            drive_chain(batch, reg, cross, model, 3, rate, 32 * 1024,
-                        "adaptive", log=log)
+            _, receiver, _ = drive_chain(batch, reg, cross, model, 3, rate,
+                                         32 * 1024, "adaptive", log=log)
             logs.append(log)
+            live.append(receiver)
         assert events_of(logs[0]) == events_of(logs[1])
+        assert receiver_state(live[0]) == receiver_state(live[1])
+        assert live[0].regulars_measured > 0
+        replayed = replay_observations(logs[1])
+        assert flow_table_state(replayed.true) == flow_table_state(live[1].flow_true)
+        assert (flow_table_state(replayed.estimated)
+                == flow_table_state(live[1].flow_estimated))
 
     def test_custom_classifier_sender_falls_back_identically(self):
         """A packet-inspecting classifier keeps exact numbers through the

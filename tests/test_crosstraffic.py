@@ -11,6 +11,7 @@ from repro.traffic.crosstraffic import (
     UniformModel,
     calibrate_selection_probability,
 )
+from repro.traffic.batch import PacketBatch
 from repro.traffic.trace import Trace
 
 
@@ -22,7 +23,7 @@ def make_cross_trace(n=5000, duration=1.0, size=500):
                sport=i % 100, size=size, ts=float(t))
         for i, t in enumerate(times)
     ]
-    return Trace(packets, name="cross", check_sorted=False)
+    return Trace(PacketBatch.from_packets(packets), name="cross", check_sorted=False)
 
 
 class TestUniformModel:
@@ -95,7 +96,7 @@ class TestBurstyModel:
         assert first_window_bytes == pytest.approx(0.5 * total, rel=0.05)
 
     def test_empty_trace(self):
-        assert BurstyModel(0.5, 0.1, 0.2).arrivals(Trace([])) == []
+        assert BurstyModel(0.5, 0.1, 0.2).arrivals(Trace(PacketBatch.empty())) == []
 
     def test_invalid_parameters(self):
         with pytest.raises(ValueError):
@@ -138,7 +139,7 @@ class TestCalibration:
 
     def test_empty_cross_raises(self):
         with pytest.raises(CalibrationError):
-            calibrate_selection_probability(Trace([]), 0, 80e6, 1.0, 0.5)
+            calibrate_selection_probability(Trace(PacketBatch.empty()), 0, 80e6, 1.0, 0.5)
 
     def test_invalid_target(self):
         trace = make_cross_trace(n=10)

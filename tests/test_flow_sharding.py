@@ -43,24 +43,26 @@ class TestReplay:
             replay_observations(log)
 
     def test_receiver_log_replays_to_identical_tables(self, tiny_workload):
-        """A recorded pipeline receiver replays to the exact tables the
-        live receiver accumulated."""
-        from repro.experiments.workloads import run_condition
+        """A recorded pipeline receiver replays to the exact tables a
+        live receiver fed the same stream accumulated."""
+        from reference_replay import TeeReceiver
+        from repro.sim.pipeline import TwoSwitchPipeline
 
         log = ObservationColumns()
         sender = tiny_workload.make_sender("static")
-        receiver = tiny_workload.make_receiver(observation_log=log)
-        from repro.sim.pipeline import TwoSwitchPipeline
+        receiver = tiny_workload.make_receiver()
+        tee = TeeReceiver(receiver, tiny_workload.make_receiver(observation_log=log))
 
         TwoSwitchPipeline(tiny_workload.pipeline_config).run(
             regular=tiny_workload.regular.clone_packets(),
             cross=tiny_workload.cross_arrivals("random", 0.67),
             sender=sender,
-            receiver=receiver,
+            receiver=tee,
             duration=tiny_workload.cfg.duration,
         )
-        receiver.finalize()
+        tee.finalize()
         replayed = replay_observations(log)
+        assert len(receiver.flow_true) > 0
         assert len(replayed.true) == len(receiver.flow_true)
         for key, stats in receiver.flow_true.items():
             assert replayed.true.get(key).mean == stats.mean

@@ -3,9 +3,10 @@
 import pytest
 
 from repro.net.addressing import ip_to_int
-from repro.net.packet import Packet
+from repro.net.packet import Packet, PacketKind
 from repro.traffic.divider import TrafficDivider
 from repro.net.addressing import Prefix
+from repro.traffic.batch import PacketBatch
 from repro.traffic.flowmeter import FlowMeter
 from repro.traffic.trace import Trace
 
@@ -62,8 +63,8 @@ class TestFlowMeter:
 class TestTrafficDivider:
     def test_split_by_source_prefix(self):
         divider = TrafficDivider([Prefix.parse("10.1.0.0/16")])
-        trace = Trace([pkt(0.0, src="10.1.0.5"), pkt(0.1, src="10.9.0.5")],
-                      check_sorted=False)
+        trace = Trace(PacketBatch.from_packets(
+            [pkt(0.0, src="10.1.0.5"), pkt(0.1, src="10.9.0.5")]))
         regular, cross = divider.split(trace)
         assert len(regular) == 1 and len(cross) == 1
         assert cross[0].is_cross
@@ -78,9 +79,50 @@ class TestTrafficDivider:
         with pytest.raises(ValueError):
             TrafficDivider([])
 
+    def test_split_matches_per_packet_prefix_lookup(self):
+        """The column mask picks the rows, in order, and the kinds that a
+        longest-prefix lookup per packet picks."""
+        import numpy as np
+
+        from repro.net.addressing import PrefixTrie
+        from repro.traffic.synthetic import TraceConfig, generate_trace
+
+        parts = [
+            generate_trace(TraceConfig(duration=0.2, n_packets=400,
+                                       src_base=base), seed=seed).batch
+            for seed, base in enumerate(("10.1.0.0", "10.9.0.0", "10.1.128.0",
+                                         "192.168.0.0"))
+        ]
+        merged = PacketBatch.concat(parts)
+        merged = merged.take(np.argsort(merged.ts, kind="stable"))
+        merged = merged.replace(kind=np.arange(len(merged)) % 2)  # mixed kinds
+        trace = Trace(merged, name="mix")
+        prefixes = [Prefix.parse("10.1.0.0/16"), Prefix.parse("10.1.128.0/17"),
+                    Prefix.parse("192.168.0.0/24")]
+        trie = PrefixTrie()
+        for prefix in prefixes:
+            trie.insert(prefix, True)
+        want_regular, want_cross = [], []
+        for p in trace.packets:
+            if trie.lookup(p.src) is not None:
+                want_regular.append(p)
+            else:
+                want_cross.append(p)
+        regular, cross = TrafficDivider(prefixes).split(trace)
+
+        def fields(packets):
+            return [(p.ts, p.flow_key, p.size, p.kind) for p in packets]
+
+        assert want_regular and want_cross
+        assert fields(regular) == fields(want_regular)
+        assert [(t, k, s) for t, k, s, _ in fields(cross)] == \
+            [(t, k, s) for t, k, s, _ in fields(want_cross)]
+        assert all(p.kind == PacketKind.CROSS for p in cross)
+        assert (regular.name, cross.name) == ("mix/regular", "mix/cross")
+
     def test_split_clones(self):
         divider = TrafficDivider([Prefix.parse("10.1.0.0/16")])
-        trace = Trace([pkt(0.0)], check_sorted=False)
+        trace = Trace(PacketBatch.from_packets([pkt(0.0)]))
         regular, _ = divider.split(trace)
         regular[0].dropped = True
         assert not trace[0].dropped

@@ -355,6 +355,29 @@ class TestByteIdentity:
                     "broker.distrib.chunk_rtt_s"):
             assert doc["histograms"][key]["count"] >= 1, key
 
+    def test_broker_stats_folded_once_across_sweeps(self, jobs):
+        """A runner driving two sweeps folds each broker dispatch once:
+        the driver's chunk round-trip count equals the chunks the broker
+        dispatched, not the sum of its lifetime snapshots."""
+        from repro.distrib import DistributedRunner
+
+        obs.enable(process="driver")
+        runner = DistributedRunner(workers=1, heartbeat_interval=0.5,
+                                   poll_timeout=300.0)
+        try:
+            runner.run(jobs)
+            runner.run(jobs)
+            broker = runner._broker.metrics.snapshot()
+        finally:
+            runner.close()
+        doc = obs.build_artifact()
+        dispatched = broker["counters"]["distrib.dispatch"]
+        assert dispatched >= 2
+        assert doc["counters"]["broker.distrib.dispatch"] == dispatched
+        rtt = doc["histograms"]["broker.distrib.chunk_rtt_s"]
+        assert rtt["count"] == dispatched
+        assert rtt["count"] == broker["histograms"]["distrib.chunk_rtt_s"]["count"]
+
     def test_cached_rerun_identical_and_counted(self, jobs, serial_blobs,
                                                 tmp_path):
         cache = ResultCache(root=tmp_path / "cache")

@@ -41,7 +41,7 @@ def record_tiny_run(workload):
 
     log = ObservationColumns()
     sender = workload.make_sender("static")
-    receiver = workload.make_receiver(observation_log=log, record_only=True)
+    receiver = workload.make_receiver(observation_log=log)
     TwoSwitchPipeline(workload.pipeline_config).run(
         regular=workload.regular.clone_packets(),
         cross=workload.cross_arrivals("random", 0.67),

@@ -1,4 +1,4 @@
-"""PacketBatch round-trips and lazy batch-backed traces."""
+"""PacketBatch round-trips and the traces that wrap a batch."""
 
 import numpy as np
 import pytest
@@ -80,12 +80,11 @@ class TestRoundTrip:
 class TestBatchBackedTrace:
     def test_generate_trace_is_batch_backed_and_lazy(self):
         trace = generate_trace(TraceConfig(duration=0.2, n_packets=500), seed=1)
-        assert trace.has_batch
-        assert trace._packets is None  # nothing materialized yet
         n = len(trace)  # length readable without materializing
-        assert trace._packets is None
+        assert "packets" not in vars(trace)  # nothing materialized yet
         packets = trace.packets
         assert len(packets) == n
+        assert trace.packets is packets  # materialized once
 
     def test_materialized_equals_batch_columns(self):
         trace = generate_trace(TraceConfig(duration=0.2, n_packets=400), seed=3)
@@ -100,48 +99,46 @@ class TestBatchBackedTrace:
 
     def test_stats_agree_between_representations(self):
         trace = generate_trace(TraceConfig(duration=0.2, n_packets=400), seed=5)
-        object_trace = Trace(trace.batch.to_packets(), name="obj", check_sorted=False)
-        assert len(trace) == len(object_trace)
-        assert trace.duration == object_trace.duration
-        assert trace.total_bytes == object_trace.total_bytes
-        assert trace.n_flows == object_trace.n_flows
-
-    def test_packet_list_trace_builds_batch_lazily(self):
-        trace = Trace(sample_packets(), check_sorted=False)
-        assert not trace.has_batch
-        batch = trace.batch
-        assert trace.has_batch and len(batch) == 3
+        packets = trace.clone_packets()
+        assert len(trace) == len(packets)
+        assert trace.duration == packets[-1].ts
+        assert trace.total_bytes == sum(p.size for p in packets)
+        assert trace.n_flows == len({p.flow_key for p in packets})
 
     def test_unsorted_batch_rejected(self):
         batch = PacketBatch.from_packets(list(reversed(sample_packets())))
         with pytest.raises(ValueError):
-            Trace(batch=batch)
-        Trace(batch=batch, check_sorted=False)  # explicit opt-out still works
+            Trace(batch)
+        Trace(batch, check_sorted=False)  # explicit opt-out still works
 
     def test_empty_trace_needs_something(self):
-        with pytest.raises(ValueError):
-            Trace()
+        """A trace wraps a batch; a packet list is not one."""
+        with pytest.raises(TypeError):
+            Trace(sample_packets())
+        assert len(Trace(PacketBatch.empty())) == 0
 
     def test_save_load_round_trip(self, tmp_path):
         trace = generate_trace(TraceConfig(duration=0.2, n_packets=300), seed=9)
         path = str(tmp_path / "t.npz")
         trace.save(path)
         loaded = Trace.load(path)
-        assert loaded.has_batch  # load stays columnar
+        for col in BATCH_COLUMNS:
+            assert np.array_equal(getattr(loaded.batch, col),
+                                  getattr(trace.batch, col))
         assert [packet_fields(p) for p in loaded.packets] == \
             [packet_fields(p) for p in trace.packets]
         assert loaded.name == trace.name
 
-    def test_save_from_packet_list_matches_batch_save(self, tmp_path):
-        trace = generate_trace(TraceConfig(duration=0.2, n_packets=200), seed=11)
-        object_trace = Trace(trace.batch.to_packets(), name=trace.name,
-                             check_sorted=False)
-        p1, p2 = str(tmp_path / "a.npz"), str(tmp_path / "b.npz")
-        trace.save(p1)
-        object_trace.save(p2)
-        a, b = Trace.load(p1), Trace.load(p2)
-        for col in BATCH_COLUMNS:
-            assert np.array_equal(getattr(a.batch, col), getattr(b.batch, col))
+
+class TestCoerce:
+    def test_batch_and_trace(self):
+        batch = PacketBatch.from_packets(sample_packets())
+        assert PacketBatch.coerce(batch) is batch
+        assert PacketBatch.coerce(Trace(batch, check_sorted=False)) is batch
+
+    def test_packet_list_rejected(self):
+        with pytest.raises(TypeError, match="list"):
+            PacketBatch.coerce(sample_packets())
 
 
 class TestFlowKeyCache:

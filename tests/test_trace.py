@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from repro.net.addressing import ip_to_int
-from repro.net.packet import Packet, PacketKind
+from repro.net.packet import Packet
+from repro.traffic.batch import PacketBatch
 from repro.traffic.trace import Trace
 
 
@@ -12,65 +13,46 @@ def pkt(ts, src="10.1.0.1", dst="10.2.0.1", size=100, sport=1):
     return Packet(src=ip_to_int(src), dst=ip_to_int(dst), sport=sport, size=size, ts=ts)
 
 
+def trace_of(packets, **kwargs):
+    return Trace(PacketBatch.from_packets(packets), **kwargs)
+
+
 class TestTraceBasics:
     def test_sorted_check(self):
         with pytest.raises(ValueError):
-            Trace([pkt(1.0), pkt(0.5)])
+            trace_of([pkt(1.0), pkt(0.5)])
 
     def test_len_iter_getitem(self):
-        t = Trace([pkt(0.0), pkt(1.0)])
+        t = trace_of([pkt(0.0), pkt(1.0)])
         assert len(t) == 2
         assert [p.ts for p in t] == [0.0, 1.0]
         assert t[1].ts == 1.0
 
     def test_duration_and_bytes(self):
-        t = Trace([pkt(0.0, size=100), pkt(2.5, size=200)])
+        t = trace_of([pkt(0.0, size=100), pkt(2.5, size=200)])
         assert t.duration == 2.5
         assert t.total_bytes == 300
 
     def test_empty_trace(self):
-        t = Trace([])
+        t = trace_of([])
         assert t.duration == 0.0
         assert t.mean_rate_bps() == 0.0
 
     def test_mean_rate(self):
-        t = Trace([pkt(0.0, size=125), pkt(1.0, size=125)])
+        t = trace_of([pkt(0.0, size=125), pkt(1.0, size=125)])
         assert t.mean_rate_bps() == pytest.approx(2000.0)
 
     def test_n_flows(self):
-        t = Trace([pkt(0.0, sport=1), pkt(0.1, sport=1), pkt(0.2, sport=2)])
+        t = trace_of([pkt(0.0, sport=1), pkt(0.1, sport=1), pkt(0.2, sport=2)])
         assert t.n_flows == 2
 
 
 class TestTransformations:
     def test_clone_packets_independent(self):
-        t = Trace([pkt(0.0)])
+        t = trace_of([pkt(0.0)])
         clones = t.clone_packets()
         clones[0].dropped = True
         assert not t[0].dropped
-
-    def test_slice_time(self):
-        t = Trace([pkt(0.0), pkt(1.0), pkt(2.0)])
-        s = t.slice_time(0.5, 1.5)
-        assert [p.ts for p in s] == [1.0]
-
-    def test_remap_addresses(self):
-        t = Trace([pkt(0.0)])
-        r = t.remap_addresses(lambda s, d: (s + 1, d + 2))
-        assert r[0].src == t[0].src + 1
-        assert r[0].dst == t[0].dst + 2
-        assert t[0].src == ip_to_int("10.1.0.1")  # original untouched
-
-    def test_with_kind(self):
-        t = Trace([pkt(0.0)])
-        c = t.with_kind(PacketKind.CROSS)
-        assert c[0].is_cross and t[0].is_regular
-
-    def test_merge_sorts(self):
-        a = Trace([pkt(0.0), pkt(2.0)])
-        b = Trace([pkt(1.0), pkt(3.0)])
-        m = Trace.merge([a, b])
-        assert [p.ts for p in m] == [0.0, 1.0, 2.0, 3.0]
 
 
 class TestPersistence:

@@ -87,11 +87,6 @@ BATCH_SIBLING_MAP = {
     "classify_batch": "__call__", # vectorized classifier vs callable
 }
 
-# `*_batch` names that are not fast-path entry points at all.
-BATCH_EXEMPT_NAMES = frozenset({
-    "from_batch", "to_batch", "has_batch",
-})
-
 # Float reductions whose operation order differs from the sequential
 # object path (np.sum is pairwise; see docs/internals-batch.md).  The
 # sanctioned spellings are np.add.reduce / np.add.accumulate.

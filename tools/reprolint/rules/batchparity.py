@@ -54,8 +54,7 @@ def _check_siblings(ctx: FileContext) -> Findings:
                                        ast.AsyncFunctionDef)):
                 continue
             name = member.name
-            if (not name.endswith("_batch") or name.startswith("_")
-                    or name in config.BATCH_EXEMPT_NAMES):
+            if not name.endswith("_batch") or name.startswith("_"):
                 continue
             sibling = config.BATCH_SIBLING_MAP.get(
                 name, name[: -len("_batch")])
@@ -85,8 +84,7 @@ def _check_gate(ctx: FileContext) -> Findings:
                 and isinstance(node.func, ast.Attribute)):
             continue
         name = node.func.attr
-        if (not name.endswith("_batch") or name.startswith("_")
-                or name in config.BATCH_EXEMPT_NAMES):
+        if not name.endswith("_batch") or name.startswith("_"):
             continue
         if (isinstance(node.func.value, ast.Name)
                 and node.func.value.id in ("self", "cls")):
