@@ -38,14 +38,14 @@ import pytest
 from conftest import print_banner
 from reference_path import reference_path
 
-from reference_flowstats import (join_dump, object_fold, reference_mean_errors,
-                                 reference_pooled, reference_std_errors,
-                                 reference_table_rows)
+from reference_flowstats import (join_dump, object_fold, reference_flow_rows,
+                                 reference_mean_errors, reference_pooled,
+                                 reference_std_errors)
 from repro.analysis.metrics import flow_mean_errors, flow_std_errors
-from repro.core.flowstats import FlowStatsTable, flow_ids, fold_flow_samples, pooled_stats
+from repro.core.flowstats import (FlowRows, FlowStatsTable, flow_ids, fold_flow_samples,
+                                  pooled_stats)
 from repro.core.interpolation import InterpolationBuffer, interpolate_batch
-from repro.experiments.workloads import (_flow_table_rows, run_condition, summarize_condition,
-                                         workload_for)
+from repro.experiments.workloads import run_condition, summarize_condition, workload_for
 from repro.runner.spec import config_items
 from repro.sim import queue as queue_kernel
 from repro.sim.queue import FifoQueue
@@ -408,14 +408,14 @@ def test_flow_table_throughput(bench_config, repeats):
         true, est = FlowStatsTable(), FlowStatsTable()
         fold_flow_samples(true, None, ids, flow_keys, truth)
         fold_flow_samples(est, None, ids, flow_keys, estimate)
-        return summary(true, est, _flow_table_rows, flow_mean_errors,
+        return summary(true, est, FlowRows.of, flow_mean_errors,
                        flow_std_errors, pooled_stats)
 
     def per_flow_objects():
         true, est = {}, {}
         object_fold(true, ids, flow_keys, truth)
         object_fold(est, ids, flow_keys, estimate)
-        return summary(true, est, reference_table_rows, reference_mean_errors,
+        return summary(true, est, reference_flow_rows, reference_mean_errors,
                        reference_std_errors, lambda t: reference_pooled(t.items()))
 
     columnar_s, columnar_out = _best_of(columnar, repeats)

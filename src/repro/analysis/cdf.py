@@ -14,7 +14,9 @@ class Ecdf:
     """Empirical cumulative distribution over a sample of values."""
 
     def __init__(self, values: Iterable[float]):
-        self._values = np.sort(np.asarray(list(values), dtype=float))
+        if not isinstance(values, np.ndarray):
+            values = list(values)
+        self._values = np.sort(np.asarray(values, dtype=float))
         if self._values.size == 0:
             raise ValueError("cannot build a CDF from an empty sample")
 

@@ -8,11 +8,11 @@ flow, |estimate − truth| / truth, computed over per-flow means
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List
+from typing import Callable
 
 import numpy as np
 
-from ..core.flowstats import FlowColumns, FlowStatsTable
+from ..core.flowstats import FlowColumns, FlowStatsTable, same_bits
 
 __all__ = [
     "relative_error",
@@ -29,19 +29,27 @@ def relative_error(estimate: float, truth: float) -> float:
     return abs(estimate - truth) / truth
 
 
-@dataclass
+@dataclass(eq=False)
 class FlowErrorJoin:
     """Join of estimated and true tables with coverage accounting.
 
-    A plain value object (picklable, comparable by value) so condition
+    A plain value object (picklable, comparable bit for bit) so condition
     summaries carrying it can cross process boundaries and be asserted
-    byte-identical by the determinism suite.
+    byte-identical by the determinism suite.  ``errors`` holds one
+    ``float64`` relative error per joined flow, in the true table's order.
     """
 
-    errors: List[float]
+    errors: np.ndarray
     joined: int
     skipped_missing: int  # flows with no estimate
     skipped_zero: int  # flows where truth makes RE undefined
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, FlowErrorJoin):
+            return NotImplemented
+        return (same_bits(self.errors, other.errors)
+                and (self.joined, self.skipped_missing, self.skipped_zero)
+                == (other.joined, other.skipped_missing, other.skipped_zero))
 
     def __repr__(self) -> str:
         return (
@@ -70,7 +78,7 @@ def _flow_errors(
     undefined = t <= 0
     t = t[~undefined]
     e = value_of(estimated.columns())[rows[found][~undefined]]
-    errors: List[float] = (np.abs(e - t) / t).tolist()
+    errors = np.abs(e - t) / t
     return FlowErrorJoin(errors, len(errors),
                          int(np.count_nonzero(counted)) - int(np.count_nonzero(found)),
                          int(np.count_nonzero(undefined)))

@@ -11,14 +11,17 @@ one-pass mean/variance, mergeable) and the scalar oracle;
 :class:`FlowStatsTable` keeps the same Welford state for every flow in
 columns (count, mean, m2, min, max) behind one key→slot index.  Both true
 and estimated delays flow through the same code, so estimator error is
-never confounded with aggregation error.
+never confounded with aggregation error.  :class:`FlowRows` is what a
+condition summary keeps of a table: its per-flow (count, mean, std) as
+plain columns, keyed by packed key words.
 """
 
 from __future__ import annotations
 
 import math
 from collections import OrderedDict
-from itertools import compress, repeat
+from dataclasses import dataclass
+from itertools import chain, compress, repeat
 from typing import Dict, Iterator, List, NamedTuple, Optional, Tuple
 
 import numpy as np
@@ -28,12 +31,14 @@ from ..traffic.batch import pack_flow_keys
 __all__ = [
     "StreamingStats",
     "FlowColumns",
+    "FlowRows",
     "FlowStatsTable",
     "BoundedFlowStatsTable",
     "welford_grouped",
     "flow_ids",
     "fold_flow_samples",
     "pooled_stats",
+    "same_bits",
 ]
 
 Key = Tuple[int, int, int, int, int]
@@ -556,3 +561,61 @@ class BoundedFlowStatsTable(FlowStatsTable):
         return FlowColumns(list(self._slot), np.array(self._count, dtype=np.int64)[order],
                            *(np.array(column, dtype=float)[order]
                              for column in (self._mean, self._m2, self._min, self._max)))
+
+
+def same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    """Whether two arrays hold the same dtype, shape and bytes."""
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def _packed_keys(keys: List[Key]) -> Tuple[np.ndarray, np.ndarray]:
+    """5-tuple keys as the two words of :func:`pack_flow_keys`."""
+    flat = np.fromiter(chain.from_iterable(keys), dtype=np.int64, count=5 * len(keys))
+    return pack_flow_keys(*flat.reshape(len(keys), 5).T)
+
+
+@dataclass(frozen=True, eq=False)
+class FlowRows:
+    """One flow table's per-flow (count, mean, std), as plain columns.
+
+    What a condition summary keeps of a flow table: one entry per flow
+    in table order, the flow key as the two ``uint64`` words of
+    :func:`~repro.traffic.batch.pack_flow_keys`, ``count`` as ``int64``
+    and ``mean`` and ``std`` as ``float64`` — the bits of
+    :meth:`FlowStatsTable.columns` and :meth:`FlowColumns.std`.  A value:
+    it pickles as five arrays, with no per-flow Python object, and ``==``
+    compares bits.
+    """
+
+    key_a: np.ndarray
+    key_b: np.ndarray
+    count: np.ndarray
+    mean: np.ndarray
+    std: np.ndarray
+
+    @classmethod
+    def of(cls, table: FlowStatsTable) -> "FlowRows":
+        cols = table.columns()
+        # copies: the columns are views of buffers the table keeps writing
+        return cls(*_packed_keys(cols.keys), np.array(cols.count),
+                   np.array(cols.mean), cols.std())
+
+    @classmethod
+    def empty(cls) -> "FlowRows":
+        return cls.of(FlowStatsTable())
+
+    def __len__(self) -> int:
+        return len(self.count)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, FlowRows):
+            return NotImplemented
+        return all(same_bits(getattr(self, name), getattr(other, name))
+                   for name in ("key_a", "key_b", "count", "mean", "std"))
+
+    def rows_of(self, keys: List[Key]) -> np.ndarray:
+        """Each 5-tuple key's row, -1 where the flow is absent."""
+        row = dict(zip(zip(self.key_a.tolist(), self.key_b.tolist()), range(len(self))))
+        a, b = _packed_keys(keys)
+        return np.fromiter(map(row.get, zip(a.tolist(), b.tolist()), repeat(-1)),
+                           dtype=np.int64, count=len(keys))

@@ -390,7 +390,7 @@ class MeshJob:
             rows.append((
                 f"{src}->{dst}",
                 len(j2.errors),
-                Ecdf(j2.errors).median if j2.errors else float("nan"),
+                Ecdf(j2.errors).median if len(j2.errors) else float("nan"),
                 Ecdf(e2e_errors).median if e2e_errors else float("nan"),
             ))
         return rows

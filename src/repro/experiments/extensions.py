@@ -173,7 +173,7 @@ def run_memory_ablation(
     rows = []
     for bound, summary in zip(bounds, runner.run(jobs)):
         errors = summary.mean_join.errors
-        median = Ecdf(errors).median if errors else float("nan")
+        median = Ecdf(errors).median if len(errors) else float("nan")
         rows.append((bound, len(summary.flow_true), summary.evicted_samples,
                      median))
     return rows
@@ -232,9 +232,11 @@ def run_tail_accuracy(
     summary = runner.run_one(job)
 
     errors: Dict[float, List[float]] = {q: [] for q in quantiles}
-    for key, estimated in summary.flow_estimated_quantiles.items():
-        truth_row = summary.flow_true.get(key)
-        if truth_row is None or truth_row[0] < min_packets:
+    estimates = summary.flow_estimated_quantiles
+    rows = summary.flow_true.rows_of(list(estimates)).tolist()
+    counts = summary.flow_true.count.tolist()
+    for (key, estimated), row in zip(estimates.items(), rows):
+        if row < 0 or counts[row] < min_packets:
             continue
         truth = summary.flow_true_quantiles.get(key)
         for q in quantiles:

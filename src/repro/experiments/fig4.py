@@ -51,7 +51,7 @@ class Fig4Curve:
 
     @property
     def std_ecdf(self) -> Optional[Ecdf]:
-        return Ecdf(self.std_join.errors) if self.std_join.errors else None
+        return Ecdf(self.std_join.errors) if len(self.std_join.errors) else None
 
     def summary_row(self) -> List[object]:
         """One printable row: the numbers the paper quotes in prose."""

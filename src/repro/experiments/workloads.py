@@ -14,7 +14,7 @@ from typing import Dict, List, Optional, Tuple
 
 from ..analysis.metrics import FlowErrorJoin, flow_mean_errors, flow_std_errors
 from ..core.demux import SingleSenderDemux
-from ..core.flowstats import pooled_stats
+from ..core.flowstats import FlowRows, pooled_stats
 from ..core.injection import AdaptiveInjection, InjectionPolicy, StaticInjection
 from ..core.obslog import ObservationColumns
 from ..core.receiver import RliReceiver
@@ -352,7 +352,6 @@ def _pipeline_config(workload: PipelineWorkload, aqm: Optional[str],
 # picklable condition summaries and the sweep-runner job function
 
 FlowKey = Tuple[int, int, int, int, int]
-FlowRow = Tuple[int, float, float]  # (count, mean, std)
 QuantileRow = Dict[float, float]  # quantile -> estimated value
 
 
@@ -363,7 +362,10 @@ class ConditionSummary:
     Unlike :class:`ConditionResult` (which holds live receiver/queue
     objects), a summary is a value: picklable across process boundaries,
     cacheable on disk, and comparable with ``==`` — the determinism suite
-    asserts serial and parallel sweeps produce *equal* summaries.
+    asserts serial and parallel sweeps produce *equal* summaries.  Per-flow
+    data travels as numpy columns (:class:`~repro.core.flowstats.FlowRows`
+    and the joins' error arrays), so a summary pickles no per-flow Python
+    object and ``==`` compares those columns bit for bit.
     """
 
     scheme: Optional[str]
@@ -385,9 +387,9 @@ class ConditionSummary:
     mean_true_latency: float = 0.0
     mean_join: Optional[FlowErrorJoin] = None
     std_join: Optional[FlowErrorJoin] = None
-    # per-flow tables: flow key -> (count, mean, std)
-    flow_estimated: Dict[FlowKey, FlowRow] = field(default_factory=dict)
-    flow_true: Dict[FlowKey, FlowRow] = field(default_factory=dict)
+    # per-flow (count, mean, std), in each receiver table's order
+    flow_estimated: FlowRows = field(default_factory=FlowRows.empty)
+    flow_true: FlowRows = field(default_factory=FlowRows.empty)
     # bounded-flow-table accounting (memory ablation; 0 when unbounded)
     evicted_flows: int = 0
     evicted_samples: int = 0
@@ -399,12 +401,6 @@ class ConditionSummary:
         """Loss rate of *kind* packets at the bottleneck switch."""
         arrivals = self.arrivals2.get(kind.name, 0)
         return self.drops2.get(kind.name, 0) / arrivals if arrivals else 0.0
-
-
-def _flow_table_rows(table) -> Dict[FlowKey, FlowRow]:
-    cols = table.columns()
-    return dict(zip(cols.keys, zip(cols.count.tolist(), cols.mean.tolist(),
-                                   cols.std().tolist())))
 
 
 def summarize_condition(condition: ConditionResult, estimator: str = "linear",
@@ -433,8 +429,8 @@ def summarize_condition(condition: ConditionResult, estimator: str = "linear",
         summary.mean_true_latency = condition.mean_true_latency
         summary.mean_join = flow_mean_errors(receiver.flow_estimated, receiver.flow_true)
         summary.std_join = flow_std_errors(receiver.flow_estimated, receiver.flow_true)
-        summary.flow_estimated = _flow_table_rows(receiver.flow_estimated)
-        summary.flow_true = _flow_table_rows(receiver.flow_true)
+        summary.flow_estimated = FlowRows.of(receiver.flow_estimated)
+        summary.flow_true = FlowRows.of(receiver.flow_true)
         summary.evicted_flows = getattr(receiver.flow_estimated, "evicted_flows", 0)
         summary.evicted_samples = getattr(receiver.flow_estimated, "evicted_samples", 0)
         if receiver.flow_estimated_quantiles is not None:

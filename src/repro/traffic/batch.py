@@ -15,14 +15,13 @@ column set): measurement-only fields (``sender_id``, ``ref_timestamp``,
 ``tos``) and simulation bookkeeping (``tap_time``, ``dropped``, ``path``)
 are *not* represented, so reference packets — which are few and
 inherently stateful — stay Python objects even on the fast path.
-Round-tripping through :meth:`from_packets`/:meth:`to_packets` is exact for
-the represented columns and drops the rest, exactly like ``Trace.save`` /
-``Trace.load`` always has.
+:meth:`to_packets` materializes the represented columns and resets the
+rest, exactly like ``Trace.save`` / ``Trace.load`` always has.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, List, Sequence
+from typing import Iterable, List
 
 import numpy as np
 
@@ -31,8 +30,6 @@ from ..net.packet import Packet, PacketKind
 __all__ = ["PacketBatch", "BATCH_COLUMNS", "pack_flow_keys"]
 
 BATCH_COLUMNS = ("src", "dst", "sport", "dport", "proto", "size", "ts", "kind")
-
-_INT_COLUMNS = ("src", "dst", "sport", "dport", "proto", "size", "kind")
 
 
 def pack_flow_keys(src, dst, sport, dport, proto):
@@ -87,23 +84,6 @@ class PacketBatch:
     def empty(cls) -> "PacketBatch":
         zi = np.empty(0, dtype=np.int64)
         return cls(zi, zi, zi, zi, zi, zi, np.empty(0), zi)
-
-    @classmethod
-    def from_packets(cls, packets: Sequence[Packet]) -> "PacketBatch":
-        """Columnarize a packet sequence (lossy for non-column fields)."""
-        n = len(packets)
-        cols = {name: np.empty(n, dtype=np.int64) for name in _INT_COLUMNS}
-        ts = np.empty(n, dtype=np.float64)
-        for i, p in enumerate(packets):
-            cols["src"][i] = p.src
-            cols["dst"][i] = p.dst
-            cols["sport"][i] = p.sport
-            cols["dport"][i] = p.dport
-            cols["proto"][i] = p.proto
-            cols["size"][i] = p.size
-            ts[i] = p.ts
-            cols["kind"][i] = int(p.kind)
-        return cls(ts=ts, **cols)
 
     @classmethod
     def coerce(cls, obj) -> "PacketBatch":

@@ -43,10 +43,12 @@ def save_csv(trace: Trace, path: str, include_kind: bool = True) -> None:
 
 def load_csv(path: str, name: Optional[str] = None) -> Trace:
     """Read a CSV trace written by :func:`save_csv` (or any conformant
-    export).  Raises ValueError on missing columns or unsorted rows."""
+    export).  Raises ValueError on missing columns, a short or malformed
+    row, or unsorted rows."""
     columns: Dict[str, List] = {c: [] for c in _REQUIRED + ("kind",)}
     with open(path, newline="") as handle:
-        reader = csv.DictReader(handle)
+        # a short row reads its missing fields as empty, which fail below
+        reader = csv.DictReader(handle, restval="")
         missing = [c for c in _REQUIRED if c not in (reader.fieldnames or [])]
         if missing:
             raise ValueError(f"CSV trace missing columns: {missing}")
@@ -65,7 +67,9 @@ def load_csv(path: str, name: Optional[str] = None) -> Trace:
                         else PacketKind.REGULAR),
                 )
             except (KeyError, ValueError) as exc:
-                raise ValueError(f"bad CSV trace row at line {line_no}: {exc}") from exc
+                empty = [c for c in _REQUIRED if not row[c]]
+                reason = f"no value for {', '.join(empty)}" if empty else exc
+                raise ValueError(f"bad CSV trace row at line {line_no}: {reason}") from exc
             if values[0] < last_ts:
                 raise ValueError(f"CSV trace not time-sorted at line {line_no}")
             last_ts = values[0]

@@ -17,7 +17,7 @@ from typing import Callable, Dict, List, Tuple
 import numpy as np
 
 from repro.analysis.metrics import FlowErrorJoin
-from repro.core.flowstats import StreamingStats
+from repro.core.flowstats import FlowRows, StreamingStats
 from repro.traffic.batch import pack_flow_keys
 
 Key = Tuple[int, int, int, int, int]
@@ -151,7 +151,7 @@ def reference_flow_errors(estimated, true, value_of: Callable[[StreamingStats], 
             continue
         joined += 1
         errors.append(abs(value_of(est) - t) / t)
-    return FlowErrorJoin(errors, joined, missing, zero)
+    return FlowErrorJoin(np.array(errors, dtype=np.float64), joined, missing, zero)
 
 
 def reference_mean_errors(estimated, true) -> FlowErrorJoin:
@@ -169,6 +169,23 @@ def reference_table_rows(table) -> Dict[Key, Tuple[int, float, float]]:
         key: (s.count, s.mean, sqrt(s._m2 / s.count) if s.count >= 2 else 0.0)
         for key, s in table.items()
     }
+
+
+def packed_key(key: Key) -> Tuple[int, int]:
+    """A 5-tuple's two key words, by the formula in plain ints."""
+    src, dst, sport, dport, proto = key
+    return (src << 32) | dst, (sport << 24) | (dport << 8) | proto
+
+
+def reference_flow_rows(table) -> FlowRows:
+    """:meth:`FlowRows.of`, built from :func:`reference_table_rows`."""
+    rows = reference_table_rows(table)
+    words = [packed_key(key) for key in rows]
+    counts, means, stds = zip(*rows.values()) if rows else ((), (), ())
+    return FlowRows(np.array([a for a, _ in words], dtype=np.uint64),
+                    np.array([b for _, b in words], dtype=np.uint64),
+                    np.array(counts, dtype=np.int64), np.array(means, dtype=np.float64),
+                    np.array(stds, dtype=np.float64))
 
 
 def reference_pooled(items) -> StreamingStats:

@@ -35,6 +35,7 @@ from repro.traffic.crosstraffic import BurstyModel, UniformModel
 from repro.traffic.synthetic import TraceConfig, generate_trace
 from repro.traffic.trace import Trace
 
+from packet_columns import batch_of
 from reference_path import reference_path
 
 REGULAR_PREFIX = Prefix.parse("10.1.0.0/16")
@@ -648,8 +649,6 @@ class TestMultiStreamBatchEmission:
         return rx
 
     def _drive_batch(self):
-        from repro.traffic.batch import PacketBatch
-
         rx = self._receiver()
         assert rx.batch_capable
         events = self._events()
@@ -663,7 +662,7 @@ class TestMultiStreamBatchEmission:
             if p.is_regular:
                 header_index[i] = row
                 row += 1
-        rx.observe_batch(times, kinds, PacketBatch.from_packets(regulars),
+        rx.observe_batch(times, kinds, batch_of(regulars),
                          header_index, None, refs)
         rx.finalize()   # documented no-op after the one-shot batch
         return rx

@@ -14,6 +14,8 @@ from repro.traffic.crosstraffic import (
 from repro.traffic.batch import PacketBatch
 from repro.traffic.trace import Trace
 
+from packet_columns import batch_of
+
 
 def make_cross_trace(n=5000, duration=1.0, size=500):
     rng = np.random.default_rng(1)
@@ -23,7 +25,7 @@ def make_cross_trace(n=5000, duration=1.0, size=500):
                sport=i % 100, size=size, ts=float(t))
         for i, t in enumerate(times)
     ]
-    return Trace(PacketBatch.from_packets(packets), name="cross", check_sorted=False)
+    return Trace(batch_of(packets), name="cross", check_sorted=False)
 
 
 class TestUniformModel:

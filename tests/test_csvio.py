@@ -8,6 +8,8 @@ from repro.traffic.batch import BATCH_COLUMNS, PacketBatch
 from repro.traffic.csvio import load_csv, save_csv
 from repro.traffic.trace import Trace
 
+from packet_columns import batch_of
+
 
 class TestCsvRoundtrip:
     def test_roundtrip(self, tmp_path, small_trace):
@@ -41,6 +43,23 @@ class TestCsvRoundtrip:
         with pytest.raises(ValueError, match="line 3"):
             load_csv(str(path))
 
+    def test_short_row_rejected_with_line_number(self, tmp_path):
+        path = tmp_path / "short.csv"
+        path.write_text("ts,src,dst,sport,dport,proto,size\n"
+                        "0.0,10.0.0.1,10.0.0.2,1,2,6,100\n"
+                        "0.1,10.0.0.1,10.0.0.2,1,2\n")
+        with pytest.raises(ValueError) as short:
+            load_csv(str(path))
+        assert str(short.value) == "bad CSV trace row at line 3: no value for proto, size"
+
+    def test_row_without_its_kind_field_is_regular(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_text("ts,src,dst,sport,dport,proto,size,kind\n"
+                        "0.0,10.0.0.1,10.0.0.2,1,2,6,100,2\n"
+                        "0.1,10.0.0.1,10.0.0.2,1,2,6,100\n")
+        assert load_csv(str(path)).batch.kind.tolist() == [int(PacketKind.CROSS),
+                                                            int(PacketKind.REGULAR)]
+
     def test_unsorted_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("ts,src,dst,sport,dport,proto,size\n"
@@ -73,7 +92,7 @@ def per_row_batch(path):
                          else PacketKind.REGULAR))
             for row in csv.DictReader(handle)
         ]
-    return PacketBatch.from_packets(packets)
+    return batch_of(packets)
 
 
 class TestColumnarLoader:

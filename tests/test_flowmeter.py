@@ -10,6 +10,8 @@ from repro.traffic.batch import PacketBatch
 from repro.traffic.flowmeter import FlowMeter
 from repro.traffic.trace import Trace
 
+from packet_columns import batch_of
+
 
 def pkt(ts, sport=1, size=100, src="10.1.0.1"):
     return Packet(src=ip_to_int(src), dst=ip_to_int("10.2.0.1"),
@@ -63,7 +65,7 @@ class TestFlowMeter:
 class TestTrafficDivider:
     def test_split_by_source_prefix(self):
         divider = TrafficDivider([Prefix.parse("10.1.0.0/16")])
-        trace = Trace(PacketBatch.from_packets(
+        trace = Trace(batch_of(
             [pkt(0.0, src="10.1.0.5"), pkt(0.1, src="10.9.0.5")]))
         regular, cross = divider.split(trace)
         assert len(regular) == 1 and len(cross) == 1
@@ -122,7 +124,7 @@ class TestTrafficDivider:
 
     def test_split_clones(self):
         divider = TrafficDivider([Prefix.parse("10.1.0.0/16")])
-        trace = Trace(PacketBatch.from_packets([pkt(0.0)]))
+        trace = Trace(batch_of([pkt(0.0)]))
         regular, _ = divider.split(trace)
         regular[0].dropped = True
         assert not trace[0].dropped

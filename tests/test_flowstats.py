@@ -1,6 +1,9 @@
 """Tests for streaming per-flow statistics (Welford accumulators)."""
 
+import dataclasses
 import math
+import pickle
+import pickletools
 
 import numpy as np
 import pytest
@@ -10,17 +13,19 @@ from repro.analysis.metrics import flow_mean_errors, flow_std_errors
 from repro.core import flowstats
 from repro.core.flowstats import (
     BoundedFlowStatsTable,
+    FlowRows,
     FlowStatsTable,
     StreamingStats,
     fold_flow_samples,
     pooled_stats,
     welford_grouped,
 )
-from repro.experiments.workloads import _flow_table_rows
 from reference_flowstats import (
     join_dump,
+    packed_key,
     per_sample_table,
     reference_flow_ids,
+    reference_flow_rows,
     reference_mean_errors,
     reference_pooled,
     reference_std_errors,
@@ -266,7 +271,7 @@ class TestColumnReadersOracle:
             join = vectorized(est, true)
             assert join_dump(join) == join_dump(loop(est, true))
             assert join.skipped_missing and join.skipped_zero
-            assert all(type(e) is float for e in join.errors)
+            assert join.errors.dtype == np.float64 and join.errors.ndim == 1
 
     def test_error_joins_on_bounded_tables(self):
         # an LRU table's column order (recency) differs from its slot order
@@ -281,12 +286,18 @@ class TestColumnReadersOracle:
     def test_summary_rows(self, bounded):
         factory = (lambda: BoundedFlowStatsTable(max_flows=60)) if bounded else FlowStatsTable
         for table in joined_tables(4, factory):
-            rows = _flow_table_rows(table)
+            rows = FlowRows.of(table)
             want = reference_table_rows(table)
-            assert list(rows) == list(want)
-            assert [(c, m.hex(), s.hex()) for c, m, s in rows.values()] == \
+            assert [column.dtype for column in (rows.key_a, rows.key_b, rows.count,
+                                                rows.mean, rows.std)] == \
+                [np.uint64, np.uint64, np.int64, np.float64, np.float64]
+            assert list(zip(rows.key_a.tolist(), rows.key_b.tolist())) == \
+                [packed_key(key) for key in want]
+            assert list(zip(rows.count.tolist(), map(float.hex, rows.mean.tolist()),
+                            map(float.hex, rows.std.tolist()))) == \
                 [(c, m.hex(), s.hex()) for c, m, s in want.values()]
-            assert all(type(c) is int for c, _, _ in rows.values())
+            assert rows == reference_flow_rows(table)
+            assert len(rows) == len(table)
 
     def test_pooled_mean_in_table_and_sorted_order(self):
         est, true = joined_tables(5)
@@ -387,3 +398,78 @@ def test_fig4a_condition_builds_no_per_flow_accumulators(monkeypatch):
     summary = summarize_condition(condition)
     assert len(summary.flow_true) > 100
     assert len(created) == 1
+
+
+def test_summary_pickles_per_flow_data_as_arrays():
+    """A condition summary carries its flows as columns: its pickle grows
+    by at most 64 bytes per flow row and by no pickle opcode per flow."""
+    from repro.experiments.config import ExperimentConfig
+    from repro.experiments.workloads import (PipelineWorkload, run_condition,
+                                             summarize_condition)
+
+    cfg = ExperimentConfig(scale=0.05)
+    condition = run_condition(PipelineWorkload(cfg), "adaptive", "random",
+                              max(cfg.fig4ab_utilizations))
+    summary = summarize_condition(condition)
+    flows = len(summary.flow_true) + len(summary.flow_estimated)
+    assert len(summary.flow_true) > 100 and len(summary.mean_join.errors) > 100
+    no_flows = dataclasses.replace(
+        summary, flow_true=FlowRows.empty(), flow_estimated=FlowRows.empty(),
+        mean_join=dataclasses.replace(summary.mean_join, errors=np.zeros(0)),
+        std_join=dataclasses.replace(summary.std_join, errors=np.zeros(0)))
+
+    def dumped(value):
+        return pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL)
+
+    assert len(dumped(summary)) - len(dumped(no_flows)) <= 64 * flows
+    opcodes = [sum(1 for _ in pickletools.genops(dumped(value)))
+               for value in (summary, no_flows)]
+    assert opcodes[0] - opcodes[1] <= 16
+    assert pickle.loads(dumped(summary)) == summary
+
+
+class TestFlowRows:
+    """The columnar summary rows are a value: equal by bits, one row
+    lookup by key, and pickled as arrays."""
+
+    def test_equality_is_bitwise(self):
+        est, true = joined_tables(8)
+        rows = FlowRows.of(true)
+        assert rows == FlowRows.of(true) and rows != FlowRows.of(est)
+        assert (rows == rows) is True
+        nan = dataclasses.replace(rows, mean=np.full(len(rows), math.nan))
+        assert nan == dataclasses.replace(rows, mean=np.full(len(rows), math.nan))
+        zero = dataclasses.replace(rows, std=np.zeros(len(rows)))
+        assert zero != dataclasses.replace(rows, std=-np.zeros(len(rows)))
+        assert rows != dataclasses.replace(rows, count=rows.count.astype(np.int32))
+        assert pickle.loads(pickle.dumps(rows)) == rows
+        assert FlowRows.empty() == FlowRows.of(BoundedFlowStatsTable(max_flows=4))
+        assert len(FlowRows.empty()) == 0
+
+    def test_join_equality_is_bitwise(self):
+        est, true = joined_tables(9)
+        join = flow_mean_errors(est, true)
+        assert join == flow_mean_errors(est, true)
+        assert join != flow_mean_errors(true, est)
+        assert join != dataclasses.replace(join, skipped_zero=join.skipped_zero + 1)
+        assert join != dataclasses.replace(join, errors=join.errors.astype(np.float32))
+        assert join != dataclasses.replace(join, errors=join.errors[:-1])
+        assert (join == join) is True
+
+    @pytest.mark.parametrize("bounded", [False, True])
+    def test_rows_of_finds_each_flow(self, bounded):
+        factory = (lambda: BoundedFlowStatsTable(max_flows=60)) if bounded else FlowStatsTable
+        est, true = joined_tables(10, factory)
+        rows = FlowRows.of(est)
+        keys = [flow_key(i) for i in range(120)] + [(1, 2, 3, 4, 17)]
+        found = rows.rows_of(keys)
+        assert found.dtype == np.int64
+        cols = est.columns()
+        for key, row in zip(keys, found.tolist()):
+            if key in est:
+                assert cols.keys[row] == key
+                assert rows.count[row] == est.get(key).count
+            else:
+                assert row == -1
+        assert (found == -1).any() and (found >= 0).any()
+        assert rows.rows_of([]).tolist() == []

@@ -9,6 +9,8 @@ from repro.traffic.batch import BATCH_COLUMNS, PacketBatch
 from repro.traffic.synthetic import TraceConfig, generate_trace
 from repro.traffic.trace import Trace
 
+from packet_columns import batch_of
+
 
 def sample_packets():
     return [
@@ -28,7 +30,7 @@ def packet_fields(p):
 class TestRoundTrip:
     def test_from_packets_to_packets_is_exact(self):
         packets = sample_packets()
-        rebuilt = PacketBatch.from_packets(packets).to_packets()
+        rebuilt = batch_of(packets).to_packets()
         assert [packet_fields(p) for p in rebuilt] == [packet_fields(p) for p in packets]
         # plain Python scalars, fresh bookkeeping
         for p in rebuilt:
@@ -36,24 +38,24 @@ class TestRoundTrip:
             assert p.tap_time is None and not p.dropped
 
     def test_single_packet_materialization(self):
-        batch = PacketBatch.from_packets(sample_packets())
+        batch = batch_of(sample_packets())
         assert packet_fields(batch.packet(1)) == packet_fields(sample_packets()[1])
 
     def test_summary_stats_match_object_computations(self):
         packets = sample_packets()
-        batch = PacketBatch.from_packets(packets)
+        batch = batch_of(packets)
         assert len(batch) == len(packets)
         assert batch.total_bytes == sum(p.size for p in packets)
         assert batch.duration == packets[-1].ts
         assert batch.n_flows == len({p.flow_key for p in packets})
 
     def test_flow_key_matches_packet(self):
-        batch = PacketBatch.from_packets(sample_packets())
+        batch = batch_of(sample_packets())
         for i, p in enumerate(sample_packets()):
             assert batch.flow_key(i) == p.flow_key
 
     def test_take_replace_with_kind(self):
-        batch = PacketBatch.from_packets(sample_packets())
+        batch = batch_of(sample_packets())
         sub = batch.take(np.array([2, 0]))
         assert sub.size.tolist() == [600, 1500]
         crossed = batch.with_kind(PacketKind.CROSS)
@@ -65,7 +67,7 @@ class TestRoundTrip:
             batch.replace(nonsense=batch.ts)
 
     def test_concat_and_empty(self):
-        batch = PacketBatch.from_packets(sample_packets())
+        batch = batch_of(sample_packets())
         both = PacketBatch.concat([batch, batch])
         assert len(both) == 2 * len(batch)
         assert len(PacketBatch.concat([])) == 0
@@ -106,7 +108,7 @@ class TestBatchBackedTrace:
         assert trace.n_flows == len({p.flow_key for p in packets})
 
     def test_unsorted_batch_rejected(self):
-        batch = PacketBatch.from_packets(list(reversed(sample_packets())))
+        batch = batch_of(list(reversed(sample_packets())))
         with pytest.raises(ValueError):
             Trace(batch)
         Trace(batch, check_sorted=False)  # explicit opt-out still works
@@ -132,7 +134,7 @@ class TestBatchBackedTrace:
 
 class TestCoerce:
     def test_batch_and_trace(self):
-        batch = PacketBatch.from_packets(sample_packets())
+        batch = batch_of(sample_packets())
         assert PacketBatch.coerce(batch) is batch
         assert PacketBatch.coerce(Trace(batch, check_sorted=False)) is batch
 

@@ -13,6 +13,7 @@ record-then-replay extension studies are held to the same standard.
 
 import pickle
 
+import numpy as np
 import pytest
 
 from repro.experiments.config import ExperimentConfig
@@ -67,8 +68,9 @@ class TestParallelMatchesSerial:
             assert s.drops2 == p.drops2
             assert s.flow_estimated == p.flow_estimated
             assert s.flow_true == p.flow_true
-            assert s.mean_join.errors == p.mean_join.errors
-            assert s.std_join.errors == p.std_join.errors
+            for join_s, join_p in ((s.mean_join, p.mean_join), (s.std_join, p.std_join)):
+                assert join_s.errors.dtype == join_p.errors.dtype == np.float64
+                assert join_s.errors.tobytes() == join_p.errors.tobytes()
             assert s.measured_util == p.measured_util
             assert s.mean_true_latency == p.mean_true_latency
             assert s.refs_injected == p.refs_injected

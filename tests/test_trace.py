@@ -5,8 +5,9 @@ import pytest
 
 from repro.net.addressing import ip_to_int
 from repro.net.packet import Packet
-from repro.traffic.batch import PacketBatch
 from repro.traffic.trace import Trace
+
+from packet_columns import batch_of
 
 
 def pkt(ts, src="10.1.0.1", dst="10.2.0.1", size=100, sport=1):
@@ -14,7 +15,7 @@ def pkt(ts, src="10.1.0.1", dst="10.2.0.1", size=100, sport=1):
 
 
 def trace_of(packets, **kwargs):
-    return Trace(PacketBatch.from_packets(packets), **kwargs)
+    return Trace(batch_of(packets), **kwargs)
 
 
 class TestTraceBasics:
