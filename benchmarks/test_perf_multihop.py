@@ -91,8 +91,8 @@ def write_bench_file(bench_config):
     yield
     if not _RESULTS:
         return
-    from bench_history import (git_sha, make_entry, merge_bench_history,
-                               obs_summary, utc_timestamp)
+    from bench_history import (git_sha, host_record, make_entry,
+                               merge_bench_history, obs_summary, utc_timestamp)
 
     payload = {}
     if BENCH_FILE.exists():
@@ -108,6 +108,7 @@ def write_bench_file(bench_config):
         python=platform.python_version(),
         numpy=np.__version__,
         obs=obs_summary(),
+        host=host_record(),
     )
     payload = merge_bench_history(payload, entry)
     BENCH_FILE.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")

@@ -27,39 +27,30 @@ Quickstart::
     print("median per-flow relative error:", Ecdf(join.errors).median)
 """
 
-from . import analysis, baselines, core, net, sim, traffic
-from .core import (
-    AdaptiveInjection,
-    FlowStatsTable,
-    InterpolationBuffer,
-    RliReceiver,
-    RliSender,
-    RlirDeployment,
-    StaticInjection,
-)
-from .sim import FatTree, TwoSwitchPipeline
-from .traffic import Trace, TraceConfig, generate_trace
+from ._exports import lazy_exports
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "analysis",
-    "baselines",
-    "core",
-    "net",
-    "sim",
-    "traffic",
-    "AdaptiveInjection",
-    "FlowStatsTable",
-    "InterpolationBuffer",
-    "RliReceiver",
-    "RliSender",
-    "RlirDeployment",
-    "StaticInjection",
-    "FatTree",
-    "TwoSwitchPipeline",
-    "Trace",
-    "TraceConfig",
-    "generate_trace",
-    "__version__",
-]
+_EXPORTS = {
+    "analysis": "analysis",
+    "baselines": "baselines",
+    "core": "core",
+    "net": "net",
+    "sim": "sim",
+    "traffic": "traffic",
+    "AdaptiveInjection": "core.injection",
+    "FlowStatsTable": "core.flowstats",
+    "InterpolationBuffer": "core.interpolation",
+    "RliReceiver": "core.receiver",
+    "RliSender": "core.sender",
+    "RlirDeployment": "core.rlir",
+    "StaticInjection": "core.injection",
+    "FatTree": "sim.topology",
+    "TwoSwitchPipeline": "sim.pipeline",
+    "Trace": "traffic.trace",
+    "TraceConfig": "traffic.synthetic",
+    "generate_trace": "traffic.synthetic",
+}
+
+__all__ = [*sorted(_EXPORTS), "__version__"]
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

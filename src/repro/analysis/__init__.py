@@ -1,20 +1,20 @@
 """Metrics, CDFs and text reporting used by tests, examples and benches."""
 
-from .cdf import Ecdf
-from .metrics import FlowErrorJoin, flow_mean_errors, flow_std_errors, relative_error
-from .plot import ascii_cdf, ascii_series
-from .report import format_cdf_series, format_table, pct, us
+from .._exports import lazy_exports
 
-__all__ = [
-    "ascii_cdf",
-    "ascii_series",
-    "Ecdf",
-    "FlowErrorJoin",
-    "flow_mean_errors",
-    "flow_std_errors",
-    "relative_error",
-    "format_cdf_series",
-    "format_table",
-    "pct",
-    "us",
-]
+_EXPORTS = {
+    "Ecdf": "cdf",
+    "FlowErrorJoin": "metrics",
+    "flow_mean_errors": "metrics",
+    "flow_std_errors": "metrics",
+    "relative_error": "metrics",
+    "ascii_cdf": "plot",
+    "ascii_series": "plot",
+    "format_cdf_series": "report",
+    "format_table": "report",
+    "pct": "report",
+    "us": "report",
+}
+
+__all__ = sorted(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

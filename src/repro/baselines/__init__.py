@@ -1,8 +1,14 @@
 """Comparison baselines from the paper's related work: LDA (aggregate),
 Multiflow (NetFlow two-sample), and trajectory sampling."""
 
-from .lda import Lda, LdaEstimate
-from .multiflow import MultiflowEstimator
-from .trajectory import TrajectorySampler
+from .._exports import lazy_exports
 
-__all__ = ["Lda", "LdaEstimate", "MultiflowEstimator", "TrajectorySampler"]
+_EXPORTS = {
+    "Lda": "lda",
+    "LdaEstimate": "lda",
+    "MultiflowEstimator": "multiflow",
+    "TrajectorySampler": "trajectory",
+}
+
+__all__ = sorted(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

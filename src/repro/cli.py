@@ -278,15 +278,22 @@ def _cmd_generate_trace(args) -> int:
     return 0
 
 
-def _load_any(path: str):
+def _load_any(path: str, command: str):
+    """The trace at *path*, or None after reporting why it is malformed."""
     from .traffic.csvio import load_csv
     from .traffic.trace import Trace
 
-    return load_csv(path) if path.endswith(".csv") else Trace.load(path)
+    try:
+        return load_csv(path) if path.endswith(".csv") else Trace.load(path)
+    except ValueError as exc:
+        print(f"repro-rlir {command}: error: {exc}", file=sys.stderr)
+        return None
 
 
 def _cmd_trace_info(args) -> int:
-    trace = _load_any(args.path)
+    trace = _load_any(args.path, "trace-info")
+    if trace is None:
+        return 2
     print(f"name:      {trace.name}")
     print(f"packets:   {len(trace)}")
     print(f"flows:     {trace.n_flows}")
@@ -299,7 +306,9 @@ def _cmd_trace_info(args) -> int:
 def _cmd_convert(args) -> int:
     from .traffic.csvio import save_csv
 
-    trace = _load_any(args.src)
+    trace = _load_any(args.src, "convert")
+    if trace is None:
+        return 2
     if args.dst.endswith(".csv"):
         save_csv(trace, args.dst)
     else:

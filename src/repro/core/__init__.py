@@ -5,70 +5,51 @@ demultiplexers that make RLI work *across* routers, placement planning, and
 anomaly localization.
 """
 
-from .demux import Demux, PathClassifierDemux, SingleSenderDemux, UpstreamPrefixDemux
-from .flowstats import BoundedFlowStatsTable, FlowStatsTable, StreamingStats
-from .full_rli import FullRliDeployment, FullRliResult
-from .injection import AdaptiveInjection, InjectionPolicy, StaticInjection
-from .interpolation import ESTIMATORS, Estimate, InterpolationBuffer, linear_interpolate
-from .localization import LocalizationReport, SegmentSummary, flow_breakdown, localize
-from .marking import MarkingClassifier, assign_marks
-from .mesh import MeshResult, RlirMesh
-from .placement import (
-    PlacementInstance,
-    RlirPlacement,
-    instances_all_tor_pairs_enumerated,
-    instances_all_tor_pairs_paper,
-    instances_full_deployment,
-    instances_interface_pair,
-    instances_tor_pair,
-)
-from .quantiles import FlowQuantileTable, P2Quantile
-from .receiver import RliReceiver
-from .reverse_ecmp import ReverseEcmpClassifier
-from .rlir import RlirDeployment, RlirResult
-from .sender import REFERENCE_PACKET_SIZE, RefTemplate, RliSender
-from .utilization import EwmaUtilization
+from .._exports import lazy_exports
 
-__all__ = [
-    "BoundedFlowStatsTable",
-    "FullRliDeployment",
-    "FullRliResult",
-    "Demux",
-    "PathClassifierDemux",
-    "SingleSenderDemux",
-    "UpstreamPrefixDemux",
-    "FlowStatsTable",
-    "StreamingStats",
-    "AdaptiveInjection",
-    "InjectionPolicy",
-    "StaticInjection",
-    "ESTIMATORS",
-    "Estimate",
-    "InterpolationBuffer",
-    "linear_interpolate",
-    "LocalizationReport",
-    "SegmentSummary",
-    "flow_breakdown",
-    "localize",
-    "MarkingClassifier",
-    "assign_marks",
-    "MeshResult",
-    "RlirMesh",
-    "FlowQuantileTable",
-    "P2Quantile",
-    "PlacementInstance",
-    "RlirPlacement",
-    "instances_all_tor_pairs_enumerated",
-    "instances_all_tor_pairs_paper",
-    "instances_full_deployment",
-    "instances_interface_pair",
-    "instances_tor_pair",
-    "RliReceiver",
-    "ReverseEcmpClassifier",
-    "RlirDeployment",
-    "RlirResult",
-    "REFERENCE_PACKET_SIZE",
-    "RefTemplate",
-    "RliSender",
-    "EwmaUtilization",
-]
+_EXPORTS = {
+    "Demux": "demux",
+    "PathClassifierDemux": "demux",
+    "SingleSenderDemux": "demux",
+    "UpstreamPrefixDemux": "demux",
+    "BoundedFlowStatsTable": "flowstats",
+    "FlowStatsTable": "flowstats",
+    "StreamingStats": "flowstats",
+    "FullRliDeployment": "full_rli",
+    "FullRliResult": "full_rli",
+    "AdaptiveInjection": "injection",
+    "InjectionPolicy": "injection",
+    "StaticInjection": "injection",
+    "ESTIMATORS": "interpolation",
+    "Estimate": "interpolation",
+    "InterpolationBuffer": "interpolation",
+    "linear_interpolate": "interpolation",
+    "LocalizationReport": "localization",
+    "SegmentSummary": "localization",
+    "flow_breakdown": "localization",
+    "localize": "localization",
+    "MarkingClassifier": "marking",
+    "assign_marks": "marking",
+    "MeshResult": "mesh",
+    "RlirMesh": "mesh",
+    "PlacementInstance": "placement",
+    "RlirPlacement": "placement",
+    "instances_all_tor_pairs_enumerated": "placement",
+    "instances_all_tor_pairs_paper": "placement",
+    "instances_full_deployment": "placement",
+    "instances_interface_pair": "placement",
+    "instances_tor_pair": "placement",
+    "FlowQuantileTable": "quantiles",
+    "P2Quantile": "quantiles",
+    "RliReceiver": "receiver",
+    "ReverseEcmpClassifier": "reverse_ecmp",
+    "RlirDeployment": "rlir",
+    "RlirResult": "rlir",
+    "REFERENCE_PACKET_SIZE": "sender",
+    "RefTemplate": "sender",
+    "RliSender": "sender",
+    "EwmaUtilization": "utilization",
+}
+
+__all__ = sorted(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

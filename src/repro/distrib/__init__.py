@@ -34,12 +34,10 @@ or, against a standing cluster::
     runner = DistributedRunner(broker="coord:7077")
 """
 
-from importlib import import_module
-from typing import Any
+from .._exports import lazy_exports
 
-# Exported names resolve on first use (PEP 562), so a worker process,
-# which needs only ``worker`` and ``protocol``, never imports the broker,
-# the runner, the journal or the shaping relay.
+# A worker process, which needs only ``worker`` and ``protocol``, never
+# imports the broker, the runner, the journal or the shaping relay.
 _EXPORTS = {
     "Broker": "broker",
     "BrokerUnavailableError": "protocol",
@@ -56,12 +54,4 @@ _EXPORTS = {
 }
 
 __all__ = sorted(_EXPORTS)
-
-
-def __getattr__(name: str) -> Any:
-    module = _EXPORTS.get(name)
-    if module is None:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = getattr(import_module(f".{module}", __name__), name)
-    globals()[name] = value
-    return value
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -1,61 +1,38 @@
 """Experiment drivers regenerating every quantitative figure/table of the
 paper, plus ablations."""
 
-from .ablations import (
-    run_baseline_comparison,
-    run_estimator_ablation,
-    run_injection_sweep,
-    run_sync_error_ablation,
-)
-from .config import ExperimentConfig, default_scale, derive_seed
-from .extensions import (
-    run_aqm_comparison,
-    run_granularity_comparison,
-    run_localization_study,
-    run_memory_ablation,
-    run_mesh_study,
-    run_multihop_ablation,
-    run_ptp_study,
-    run_tail_accuracy,
-)
-from .fig4 import Fig4Curve, run_fig4ab, run_fig4c
-from .fig5 import Fig5Row, run_fig5
-from .placement import PlacementJob, PlacementRow, run_placement
-from .workloads import (
-    ConditionResult,
-    ConditionSummary,
-    PipelineWorkload,
-    run_condition,
-    run_condition_job,
-)
+from .._exports import lazy_exports
 
-__all__ = [
-    "run_aqm_comparison",
-    "run_granularity_comparison",
-    "run_localization_study",
-    "run_memory_ablation",
-    "run_mesh_study",
-    "run_multihop_ablation",
-    "run_ptp_study",
-    "run_tail_accuracy",
-    "run_baseline_comparison",
-    "run_estimator_ablation",
-    "run_injection_sweep",
-    "run_sync_error_ablation",
-    "ExperimentConfig",
-    "default_scale",
-    "derive_seed",
-    "Fig4Curve",
-    "run_fig4ab",
-    "run_fig4c",
-    "Fig5Row",
-    "run_fig5",
-    "PlacementJob",
-    "PlacementRow",
-    "run_placement",
-    "ConditionResult",
-    "ConditionSummary",
-    "PipelineWorkload",
-    "run_condition",
-    "run_condition_job",
-]
+_EXPORTS = {
+    "run_baseline_comparison": "ablations",
+    "run_estimator_ablation": "ablations",
+    "run_injection_sweep": "ablations",
+    "run_sync_error_ablation": "ablations",
+    "ExperimentConfig": "config",
+    "default_scale": "config",
+    "derive_seed": "config",
+    "run_aqm_comparison": "extensions",
+    "run_granularity_comparison": "extensions",
+    "run_localization_study": "extensions",
+    "run_memory_ablation": "extensions",
+    "run_mesh_study": "extensions",
+    "run_multihop_ablation": "extensions",
+    "run_ptp_study": "extensions",
+    "run_tail_accuracy": "extensions",
+    "Fig4Curve": "fig4",
+    "run_fig4ab": "fig4",
+    "run_fig4c": "fig4",
+    "Fig5Row": "fig5",
+    "run_fig5": "fig5",
+    "PlacementJob": "placement",
+    "PlacementRow": "placement",
+    "run_placement": "placement",
+    "ConditionResult": "workloads",
+    "ConditionSummary": "workloads",
+    "PipelineWorkload": "workloads",
+    "run_condition": "workloads",
+    "run_condition_job": "workloads",
+}
+
+__all__ = sorted(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -1,24 +1,24 @@
 """Packet, flow and addressing substrate shared by the simulator and RLIR."""
 
-from .addressing import Prefix, PrefixTrie, int_to_ip, ip_to_int
-from .flow import FlowKey, count_flows, flow_key_of, group_by_flow
-from .headers import MAX_MARK, MARK_UNSET, clear_mark, decode_mark, encode_mark
-from .packet import Packet, PacketKind
+from .._exports import lazy_exports
 
-__all__ = [
-    "Prefix",
-    "PrefixTrie",
-    "int_to_ip",
-    "ip_to_int",
-    "FlowKey",
-    "count_flows",
-    "flow_key_of",
-    "group_by_flow",
-    "MAX_MARK",
-    "MARK_UNSET",
-    "clear_mark",
-    "decode_mark",
-    "encode_mark",
-    "Packet",
-    "PacketKind",
-]
+_EXPORTS = {
+    "Prefix": "addressing",
+    "PrefixTrie": "addressing",
+    "int_to_ip": "addressing",
+    "ip_to_int": "addressing",
+    "FlowKey": "flow",
+    "count_flows": "flow",
+    "flow_key_of": "flow",
+    "group_by_flow": "flow",
+    "MAX_MARK": "headers",
+    "MARK_UNSET": "headers",
+    "clear_mark": "headers",
+    "decode_mark": "headers",
+    "encode_mark": "headers",
+    "Packet": "packet",
+    "PacketKind": "packet",
+}
+
+__all__ = sorted(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -19,79 +19,45 @@ Enable with ``--obs`` on the CLI, ``REPRO_OBS=1`` in the environment,
 or :func:`enable` programmatically.
 """
 
-from repro.obs._state import (
-    disable,
-    enable,
-    enabled,
-    process_label,
-    set_process_label,
-    set_verbose,
-    verbose,
-)
-from repro.obs.export import (
-    ARTIFACT_DIR,
-    SCHEMA_ID,
-    build_artifact,
-    drain_payload,
-    fold_metrics,
-    fold_payload,
-    load_schema,
-    merged_spans,
-    reset_foreign,
-    span_summary,
-    validate_artifact,
-    write_artifact,
-    write_chrome_trace,
-)
-from repro.obs.metrics import (
-    MetricsRegistry,
-    count,
-    drain_registry,
-    fallback,
-    gauge,
-    merge_snapshot,
-    observe,
-    registry_snapshot,
-    reset_metrics,
-    reset_notes,
-    taken,
-)
-from repro.obs.trace import drain_spans, reset_spans, span, spans_snapshot
+from .._exports import lazy_exports
 
-__all__ = [
-    "ARTIFACT_DIR",
-    "SCHEMA_ID",
-    "MetricsRegistry",
-    "build_artifact",
-    "count",
-    "disable",
-    "drain_payload",
-    "drain_registry",
-    "drain_spans",
-    "enable",
-    "enabled",
-    "fallback",
-    "fold_metrics",
-    "fold_payload",
-    "gauge",
-    "load_schema",
-    "merge_snapshot",
-    "merged_spans",
-    "observe",
-    "process_label",
-    "registry_snapshot",
-    "reset_foreign",
-    "reset_metrics",
-    "reset_notes",
-    "reset_spans",
-    "set_process_label",
-    "set_verbose",
-    "span",
-    "span_summary",
-    "spans_snapshot",
-    "taken",
-    "validate_artifact",
-    "verbose",
-    "write_artifact",
-    "write_chrome_trace",
-]
+_EXPORTS = {
+    "disable": "_state",
+    "enable": "_state",
+    "enabled": "_state",
+    "process_label": "_state",
+    "set_process_label": "_state",
+    "set_verbose": "_state",
+    "verbose": "_state",
+    "ARTIFACT_DIR": "export",
+    "SCHEMA_ID": "export",
+    "build_artifact": "export",
+    "drain_payload": "export",
+    "fold_metrics": "export",
+    "fold_payload": "export",
+    "load_schema": "export",
+    "merged_spans": "export",
+    "reset_foreign": "export",
+    "span_summary": "export",
+    "validate_artifact": "export",
+    "write_artifact": "export",
+    "write_chrome_trace": "export",
+    "MetricsRegistry": "metrics",
+    "count": "metrics",
+    "drain_registry": "metrics",
+    "fallback": "metrics",
+    "gauge": "metrics",
+    "merge_snapshot": "metrics",
+    "observe": "metrics",
+    "registry_snapshot": "metrics",
+    "reset_metrics": "metrics",
+    "reset_notes": "metrics",
+    "taken": "metrics",
+    "drain_spans": "trace",
+    "reset_spans": "trace",
+    "span": "trace",
+    "spans_snapshot": "trace",
+}
+
+__all__ = sorted(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -30,19 +30,19 @@ backend (:mod:`repro.distrib`) executes the same jobs on a broker/worker
 cluster with the same byte-identical guarantee.
 """
 
-from .backends import BACKENDS, make_runner
-from .cache import CACHE_VERSION, DEFAULT_CACHE_DIR, ResultCache, code_fingerprint
-from .runner import ParallelRunner
-from .spec import JobSpec, SweepSpec
+from .._exports import lazy_exports
 
-__all__ = [
-    "BACKENDS",
-    "CACHE_VERSION",
-    "DEFAULT_CACHE_DIR",
-    "ResultCache",
-    "code_fingerprint",
-    "make_runner",
-    "ParallelRunner",
-    "JobSpec",
-    "SweepSpec",
-]
+_EXPORTS = {
+    "BACKENDS": "backends",
+    "make_runner": "backends",
+    "CACHE_VERSION": "cache",
+    "DEFAULT_CACHE_DIR": "cache",
+    "ResultCache": "cache",
+    "code_fingerprint": "cache",
+    "ParallelRunner": "runner",
+    "JobSpec": "spec",
+    "SweepSpec": "spec",
+}
+
+__all__ = sorted(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

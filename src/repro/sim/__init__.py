@@ -6,45 +6,37 @@ pipeline of the paper's Figure 3 and full k-ary fat-trees for the
 across-routers experiments.
 """
 
-from .chain import ChainConfig, ChainResult, SwitchChain
-from .clock import Clock, DriftingClock, OffsetClock, PerfectClock
-from .ecmp import EcmpHasher, craft_dport_for_port
-from .engine import Engine
-from .link import Port
-from .pipeline import PipelineConfig, PipelineResult, TwoSwitchPipeline
-from .ptp import PtpExchange, PtpSession
-from .queue import FifoQueue, QueueStats
-from .red import RedQueue
-from .routing import RoutingError, trace_route
-from .switch import EcmpGroup, LOCAL_DELIVERY, Switch
-from .topology import FatTree, LinkParams, Topology
+from .._exports import lazy_exports
 
-__all__ = [
-    "ChainConfig",
-    "ChainResult",
-    "SwitchChain",
-    "PtpExchange",
-    "PtpSession",
-    "Clock",
-    "DriftingClock",
-    "OffsetClock",
-    "PerfectClock",
-    "EcmpHasher",
-    "craft_dport_for_port",
-    "Engine",
-    "Port",
-    "PipelineConfig",
-    "PipelineResult",
-    "TwoSwitchPipeline",
-    "FifoQueue",
-    "QueueStats",
-    "RedQueue",
-    "RoutingError",
-    "trace_route",
-    "EcmpGroup",
-    "LOCAL_DELIVERY",
-    "Switch",
-    "FatTree",
-    "LinkParams",
-    "Topology",
-]
+_EXPORTS = {
+    "ChainConfig": "chain",
+    "ChainResult": "chain",
+    "SwitchChain": "chain",
+    "Clock": "clock",
+    "DriftingClock": "clock",
+    "OffsetClock": "clock",
+    "PerfectClock": "clock",
+    "EcmpHasher": "ecmp",
+    "craft_dport_for_port": "ecmp",
+    "Engine": "engine",
+    "Port": "link",
+    "PipelineConfig": "pipeline",
+    "PipelineResult": "pipeline",
+    "TwoSwitchPipeline": "pipeline",
+    "PtpExchange": "ptp",
+    "PtpSession": "ptp",
+    "FifoQueue": "queue",
+    "QueueStats": "queue",
+    "RedQueue": "red",
+    "RoutingError": "routing",
+    "trace_route": "routing",
+    "EcmpGroup": "switch",
+    "LOCAL_DELIVERY": "switch",
+    "Switch": "switch",
+    "FatTree": "topology",
+    "LinkParams": "topology",
+    "Topology": "topology",
+}
+
+__all__ = sorted(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -1,37 +1,28 @@
 """Workload substrate: synthetic traces, division, cross-traffic injection,
 and YAF-like flow metering."""
 
-from .batch import PacketBatch
-from .crosstraffic import (
-    BurstyModel,
-    CalibrationError,
-    UniformModel,
-    calibrate_selection_probability,
-)
-from .csvio import load_csv, save_csv
-from .distributions import BoundedPareto, DEFAULT_SIZE_MIX, LognormalGaps, PacketSizeMix
-from .divider import TrafficDivider
-from .flowmeter import FlowMeter, FlowRecord
-from .synthetic import TraceConfig, generate_fattree_trace, generate_trace
-from .trace import Trace
+from .._exports import lazy_exports
 
-__all__ = [
-    "PacketBatch",
-    "load_csv",
-    "save_csv",
-    "BurstyModel",
-    "CalibrationError",
-    "UniformModel",
-    "calibrate_selection_probability",
-    "BoundedPareto",
-    "DEFAULT_SIZE_MIX",
-    "LognormalGaps",
-    "PacketSizeMix",
-    "TrafficDivider",
-    "FlowMeter",
-    "FlowRecord",
-    "TraceConfig",
-    "generate_fattree_trace",
-    "generate_trace",
-    "Trace",
-]
+_EXPORTS = {
+    "PacketBatch": "batch",
+    "BurstyModel": "crosstraffic",
+    "CalibrationError": "crosstraffic",
+    "UniformModel": "crosstraffic",
+    "calibrate_selection_probability": "crosstraffic",
+    "load_csv": "csvio",
+    "save_csv": "csvio",
+    "BoundedPareto": "distributions",
+    "DEFAULT_SIZE_MIX": "distributions",
+    "LognormalGaps": "distributions",
+    "PacketSizeMix": "distributions",
+    "TrafficDivider": "divider",
+    "FlowMeter": "flowmeter",
+    "FlowRecord": "flowmeter",
+    "TraceConfig": "synthetic",
+    "generate_fattree_trace": "synthetic",
+    "generate_trace": "synthetic",
+    "Trace": "trace",
+}
+
+__all__ = sorted(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

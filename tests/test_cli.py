@@ -88,6 +88,26 @@ class TestTraceCommands:
         from repro.traffic.trace import Trace
         assert len(Trace.load(npz)) == len(Trace.load(back))
 
+    @pytest.mark.parametrize("command", ["trace-info", "convert"])
+    def test_malformed_trace_is_an_error_not_a_traceback(self, command,
+                                                         tmp_path, capsys):
+        good = tmp_path / "t.csv"
+        main(["generate-trace", "--packets", "50", "--duration", "0.2",
+              "--out", str(good)])
+        header, row = good.read_text().splitlines()[:2]
+        cut = header.split(",").index("dport") + 1
+        short = tmp_path / "short.csv"
+        short.write_text(f"{header}\n{','.join(row.split(',')[:cut])}\n")
+        capsys.readouterr()
+        args = [str(short)] if command == "trace-info" else [
+            str(short), str(tmp_path / "out.npz")]
+        assert main([command, *args]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"repro-rlir {command}: error: ")
+        assert "line 2" in captured.err
+        assert "Traceback" not in captured.err
+
 
 class TestAnalysisCommands:
     def test_placement(self, capsys, monkeypatch, tmp_path):

@@ -164,18 +164,30 @@ class TestBrokerBounce:
     ):
         """The full chaos schedule at once: one worker dies mid-job, one
         freezes (stops heartbeating) mid-sweep, and the broker is
-        SIGKILL-bounced — output must still match serial exactly."""
+        SIGKILL-bounced — output must still match serial exactly.
+
+        The dying worker joins alone, so the first chunk is surely its
+        own; the other three join once it has died, however fast workers
+        start up."""
         port = _free_port()
         journal_dir = str(tmp_path / "journal")
         state = {"broker": _spawn_broker(port, journal_dir), "bounced": False}
-        workers = [
-            _spawn_worker(port, extra_env={
-                "REPRO_WORKER_DIE_AFTER_CHUNKS": "1"}),
-            _spawn_worker(port, extra_env={
-                "REPRO_WORKER_FREEZE_AFTER_CHUNKS": "2"}),
-            _spawn_worker(port),
-            _spawn_worker(port),
-        ]
+        workers = [_spawn_worker(port, extra_env={
+            "REPRO_WORKER_DIE_AFTER_CHUNKS": "1"})]
+
+        def join_the_rest():
+            try:
+                state["died"] = workers[0].wait(timeout=60)
+            finally:
+                workers.extend([
+                    _spawn_worker(port, extra_env={
+                        "REPRO_WORKER_FREEZE_AFTER_CHUNKS": "2"}),
+                    _spawn_worker(port),
+                    _spawn_worker(port),
+                ])
+
+        joiner = threading.Thread(target=join_the_rest, daemon=True)
+        joiner.start()
 
         def maybe_bounce(snapshot):
             if snapshot.done >= 1 and not state["bounced"]:
@@ -194,9 +206,10 @@ class TestBrokerBounce:
         try:
             results = runner.run(jobs)
             assert state["bounced"]
-            assert workers[0].wait(timeout=60) == 86, "worker did not die"
+            assert state.get("died") == 86, "worker did not die"
             assert [pickle.dumps(r) for r in results] == serial_blobs
         finally:
+            joiner.join(timeout=70)
             _reap(state["broker"], *workers)
 
 

@@ -52,7 +52,7 @@ class TestRegistry:
 
     def test_every_family_present(self):
         families = {r.id[:3] for r in ALL_RULES}
-        assert {"DET", "KEY", "LOC", "BAT", "OBS"} <= families
+        assert {"DET", "KEY", "LOC", "BAT", "OBS", "IMP"} <= families
 
     def test_rules_have_descriptions(self):
         for rule in ALL_RULES:
@@ -291,6 +291,42 @@ class TestObsRules:
 
 
 # ----------------------------------------------------------------------
+# lazy package exports
+
+
+class TestImportRules:
+    LAZY = ('"""A package."""\n'
+            "from typing import TYPE_CHECKING\n"
+            "from .._exports import lazy_exports\n"
+            "if TYPE_CHECKING:\n"
+            "    from .queue import FifoQueue\n"
+            "_EXPORTS = {'FifoQueue': 'queue'}\n"
+            "__all__ = sorted(_EXPORTS)\n"
+            "__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)\n"
+            "def build():\n"
+            "    from .queue import FifoQueue\n"
+            "    return FifoQueue\n")
+
+    @staticmethod
+    def imp_lines(path, src):
+        found = lint_file(pathlib.Path(path), ALL_RULES, source=src)
+        return [f.line for f in found if f.rule == "IMP001"]
+
+    def test_imp001_eager_reexports(self):
+        pairs, _ = findings_for("src/repro/sim/__init__.py")
+        assert rule_lines(pairs, "IMP001") == [3, 4, 5, 6, 8]
+
+    def test_lazy_table_clean(self):
+        assert self.imp_lines("src/repro/sim/__init__.py", self.LAZY) == []
+        assert self.imp_lines("src/repro/__init__.py",
+                              "from ._exports import lazy_exports\n") == []
+
+    def test_plain_module_out_of_scope(self):
+        src = (FIXTURES / "src/repro/sim/__init__.py").read_text()
+        assert self.imp_lines("src/repro/sim/chain.py", src) == []
+
+
+# ----------------------------------------------------------------------
 # engine mechanics
 
 
@@ -339,7 +375,7 @@ class TestEngine:
         assert {"DET001", "DET002", "DET003", "KEY001", "KEY002",
                 "LOCK001", "LOCK002", "LOCK003", "LOCK004",
                 "BATCH001", "BATCH002", "BATCH003", "BATCH004", "BATCH005",
-                "BATCH006", "OBS001", "OBS002", "OBS003"} <= rules_hit
+                "BATCH006", "OBS001", "OBS002", "OBS003", "IMP001"} <= rules_hit
 
 
 # ----------------------------------------------------------------------

@@ -143,3 +143,11 @@ OBS_CLOCK_CALLS = frozenset({
 OBS_METRIC_CALLS = frozenset({
     "count", "gauge", "observe", "taken", "fallback", "reset_notes",
 })
+
+# -- lazy package exports (IMP) -----------------------------------------
+
+# Package `__init__`s under this fragment export through an `_EXPORTS`
+# table resolved on first use; the helper module that builds the hooks is
+# the one repro module they may import at module level.
+LAZY_INIT_SCOPE = ("repro/",)
+EXPORTS_HELPER = "_exports"

@@ -5,7 +5,7 @@ from __future__ import annotations
 from typing import List
 
 from ..engine import Rule
-from . import batchparity, cachekey, determinism, locks, obs
+from . import batchparity, cachekey, determinism, imports, locks, obs
 
 ALL_RULES: List[Rule] = [
     *determinism.RULES,
@@ -13,6 +13,7 @@ ALL_RULES: List[Rule] = [
     *locks.RULES,
     *batchparity.RULES,
     *obs.RULES,
+    *imports.RULES,
 ]
 
 RULES_BY_ID = {rule.id: rule for rule in ALL_RULES}
