@@ -132,19 +132,10 @@ def build_parser() -> argparse.ArgumentParser:
     bst.add_argument("--json", action="store_true",
                      help="print the raw snapshot as JSON")
 
-    wrk = sub.add_parser("worker", help="run one distributed-sweep worker")
-    wrk.add_argument("--connect", required=True, metavar="HOST:PORT",
-                     help="broker address to join")
-    wrk.add_argument("--cache-dir", default=None,
-                     help="shared result cache to consult/publish (optional)")
-    wrk.add_argument("--heartbeat", type=float, default=2.0,
-                     help="seconds between liveness heartbeats (default 2)")
-    wrk.add_argument("--authkey", default=None,
-                     help="cluster auth secret (default: REPRO_DISTRIB_AUTHKEY "
-                          "env or built-in)")
-    wrk.add_argument("--reconnects", type=int, default=5,
-                     help="consecutive failed reconnect attempts before "
-                          "giving the broker up for dead (default 5)")
+    from .distrib import worker_cli
+
+    wrk = sub.add_parser("worker", help=worker_cli.HELP)
+    worker_cli.add_arguments(wrk)
 
     brk = sub.add_parser("broker", help="run a standalone sweep broker")
     brk.add_argument("--listen", default="127.0.0.1:0", metavar="HOST:PORT",
@@ -712,21 +703,9 @@ def _cmd_broker_stats(args) -> int:
 
 
 def _cmd_worker(args) -> int:
-    from .distrib.protocol import parse_address
-    from .distrib.worker import worker_main
+    from .distrib.worker_cli import run
 
-    try:
-        parse_address(args.connect)
-    except ValueError as exc:
-        print(f"repro-rlir worker: error: {exc}", file=sys.stderr)
-        return 2
-    return worker_main(
-        connect=args.connect,
-        cache_dir=args.cache_dir,
-        heartbeat=args.heartbeat,
-        authkey=args.authkey,
-        reconnects=args.reconnects,
-    )
+    return run(args)
 
 
 def _cmd_broker(args) -> int:

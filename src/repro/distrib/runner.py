@@ -11,8 +11,9 @@ Two deployment shapes:
 
 * **Embedded** (default): the runner starts a broker inside the driver
   process on an ephemeral localhost port and spawns ``workers`` local
-  worker subprocesses (``python -m repro worker``).  Zero setup; this is
-  what ``--backend distributed --jobs N`` does.
+  worker subprocesses (``python -m repro.distrib.worker_cli``, the
+  ``repro-rlir worker`` command without the rest of the CLI).  Zero
+  setup; this is what ``--backend distributed --jobs N`` does.
 * **External** (``broker="host:port"``): the runner connects to a broker
   you started with ``python -m repro broker``, whose workers may live on
   any number of machines.  The runner spawns nothing.
@@ -268,7 +269,9 @@ class DistributedRunner(ParallelRunner):
         if extra_env:
             env.update(extra_env)
         command = [
-            sys.executable, "-m", "repro", "worker",
+            # the worker's own entry point: the same flags as
+            # ``repro-rlir worker`` without loading the whole CLI
+            sys.executable, "-m", "repro.distrib.worker_cli",
             "--connect", format_address(self.address),
             "--heartbeat", str(self.heartbeat_interval),
         ]

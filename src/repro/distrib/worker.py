@@ -1,6 +1,7 @@
 """Stateless sweep worker: connect, verify code version, pull, execute.
 
-``python -m repro worker --connect HOST:PORT`` runs :func:`worker_main`:
+``python -m repro worker --connect HOST:PORT`` (or
+``python -m repro.distrib.worker_cli``) runs :func:`worker_main`:
 it joins a :class:`~repro.distrib.broker.Broker`, proves its code
 fingerprint matches (a mismatched checkout is rejected with a clear error
 — a worker running different simulator code would poison the sweep's
@@ -24,8 +25,9 @@ Fault-injection hooks (used by the test suite, harmless otherwise):
 * ``REPRO_WORKER_FINGERPRINT`` — claim this fingerprint in the hello.
 * ``REPRO_WORKER_DIE_AFTER_CHUNKS=N`` — hard-exit (``os._exit``) upon
   receiving the Nth chunk, before executing it: a mid-job crash.
-* ``REPRO_WORKER_FREEZE_AFTER_CHUNKS=N`` — on the Nth chunk, stop
-  heartbeating and hang without executing: a partitioned/hung worker.
+* ``REPRO_WORKER_FREEZE_AFTER_CHUNKS=N`` — on the Nth chunk, say so on
+  stderr, stop heartbeating and hang without executing: a
+  partitioned/hung worker.
 * ``REPRO_WORKER_FORCE_HEARTBEAT=SECONDS`` — pin the heartbeat interval,
   bypassing the broker-advertised derivation below: a worker that beats
   slowly enough to look *suspect* but never dead.
@@ -288,7 +290,9 @@ def _serve_connection(conn: Connection, send_lock: Any,
         if die_after and chunks_seen >= die_after:
             os._exit(86)  # fault injection: crash mid-job, no goodbyes
         if freeze_after and chunks_seen >= freeze_after:
-            stop_beating.set()  # fault injection: go silent, hang forever
+            # fault injection: go silent, hang forever
+            say(f"freezing on chunk {chunks_seen}: heartbeats stop")
+            stop_beating.set()
             while True:
                 time.sleep(60)
         cancelled = False

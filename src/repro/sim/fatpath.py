@@ -56,7 +56,7 @@ and counters, observation logs, queue statistics — is bit-exact, which
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -187,6 +187,43 @@ def _merged_order(times: List[np.ndarray], provs: List[np.ndarray],
     return order
 
 
+def _merge_columns(parts, fields: Sequence[str]) -> list:
+    """*fields* of *parts* (each with ``time``/``prov``/``origin``) merged
+    into exact engine order (:func:`_merged_order`).
+
+    Each output column is filled by scattering every part's rows straight
+    to their merged positions, so no column exists twice (concatenated,
+    then permuted) at once.
+    """
+    order = _merged_order([p.time for p in parts], [p.prov for p in parts],
+                          [p.origin for p in parts])
+    dest = np.empty(len(order), dtype=np.int64)
+    dest[order] = np.arange(len(order))
+    columns = []
+    for name in fields:
+        cols = [getattr(p, name) for p in parts]
+        out = np.empty((len(order),) + cols[0].shape[1:],
+                       dtype=np.result_type(*cols))
+        start = 0
+        for col in cols:
+            out[dest[start:start + len(col)]] = col
+            start += len(col)
+        columns.append(out)
+    return columns
+
+
+def _next_hop_prov(arrived: np.ndarray, prov: np.ndarray,
+                   rows: np.ndarray) -> np.ndarray:
+    """Ancestry one hop on for input *rows*: the next hop's parent event is
+    this packet's arrival here, so it is prepended and the oldest level
+    drops off, built in place (no gathered copy to stack)."""
+    out = np.empty((len(rows), _PROV_DEPTH))
+    out[:, 0] = arrived[rows]
+    for level in range(1, _PROV_DEPTH):
+        out[:, level] = prov[rows, level - 1]
+    return out
+
+
 class _Stream:
     """Packets arriving somewhere, as parallel time-sorted arrays.
 
@@ -235,13 +272,21 @@ class _Stream:
                            np.empty((0, _PROV_DEPTH)), zi)
         if len(streams) == 1:
             return streams[0]
-        order = _merged_order([s.time for s in streams],
-                              [s.prov for s in streams],
-                              [s.origin for s in streams])
-        return _Stream(*(
-            np.concatenate([getattr(s, name) for s in streams])[order]
-            for name in _Stream.__slots__
-        ))
+        return _Stream(*_merge_columns(streams, _Stream.__slots__))
+
+
+class _Segment(NamedTuple):
+    """A receiver's arrivals from one stream: the columns its merge and
+    ``observe_batch`` read, with the ground-truth tap stamps as they stood
+    when the segment formed."""
+
+    time: np.ndarray
+    kind: np.ndarray
+    hidx: np.ndarray
+    refslot: np.ndarray
+    prov: np.ndarray
+    origin: np.ndarray
+    taps: np.ndarray
 
 
 class FatTreeFastPath:
@@ -352,10 +397,6 @@ class FatTreeFastPath:
         trace; the caller then re-runs on the event engine.
         """
         self._check()
-        ft = self.ft
-        k = ft.k
-        half = k // 2
-
         # ---- global header batch in the engine's initial heap order ----
         gb = PacketBatch.concat(batches)
         if len(gb):
@@ -363,6 +404,44 @@ class FatTreeFastPath:
         if len(gb) and not np.all(gb.kind == _REGULAR):
             raise FastPathUnavailable("trace contains non-regular packets",
                                       reason="mixed-regular-kinds")
+        rx_segments = self._layers(gb)
+
+        # ---- everything computed and tie-free: commit ----
+        for real, clone in self._clones:
+            real._free_at = clone._free_at
+            real.stats = clone.stats
+        for sender, state in self._commits:
+            sender.fast_scan_commit(*state)
+        # each receiver merges its segments into engine arrival order and
+        # observes, then lets them go: the merge is a total order with no
+        # failure case, so nothing after the first commit can refuse
+        for node_id in sorted(rx_segments):
+            segments = [s for s in rx_segments.pop(node_id) if len(s.time)]
+            if not segments:
+                continue
+            seg = (segments[0] if len(segments) == 1
+                   else _Segment(*_merge_columns(segments, _Segment._fields)))
+            del segments
+            refs = [self._ref_objs[s]
+                    for s in seg.refslot[seg.refslot >= 0].tolist()]
+            self.receiver_taps[node_id].observe_batch(
+                seg.time, seg.kind, gb, seg.hidx, seg.taps, refs)
+            del seg, refs
+
+    def _layers(self, gb: PacketBatch) -> Dict[int, List[_Segment]]:
+        """The compute phase: every queue scanned layer by layer; returns
+        each receiver's arrival segments in formation order.  Mutates
+        nothing but the driver's own lists, and raises
+        :class:`FastPathUnavailable` for a trace or queue out of model.
+
+        Each layer's streams are popped as the next layer reads them, so
+        about one layer is live at a time besides the receivers' segments.
+        Destination-edge outputs are kept only where a receiver snapshots
+        them.
+        """
+        ft = self.ft
+        k = ft.k
+        half = k // 2
         src = gb.src
         dst = gb.dst
         spod = (src >> 16) & 0xFF
@@ -402,30 +481,34 @@ class FatTreeFastPath:
                 if len(rows):
                     j_choice[rows] = ft.aggs[p][a].hasher.choose_batch(
                         *(c[rows] for c in cols), half)
+        del spod, sedge
 
         # ground-truth tap column (the object path's packet.tap_time);
         # snapshots are taken as each receiver segment forms, so a segment
         # sees exactly the stamps that preceded it
         tap_col = np.full(n, np.nan)
-        rx_segments: Dict[int, List[Tuple[_Stream, np.ndarray]]] = {
+        rx_segments: Dict[int, List[_Segment]] = {
             node: [] for node in self.receiver_taps
         }
 
-        def snapshot(node_id: int, stream: _Stream) -> None:
-            taps = np.where(stream.hidx >= 0,
-                            tap_col[np.maximum(stream.hidx, 0)], np.nan)
-            rx_segments[node_id].append((stream, taps))
+        def snapshot(node_id: int, stream: _Stream, taps=None) -> None:
+            if taps is None:
+                taps = np.where(stream.hidx >= 0,
+                                tap_col[np.maximum(stream.hidx, 0)], np.nan)
+            rx_segments[node_id].append(_Segment(
+                stream.time, stream.kind, stream.hidx, stream.refslot,
+                stream.prov, stream.origin, taps))
 
         # ---- layer 1: edge switches (origination + uplink queues) ----
         edge_up_out: Dict[Tuple[int, int, int], _Stream] = {}
-        for (p, e), rows in sorted(rows_by_edge.items()):
+        for (p, e) in sorted(rows_by_edge):
+            rows = rows_by_edge.pop((p, e))
             edge = ft.edges[p][e]
             if edge.node_id in rx_segments:
                 # arrival taps fire for locally-originating packets too,
                 # before any tap could stamp them: all-NaN tap snapshot
                 l0 = _Stream.regular(gb.ts[rows], gb.size[rows], rows)
-                rx_segments[edge.node_id].append(
-                    (l0, np.full(len(l0), np.nan)))
+                snapshot(edge.node_id, l0, np.full(len(l0), np.nan))
             up_rows = ~local[rows]
             for a in range(half):
                 sub = rows[up_rows & (a_choice[rows] == a)]
@@ -435,36 +518,40 @@ class FatTreeFastPath:
                 stream = _Stream.regular(gb.ts[sub], gb.size[sub], sub)
                 edge_up_out[(p, e, a)] = self._drive_queue(
                     edge, port_index, stream, cols, tap_col)
+        del local, a_choice
 
         # ---- layer 2: aggregation up-ports (toward the cores) ----
         core_in: Dict[Tuple[int, int, int], List[_Stream]] = {}
         down_in: Dict[Tuple[int, int, int], List[_Stream]] = {}
-        for (p, e, a), stream in sorted(edge_up_out.items()):
+        for (p, e, a) in sorted(edge_up_out):
+            stream = edge_up_out.pop((p, e, a))
             is_ref = stream.refslot >= 0
             inter = np.array(is_ref)  # refs (dst = a core) always climb
             reg = ~is_ref
             inter[reg] = dpod[stream.hidx[reg]] != p
             # intra-pod regulars turn down at the agg; their queue offers
             # contend with core down-traffic, so they join layer 4's merge
-            intra = stream.take(np.flatnonzero(reg & ~inter))
-            if len(intra):
-                for e2 in np.unique(dedge[intra.hidx]).tolist():
+            intra = reg & ~inter
+            if intra.any():
+                ecol = np.where(intra, dedge[np.maximum(stream.hidx, 0)], -1)
+                for e2 in np.unique(ecol[intra]).tolist():
                     down_in.setdefault((p, a, int(e2)), []).append(
-                        intra.take(np.flatnonzero(dedge[intra.hidx] == e2)))
-            up = stream.take(np.flatnonzero(inter))
-            if not len(up):
+                        stream.take(np.flatnonzero(ecol == e2)))
+            if not inter.any():
                 continue
-            jcol = self._route_col(up, j_choice, self._ref_rj)
-            for j in np.unique(jcol).tolist():
+            jcol = np.where(inter, self._route_col(stream, j_choice,
+                                                   self._ref_rj), -1)
+            for j in np.unique(jcol[inter]).tolist():
                 j = int(j)
                 core_in.setdefault((a, j, p), []).append(
-                    up.take(np.flatnonzero(jcol == j)))
+                    stream.take(np.flatnonzero(jcol == j)))
+        del j_choice
 
         agg_up_out: Dict[Tuple[int, int, int], _Stream] = {}
-        for (i, j, p), pieces in sorted(core_in.items()):
+        for (i, j, p) in sorted(core_in):
             agg = ft.aggs[p][i]
             core = ft.cores[i][j]
-            merged = _Stream.merge(pieces)
+            merged = _Stream.merge(core_in.pop((i, j, p)))
             agg_up_out[(i, j, p)] = self._drive_queue(
                 agg, ft.port_toward(agg, core), merged, cols, tap_col)
 
@@ -473,77 +560,44 @@ class FatTreeFastPath:
         for i in range(half):
             for j in range(half):
                 core = ft.cores[i][j]
-                pieces = [agg_up_out[(i, j, p)] for p in range(k)
+                pieces = [agg_up_out.pop((i, j, p)) for p in range(k)
                           if (i, j, p) in agg_up_out]
                 if not pieces:
                     continue
                 stream = _Stream.merge(pieces)
+                del pieces
                 if core.node_id in rx_segments:
                     snapshot(core.node_id, stream)
                 # references terminate here; regulars route down by pod
-                reg = stream.take(np.flatnonzero(stream.refslot < 0))
-                if not len(reg):
-                    continue
-                pods = dpod[reg.hidx]
-                for p in np.unique(pods).tolist():
+                pods = np.where(stream.refslot < 0,
+                                dpod[np.maximum(stream.hidx, 0)], -1)
+                for p in np.unique(pods[pods >= 0]).tolist():
                     p = int(p)
-                    piece = reg.take(np.flatnonzero(pods == p))
+                    piece = stream.take(np.flatnonzero(pods == p))
                     port_index = ft.port_toward(core, ft.aggs[p][i])
                     coredown_out[(i, j, p)] = self._drive_queue(
                         core, port_index, piece, cols, tap_col)
 
         # ---- layer 4: aggregation down-ports (toward the edges) ----
-        for (i, j, p), stream in sorted(coredown_out.items()):
+        for (i, j, p) in sorted(coredown_out):
+            stream = coredown_out.pop((i, j, p))
             ecol = self._route_col(stream, dedge, self._ref_re)
             for e in np.unique(ecol).tolist():
                 e = int(e)
                 down_in.setdefault((p, i, e), []).append(
                     stream.take(np.flatnonzero(ecol == e)))
-        edge_in: Dict[Tuple[int, int, int], _Stream] = {}
-        for (p, i, e), pieces in sorted(down_in.items()):
+        for (p, i, e) in sorted(down_in):
             agg = ft.aggs[p][i]
             edge = ft.edges[p][e]
-            merged = _Stream.merge(pieces)
-            edge_in[(p, e, i)] = self._drive_queue(
-                agg, ft.port_toward(agg, edge), merged, cols, tap_col)
-
-        # ---- layer 5: destination edges (arrival taps only) ----
-        for (p, e, i), stream in sorted(edge_in.items()):
-            edge = ft.edges[p][e]
+            merged = _Stream.merge(down_in.pop((p, i, e)))
+            out = self._drive_queue(agg, ft.port_toward(agg, edge), merged,
+                                    cols, tap_col)
+            # ---- layer 5: destination edges (arrival taps only) ----
+            # an arrival's stamps are final once it leaves its last queue,
+            # so the snapshot sees what it would after the whole layer
             if edge.node_id in rx_segments:
-                snapshot(edge.node_id, stream)
-
-        # ---- merge each receiver's segments into engine arrival order ----
-        observations: List[Tuple[object, _Stream, np.ndarray]] = []
-        for node_id, segments in sorted(rx_segments.items()):
-            segments = [(s, t) for s, t in segments if len(s)]
-            if not segments:
-                continue
-            receiver = self.receiver_taps[node_id]
-            if len(segments) == 1:
-                stream, taps = segments[0]
-            else:
-                order = _merged_order([s.time for s, _ in segments],
-                                      [s.prov for s, _ in segments],
-                                      [s.origin for s, _ in segments])
-                stream = _Stream(*(
-                    np.concatenate([getattr(s, name) for s, _ in segments])[order]
-                    for name in _Stream.__slots__
-                ))
-                taps = np.concatenate([t for _, t in segments])[order]
-            observations.append((receiver, stream, taps))
-
-        # ---- everything computed and tie-free: commit ----
-        for real, clone in self._clones:
-            real._free_at = clone._free_at
-            real.stats = clone.stats
-        for sender, state in self._commits:
-            sender.fast_scan_commit(*state)
-        for receiver, stream, taps in observations:
-            refs = [self._ref_objs[s]
-                    for s in stream.refslot[stream.refslot >= 0].tolist()]
-            receiver.observe_batch(stream.time, stream.kind, gb, stream.hidx,
-                                   taps, refs)
+                snapshot(edge.node_id, out)
+        return rx_segments
 
     def _route_col(self, stream: _Stream, table: np.ndarray,
                    ref_table: List[int]) -> np.ndarray:
@@ -574,12 +628,12 @@ class FatTreeFastPath:
         clone, prop = self._queue(switch, port_index)
         if tap is None:
             departures, accepted = clone.offer_batch(stream.time, stream.size)
-            out = stream.take(np.flatnonzero(accepted))
-            # the next hop's parent event is this packet's arrival here:
-            # shift the ancestry one level down, prepending this arrival
-            prov = np.column_stack([out.time, out.prov[:, :-1]])
-            return _Stream(departures[accepted] + prop, out.size, out.kind,
-                           out.hidx, out.refslot, prov, out.origin)
+            rows = np.flatnonzero(accepted)
+            return _Stream(departures[accepted] + prop, stream.size[rows],
+                           stream.kind[rows], stream.hidx[rows],
+                           stream.refslot[rows],
+                           _next_hop_prov(stream.time, stream.prov, rows),
+                           stream.origin[rows])
         sender, spec = tap
         scan = tapped_scan(clone, stream.time, stream.size,
                            self._classes(spec, stream.hidx, cols), sender)
@@ -602,10 +656,9 @@ class FatTreeFastPath:
                                            stream.refslot, slot0)
         # a reference shares its trigger's arrival event (it was built
         # then: ref.ts), so its ancestry and origin are the trigger row's
-        arrived = stream.time[scan.rows]
         return _Stream(scan.departures + prop, scan.sizes, kind, hidx,
                        refslot,
-                       np.column_stack([arrived, stream.prov[scan.rows, :-1]]),
+                       _next_hop_prov(stream.time, stream.prov, scan.rows),
                        stream.origin[scan.rows])
 
     def _classes(self, spec, rows: np.ndarray, cols) -> np.ndarray:

@@ -78,7 +78,9 @@ def _await_port(port: int, timeout: float = 30.0) -> None:
     raise TimeoutError(f"nothing listening on 127.0.0.1:{port}")
 
 
-def _spawn(*args: str, extra_env=None) -> subprocess.Popen:
+def _spawn(*args: str, extra_env=None, stderr=None) -> subprocess.Popen:
+    """``python -m repro *args``; *stderr* is a file to log to (default:
+    discarded)."""
     env = os.environ.copy()
     env["PYTHONPATH"] = (
         SRC_ROOT + os.pathsep + env["PYTHONPATH"]
@@ -88,7 +90,8 @@ def _spawn(*args: str, extra_env=None) -> subprocess.Popen:
         env.update(extra_env)
     return subprocess.Popen(
         [sys.executable, "-m", "repro", *args],
-        env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+        env=env, stdout=subprocess.DEVNULL,
+        stderr=subprocess.DEVNULL if stderr is None else stderr,
     )
 
 
@@ -101,12 +104,22 @@ def _spawn_broker(port: int, journal_dir: str) -> subprocess.Popen:
     return proc
 
 
-def _spawn_worker(port: int, extra_env=None) -> subprocess.Popen:
+def _spawn_worker(port: int, extra_env=None, stderr=None) -> subprocess.Popen:
     return _spawn(
         "worker", "--connect", f"127.0.0.1:{port}",
         "--heartbeat", "0.5", "--reconnects", "40",
-        extra_env=extra_env,
+        extra_env=extra_env, stderr=stderr,
     )
+
+
+def _await_text(path: Path, text: str, timeout: float = 120.0) -> bool:
+    """Wait until the file at *path* contains *text*; whether it did."""
+    deadline = time.monotonic() + timeout
+    while time.monotonic() < deadline:
+        if path.exists() and text in path.read_text(errors="replace"):
+            return True
+        time.sleep(0.1)
+    return False
 
 
 def _reap(*procs: subprocess.Popen) -> None:
@@ -166,11 +179,13 @@ class TestBrokerBounce:
         freezes (stops heartbeating) mid-sweep, and the broker is
         SIGKILL-bounced — output must still match serial exactly.
 
-        The dying worker joins alone, so the first chunk is surely its
-        own; the other three join once it has died, however fast workers
-        start up."""
+        Each faulty worker joins alone, so the chunks that trip its fault
+        are surely its own, however fast workers start up: the dying one
+        first, then the freezing one once it has died, and the two plain
+        workers once the freeze has fired (its stderr says so)."""
         port = _free_port()
         journal_dir = str(tmp_path / "journal")
+        freeze_log = tmp_path / "freeze-worker.log"
         state = {"broker": _spawn_broker(port, journal_dir), "bounced": False}
         workers = [_spawn_worker(port, extra_env={
             "REPRO_WORKER_DIE_AFTER_CHUNKS": "1"})]
@@ -178,13 +193,12 @@ class TestBrokerBounce:
         def join_the_rest():
             try:
                 state["died"] = workers[0].wait(timeout=60)
+                with open(freeze_log, "wb") as log:
+                    workers.append(_spawn_worker(port, extra_env={
+                        "REPRO_WORKER_FREEZE_AFTER_CHUNKS": "2"}, stderr=log))
+                state["froze"] = _await_text(freeze_log, "freezing on chunk 2")
             finally:
-                workers.extend([
-                    _spawn_worker(port, extra_env={
-                        "REPRO_WORKER_FREEZE_AFTER_CHUNKS": "2"}),
-                    _spawn_worker(port),
-                    _spawn_worker(port),
-                ])
+                workers.extend([_spawn_worker(port), _spawn_worker(port)])
 
         joiner = threading.Thread(target=join_the_rest, daemon=True)
         joiner.start()
@@ -207,9 +221,10 @@ class TestBrokerBounce:
             results = runner.run(jobs)
             assert state["bounced"]
             assert state.get("died") == 86, "worker did not die"
+            assert state.get("froze"), "worker did not freeze"
             assert [pickle.dumps(r) for r in results] == serial_blobs
         finally:
-            joiner.join(timeout=70)
+            joiner.join(timeout=200)
             _reap(state["broker"], *workers)
 
 

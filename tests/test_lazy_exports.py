@@ -2,8 +2,11 @@
 
 Each check runs in a fresh interpreter, because this test process has
 long since imported most of the package.  A distributed worker imports
-the CLI and ``repro.distrib.worker``, then the class module of each job
-it unpickles; none of that may drag in modules its jobs never run.
+``repro.distrib.worker``, then the class module of each job it unpickles;
+none of that may drag in modules its jobs never run.  An embedded
+cluster's workers start through ``repro.distrib.worker_cli``, so they
+never load the CLI either (``repro-rlir worker`` does, and still leaves
+numpy unloaded).
 """
 
 import os
@@ -58,6 +61,24 @@ def test_worker_import_leaves_numpy_unloaded():
                    "print(*sorted(sys.modules))\n").split()
     assert "repro.distrib.worker" in loaded
     assert "numpy" not in loaded
+
+
+def test_spawned_worker_never_loads_the_cli(capfd):
+    from repro.distrib import DistributedRunner
+
+    runner = DistributedRunner(workers=1)
+    try:
+        # the worker reports every module it imports on stderr, which the
+        # runner relays line by line
+        runner.spawn_worker(extra_env={"PYTHONPROFILEIMPORTTIME": "1"})
+        assert runner.wait_for_workers(1, timeout=60)
+    finally:
+        runner.close()
+    loaded = {line.rsplit("|", 1)[-1].strip()
+              for line in capfd.readouterr().err.splitlines()
+              if "import time:" in line}
+    assert "repro.distrib.worker" in loaded
+    assert not [name for name in loaded if name.startswith("repro.cli")]
 
 
 PACKAGE_CHECK = """
