@@ -70,11 +70,42 @@ def compute_fig5():
     }
 
 
+def compute_aqm():
+    """Tail-drop vs RED bottleneck condition summaries, as
+    :func:`~repro.experiments.extensions.run_aqm_comparison` builds them
+    (floats as ``float.hex``, so the JSON pins every bit)."""
+    from repro.experiments.workloads import run_condition_job
+    from repro.runner.spec import JobSpec
+
+    rows = []
+    for aqm in (None, "red"):
+        job = JobSpec.from_config(golden_config(), "static", "random", 0.95,
+                                  run_seed=0, aqm=aqm)
+        summary = run_condition_job(job)
+        join = summary.mean_join
+        rows.append({
+            "aqm": aqm,
+            "arrivals2": summary.arrivals2,
+            "drops2": summary.drops2,
+            "measured_util": summary.measured_util.hex(),
+            "utilization1": summary.utilization1.hex(),
+            "refs_injected": summary.refs_injected,
+            "mean_join": {
+                "errors": [float(e).hex() for e in join.errors],
+                "joined": join.joined,
+                "skipped_missing": join.skipped_missing,
+                "skipped_zero": join.skipped_zero,
+            },
+        })
+    return {"scale": GOLDEN_SCALE, "seed": GOLDEN_SEED, "rows": rows}
+
+
 def main() -> int:
     from reference_path import reference_path
 
     GOLDEN_DIR.mkdir(exist_ok=True)
-    for name, compute in (("fig4ab", compute_fig4ab), ("fig5", compute_fig5)):
+    for name, compute in (("fig4ab", compute_fig4ab), ("fig5", compute_fig5),
+                          ("aqm", compute_aqm)):
         path = GOLDEN_DIR / f"{name}_scale{GOLDEN_SCALE}_seed{GOLDEN_SEED}.json"
         with reference_path():
             doc = compute()
