@@ -18,7 +18,7 @@ from repro.core.receiver import RliReceiver
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.workloads import PipelineWorkload
 from repro.net.addressing import int_to_ip
-from repro.sim.pipeline import TwoSwitchPipeline
+from repro.sim.chain import SwitchChain
 
 
 def main():
@@ -31,9 +31,11 @@ def main():
         demux=workload.make_receiver().demux,
         quantiles=(0.5, 0.95, 0.99),
     )
-    TwoSwitchPipeline(workload.pipeline_config).run_batch(
-        regular=workload.regular,
-        cross=workload.cross_arrivals_batch("random", 0.93),
+    # the two-switch environment is the two-hop chain, cross traffic
+    # joining at switch 2 (hop 1)
+    SwitchChain(workload.pipeline_config).run_batch(
+        workload.regular,
+        {1: workload.cross_arrivals_batch("random", 0.93)},
         sender=sender,
         receiver=receiver,
         duration=config.duration,

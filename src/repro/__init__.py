@@ -46,6 +46,8 @@ _EXPORTS = {
     "RlirDeployment": "core.rlir",
     "StaticInjection": "core.injection",
     "FatTree": "sim.topology",
+    "ChainConfig": "sim.chain",
+    "SwitchChain": "sim.chain",
     "TwoSwitchPipeline": "sim.pipeline",
     "Trace": "traffic.trace",
     "TraceConfig": "traffic.synthetic",

@@ -22,7 +22,8 @@ from ..core.sender import RefTemplate, RliSender
 from ..net.addressing import Prefix, ip_to_int
 from ..net.packet import Packet, PacketKind
 from ..sim.clock import OffsetClock
-from ..sim.pipeline import PipelineConfig, PipelineResult, Switch1, TwoSwitchPipeline
+from ..sim.chain import ChainConfig, ChainResult, FirstHop
+from ..sim.pipeline import TwoSwitchPipeline
 from ..traffic.batch import BATCH_COLUMNS, PacketBatch
 from ..traffic.crosstraffic import (
     BurstyModel,
@@ -101,16 +102,15 @@ class PipelineWorkload:
         # pick the link rate that puts the regular workload alone at the
         # paper's ~22% utilization operating point
         self.rate_bps = self.regular.total_bytes * 8.0 / (cfg.duration * cfg.base_utilization)
-        self.pipeline_config = PipelineConfig(
-            rate1_bps=self.rate_bps,
-            rate2_bps=self.rate_bps,
-            buffer1_bytes=cfg.buffer_bytes,
-            buffer2_bytes=cfg.buffer_bytes,
+        self.pipeline_config = ChainConfig(
+            n_hops=2,
+            rate_bps=self.rate_bps,
+            buffer_bytes=cfg.buffer_bytes,
             proc_delay=cfg.proc_delay,
         )
         self.regular_prefix = Prefix.parse(f"{REGULAR_SRC_BASE}/16")
         # the tail-drop Switch 1 per (scheme, static_n); see switch1()
-        self._switch1: Dict[Tuple[Optional[str], Optional[int]], Switch1] = {}
+        self._switch1: Dict[Tuple[Optional[str], Optional[int]], FirstHop] = {}
         # the last cross selection drawn, as ((model, util, seed), batch)
         self._cross_batch: Optional[Tuple[Tuple[str, float, int], PacketBatch]] = None
 
@@ -182,13 +182,13 @@ class PipelineWorkload:
             templates={0: template},
         )
 
-    def switch1(self, scheme: Optional[str], static_n: Optional[int]) -> Switch1:
+    def switch1(self, scheme: Optional[str], static_n: Optional[int]) -> FirstHop:
         """The tail-drop Switch 1 of every condition with this sender.
 
         Switch 1 reads the regular trace, the workload's switch
         parameters and the sender, and nothing else a condition sets, so
         conditions that differ in load, cross model, run seed or
-        receiver share one :class:`~repro.sim.pipeline.Switch1`: built
+        receiver share one :class:`~repro.sim.chain.FirstHop`: built
         on first use, kept as long as the workload.  :func:`run_condition`
         hands it to ``run_batch``, which reads it only for a run its
         blocker admits, so a per-object run never builds nor reads it.
@@ -197,7 +197,7 @@ class PipelineWorkload:
         first = self._switch1.get(key)
         if first is None:
             sender = self.make_sender(scheme, static_n) if scheme is not None else None
-            first = TwoSwitchPipeline(self.pipeline_config).switch1(self.regular, sender)
+            first = TwoSwitchPipeline(self.pipeline_config).first_hop(self.regular, sender)
             self._switch1[key] = first
         return first
 
@@ -225,7 +225,7 @@ class ConditionResult:
         scheme: str,
         model: str,
         target_util: float,
-        pipeline: PipelineResult,
+        pipeline: ChainResult,
         receiver: Optional[RliReceiver],
         sender: Optional[RliSender],
     ):
@@ -238,7 +238,7 @@ class ConditionResult:
 
     @property
     def measured_util(self) -> float:
-        return self.pipeline.utilization2
+        return self.pipeline.utilization(1)
 
     @property
     def mean_true_latency(self) -> float:
@@ -306,7 +306,7 @@ def run_condition(
         receiver=receiver,
         duration=workload.cfg.duration,
         # an AQM swaps queue 1 too, so only tail-drop runs share Switch 1
-        switch1=None if aqm is not None else partial(workload.switch1, scheme, static_n),
+        first_hop=None if aqm is not None else partial(workload.switch1, scheme, static_n),
     )
     if receiver is not None:
         receiver.finalize()
@@ -314,7 +314,7 @@ def run_condition(
 
 
 def _pipeline_config(workload: PipelineWorkload, aqm: Optional[str],
-                     run_seed: int) -> PipelineConfig:
+                     run_seed: int) -> ChainConfig:
     """The workload's pipeline config, with *aqm* queues swapped in.
 
     ``aqm=None`` keeps the shared tail-drop config; ``"red"`` builds a RED
@@ -338,11 +338,10 @@ def _pipeline_config(workload: PipelineWorkload, aqm: Optional[str],
                         max_th_bytes=buffer_bytes // 2,
                         max_p=0.2, seed=derive_seed(run_seed, "red-drops", name))
 
-    return PipelineConfig(
-        rate1_bps=workload.rate_bps,
-        rate2_bps=workload.rate_bps,
-        buffer1_bytes=workload.cfg.buffer_bytes,
-        buffer2_bytes=workload.cfg.buffer_bytes,
+    return ChainConfig(
+        n_hops=2,
+        rate_bps=workload.rate_bps,
+        buffer_bytes=workload.cfg.buffer_bytes,
         proc_delay=workload.cfg.proc_delay,
         queue_factory=red_factory,
     )
@@ -408,20 +407,20 @@ def summarize_condition(condition: ConditionResult, estimator: str = "linear",
     """Reduce a live :class:`ConditionResult` to a picklable summary."""
     pipeline = condition.pipeline
     receiver = condition.receiver
-    processed = sum(pipeline.arrivals2.values())
-    dropped = sum(pipeline.drops2.values())
+    processed = sum(pipeline.arrivals.values())
+    dropped = sum(pipeline.drops.values())
     summary = ConditionSummary(
         scheme=condition.scheme,
         model=condition.model,
         target_util=condition.target_util,
         estimator=estimator,
         run_seed=run_seed,
-        measured_util=pipeline.utilization2,
-        utilization1=pipeline.utilization1,
+        measured_util=pipeline.utilization(1),
+        utilization1=pipeline.utilization(0),
         processed_packets=processed,
         delivered_packets=processed - dropped,
-        arrivals2={kind.name: n for kind, n in pipeline.arrivals2.items()},
-        drops2={kind.name: n for kind, n in pipeline.drops2.items()},
+        arrivals2={kind.name: n for kind, n in pipeline.arrivals.items()},
+        drops2={kind.name: n for kind, n in pipeline.drops.items()},
         refs_injected=pipeline.refs_injected,
         sender_refs_injected=condition.sender.refs_injected if condition.sender else 0,
     )

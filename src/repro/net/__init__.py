@@ -7,10 +7,6 @@ _EXPORTS = {
     "PrefixTrie": "addressing",
     "int_to_ip": "addressing",
     "ip_to_int": "addressing",
-    "FlowKey": "flow",
-    "count_flows": "flow",
-    "flow_key_of": "flow",
-    "group_by_flow": "flow",
     "MAX_MARK": "headers",
     "MARK_UNSET": "headers",
     "clear_mark": "headers",

@@ -1,9 +1,9 @@
 """Discrete-event network simulation substrate.
 
 Provides the queues, switches, clocks, ECMP hashing, topologies and drivers
-on which the RLI/RLIR measurement architecture is evaluated: the two-switch
-pipeline of the paper's Figure 3 and full k-ary fat-trees for the
-across-routers experiments.
+on which the RLI/RLIR measurement architecture is evaluated: the switch
+chain (whose two-hop case is the paper's Figure-3 pipeline) and full k-ary
+fat-trees for the across-routers experiments.
 """
 
 from .._exports import lazy_exports
@@ -11,6 +11,7 @@ from .._exports import lazy_exports
 _EXPORTS = {
     "ChainConfig": "chain",
     "ChainResult": "chain",
+    "FirstHop": "chain",
     "SwitchChain": "chain",
     "Clock": "clock",
     "DriftingClock": "clock",
@@ -20,16 +21,12 @@ _EXPORTS = {
     "craft_dport_for_port": "ecmp",
     "Engine": "engine",
     "Port": "link",
-    "PipelineConfig": "pipeline",
-    "PipelineResult": "pipeline",
     "TwoSwitchPipeline": "pipeline",
     "PtpExchange": "ptp",
     "PtpSession": "ptp",
     "FifoQueue": "queue",
     "QueueStats": "queue",
     "RedQueue": "red",
-    "RoutingError": "routing",
-    "trace_route": "routing",
     "EcmpGroup": "switch",
     "LOCAL_DELIVERY": "switch",
     "Switch": "switch",

@@ -1,36 +1,50 @@
-"""N-switch chain pipeline: the Figure-3 environment across multiple hops.
+"""The Figure-3 environment across N switches: the one line-topology driver.
 
 The paper's simulator "lets packets from the trace experience processing and
 queueing delays across multiple queues (equivalently, multiple
 routers/switches)" and evaluates RLIR "in the presence of cross traffic
-across multiple hops".  :class:`SwitchChain` generalizes
-:class:`~repro.sim.pipeline.TwoSwitchPipeline` to a chain of N switches with
-independent per-hop cross traffic: cross traffic for hop i joins just before
-switch i's queue and leaves after it (classic single-hop interfering load),
-while regular traffic (and the RLI reference stream) rides the whole chain.
+across multiple hops".  :class:`SwitchChain` drives a chain of N switches
+with independent per-hop cross traffic: cross traffic for hop i joins just
+before switch i's queue and leaves after it (classic single-hop interfering
+load), while regular traffic (and the RLI reference stream) rides the whole
+chain.  The paper's two-switch pipeline is the two-hop chain with cross
+traffic at hop 1 (:class:`~repro.sim.pipeline.TwoSwitchPipeline`).
 
 The RLI sender taps the entry of switch 1; the receiver observes departures
 from switch N.  The measured segment therefore spans all N queues — the
 multi-router segment an RLIR deployment measures between two instrumented
 interfaces.
 
-Like the two-switch pipeline, the chain has a columnar fast path
-(:meth:`SwitchChain.run_batch`).  Every hop merges the through-stream with
-its cross columns (replicating ``heapq.merge`` ties) and scans the merged
-rows once: the first hop through the shared sender-tapped scan
-(:func:`~repro.sim.queue.tapped_scan`, cross rows untapped), the others
-through :meth:`~repro.sim.queue.FifoQueue.offer_batch`.  The receiver
-consumes the final departure stream through
+Because the chain is feed-forward, it is driven by one sorted merge per hop
+instead of an event calendar.  The sender and receiver are any objects
+implementing the small protocols below, so the same environment also
+drives baselines (LDA, Multiflow) and ablations.
+
+Sender protocol
+    ``on_regular(packet, now) -> Optional[List[Packet]]`` — called for every
+    regular packet entering switch 1's egress queue; may return reference
+    packets to inject right behind it.
+
+Receiver protocol
+    ``observe(packet, now)`` — called for every non-cross packet departing
+    switch N.
+
+The columnar fast path (:meth:`SwitchChain.run_batch`) merges, at every
+hop, the through-stream with the hop's cross columns (replicating
+``heapq.merge`` ties) and scans the merged rows once: the first hop through
+the shared sender-tapped scan (:func:`~repro.sim.queue.tapped_scan`, cross
+rows untapped), the others through
+:meth:`~repro.sim.queue.FifoQueue.offer_batch`.  The receiver consumes the
+final departure stream through
 :meth:`~repro.core.receiver.RliReceiver.observe_batch` — **bitwise
 identical** to the per-object path (:meth:`SwitchChain.run`), which it
-falls back to when a component cannot be driven columnar.  The two-switch
-pipeline's fast path is built from the same hop helpers.
+falls back to when a component cannot be driven columnar.
 """
 
 from __future__ import annotations
 
 import heapq
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
@@ -39,14 +53,24 @@ from ..obs import metrics as obs_metrics
 from ..traffic.batch import PacketBatch
 from .queue import FifoQueue, tapped_scan
 
-__all__ = ["ChainConfig", "ChainResult", "SwitchChain"]
+__all__ = ["ChainConfig", "ChainResult", "FirstHop", "SwitchChain"]
 
 _REGULAR = int(PacketKind.REGULAR)
+_REFERENCE = int(PacketKind.REFERENCE)
 _CROSS = int(PacketKind.CROSS)
+_KINDS = len(PacketKind)
 
 
 class ChainConfig:
-    """Physical parameters of an N-switch chain (uniform by default)."""
+    """Physical parameters of an N-switch chain; every hop alike.
+
+    Defaults model 1 Gb/s links with 256 KB tail-drop buffers and 1 µs of
+    per-packet processing, giving the tens-of-µs congested delays the paper
+    reports.  ``queue_factory(rate_bps, buffer_bytes, proc_delay, name)``
+    builds each hop's queue, named ``switch1`` … ``switchN``; it defaults
+    to the tail-drop :class:`~repro.sim.queue.FifoQueue` (override e.g.
+    with :class:`~repro.sim.red.RedQueue`).
+    """
 
     def __init__(
         self,
@@ -54,22 +78,28 @@ class ChainConfig:
         rate_bps: float = 1e9,
         buffer_bytes: Optional[int] = 256 * 1024,
         proc_delay: float = 1e-6,
-        rates_bps: Optional[Sequence[float]] = None,
+        queue_factory=None,
     ):
         if n_hops < 1:
             raise ValueError(f"need at least one hop: {n_hops}")
         self.n_hops = n_hops
-        self.rates_bps = list(rates_bps) if rates_bps is not None else [rate_bps] * n_hops
-        if len(self.rates_bps) != n_hops:
-            raise ValueError(
-                f"rates_bps has {len(self.rates_bps)} entries for {n_hops} hops"
-            )
+        self.rate_bps = rate_bps
         self.buffer_bytes = buffer_bytes
         self.proc_delay = proc_delay
+        self.queue_factory = queue_factory or FifoQueue
+
+    def queue(self, hop: int):
+        """A fresh queue for *hop* (0-based)."""
+        return self.queue_factory(self.rate_bps, self.buffer_bytes,
+                                  self.proc_delay, f"switch{hop + 1}")
 
 
 class ChainResult:
-    """Counters and per-hop queue statistics from one chain run."""
+    """Counters and per-hop queue statistics from one chain run.
+
+    ``arrivals`` and ``drops`` count each packet kind at the last hop (the
+    bottleneck switch of the two-switch pipeline).
+    """
 
     def __init__(self, queues: List[FifoQueue], duration: float):
         self.queues = queues
@@ -77,25 +107,72 @@ class ChainResult:
         self.refs_injected = 0
         self.regular_in = 0
         self.regular_out = 0
+        self.arrivals: Dict[PacketKind, int] = dict.fromkeys(PacketKind, 0)
+        self.drops: Dict[PacketKind, int] = dict.fromkeys(PacketKind, 0)
 
     def utilization(self, hop: int) -> float:
         return self.queues[hop].utilization(self.duration)
 
+    def loss_rate(self, kind: PacketKind = PacketKind.REGULAR) -> float:
+        """Loss rate of *kind* packets at the last hop."""
+        arrivals = self.arrivals[kind]
+        return self.drops[kind] / arrivals if arrivals else 0.0
+
     @property
     def regular_loss_rate(self) -> float:
+        """End-to-end loss rate of regular packets."""
         return 1.0 - self.regular_out / self.regular_in if self.regular_in else 0.0
+
+
+class FirstHop:
+    """Everything that leaves a chain's first hop on the columnar path, as
+    a value.
+
+    With no cross traffic at hop 0, the first hop sees the regular trace
+    alone: its departures, the references the sender injects, the queue's
+    statistics and the sender's final state depend only on that trace,
+    the chain's parameters and the sender.  Runs that differ downstream
+    (load, cross model, run seed, receiver) can share one value through
+    :meth:`SwitchChain.run_batch`'s ``first_hop``.  Sharing is exact
+    because nothing downstream writes it: the stream's arrays are
+    read-only, later hops and the receiver only read the references, and
+    :meth:`commit` copies the sender's state instead of handing the
+    sender out.
+
+    ``stream`` is the columnar stream of first-hop departures (see
+    :func:`_hop`); ``refs_injected`` counts the references the sender
+    built; ``arrivals``/``drops`` count the hop's packets per kind.
+    """
+
+    __slots__ = ("stream", "queue", "sender", "refs_injected", "arrivals", "drops")
+
+    def __init__(self, reg: PacketBatch, queue: FifoQueue, sender=None,
+                 crs: Optional[PacketBatch] = None):
+        stream, self.refs_injected, self.arrivals, self.drops = _hop(
+            _regular_stream(reg), crs, queue, sender)
+        *cols, refs = stream
+        for col in cols:
+            col.flags.writeable = False
+        self.stream = (*cols, tuple(refs))
+        self.queue = queue
+        self.sender = sender
+
+    def commit(self, sender) -> None:
+        """Leave *sender*, built like this value's sender and not yet run,
+        in the state the first hop left that sender."""
+        done = self.sender
+        sender.fast_scan_commit(*done.fast_scan_state(), done.regulars_seen,
+                                done.refs_injected)
 
 
 class SwitchChain:
     """Drive one run of the N-hop environment.
 
     ``cross_per_hop`` maps hop index → sorted ``(arrival, packet)`` cross
-    arrivals for that hop (missing hops get none).  Sender and receiver
-    follow the same protocols as :class:`TwoSwitchPipeline`.  On the
-    columnar path, ``cross_per_hop`` values are
-    :class:`~repro.traffic.batch.PacketBatch` columns instead (``ts`` is
-    the hop arrival time — the output of a cross model's
-    ``arrivals_batch``).
+    arrivals for that hop (missing hops get none).  On the columnar path,
+    ``cross_per_hop`` values are :class:`~repro.traffic.batch.PacketBatch`
+    columns instead (``ts`` is the hop arrival time — the output of a
+    cross model's ``arrivals_batch``).
     """
 
     def __init__(self, config: ChainConfig):
@@ -104,7 +181,7 @@ class SwitchChain:
     def run(
         self,
         regular: Iterable[Packet],
-        cross_per_hop: Optional[Dict[int, List[Tuple[float, Packet]]]] = None,
+        cross_per_hop: Optional[Dict[int, Iterable[Tuple[float, Packet]]]] = None,
         sender=None,
         receiver=None,
         duration: Optional[float] = None,
@@ -113,30 +190,30 @@ class SwitchChain:
 
         Experiments enter through :meth:`run_batch`, which lands here only
         when its blocker names a reason the columnar scans cannot apply.
+        Each packet's ``tap_time`` is set where it passed the sender's
+        interface, which defines the measured segment's entry point.
+        ``duration`` is the trace span used for utilization accounting;
+        it is inferred from the last departure if omitted.
         """
         cfg = self.config
         cross_per_hop = cross_per_hop or {}
-        unknown = set(cross_per_hop) - set(range(cfg.n_hops))
-        if unknown:
-            raise ValueError(f"cross traffic for nonexistent hops: {sorted(unknown)}")
-        queues = [
-            FifoQueue(cfg.rates_bps[i], cfg.buffer_bytes, cfg.proc_delay, name=f"hop{i}")
-            for i in range(cfg.n_hops)
-        ]
+        _check_hops(cross_per_hop, cfg.n_hops)
+        queues = [cfg.queue(hop) for hop in range(cfg.n_hops)]
         result = ChainResult(queues, duration or 0.0)
 
-        # hop 0: regular traffic + sender tap + hop-0 cross traffic
-        stream = self._first_hop(regular, queues[0], sender, cross_per_hop.get(0, []), result)
+        def regular_stream():
+            for packet in regular:
+                result.regular_in += 1
+                yield packet.ts, packet
 
-        # hops 1..N-1: merge the surviving through-stream with local cross
-        for hop in range(1, cfg.n_hops):
-            stream = self._middle_hop(stream, queues[hop], cross_per_hop.get(hop, []))
+        stream: Iterable[Tuple[float, Packet]] = regular_stream()
+        for hop, queue in enumerate(queues):
+            stream = _hop_objects(stream, cross_per_hop.get(hop, ()), queue,
+                                  result, hop == 0, sender)
 
         last = 0.0
         for arrival, packet in stream:
             last = arrival
-            if packet.kind == PacketKind.CROSS:
-                continue
             if packet.is_regular:
                 result.regular_out += 1
             if receiver is not None:
@@ -146,56 +223,7 @@ class SwitchChain:
         return result
 
     # ------------------------------------------------------------------
-
-    def _first_hop(self, regular, queue, sender, cross, result) -> List[Tuple[float, Packet]]:
-        through: List[Tuple[float, Packet]] = []
-
-        def regular_stream():
-            for packet in regular:
-                result.regular_in += 1
-                yield packet.ts, packet
-
-        out: List[Tuple[float, Packet]] = []
-        merged = heapq.merge(regular_stream(), cross, key=lambda item: item[0])
-        for arrival, packet in merged:
-            departure = queue.offer(packet, arrival)
-            if departure is None:
-                continue
-            if packet.kind == PacketKind.CROSS:
-                continue  # hop-local cross exits after its hop
-            packet.tap_time = arrival
-            out.append((departure, packet))
-            if sender is not None and packet.is_regular:
-                refs = sender.on_regular(packet, arrival)
-                if refs:
-                    for ref in refs:
-                        result.refs_injected += 1
-                        ref_departure = queue.offer(ref, arrival)
-                        if ref_departure is not None:
-                            out.append((ref_departure, ref))
-        out.sort(key=lambda item: item[0])  # refs interleave with regulars
-        return out
-
-    def _middle_hop(self, stream, queue, cross) -> List[Tuple[float, Packet]]:
-        out: List[Tuple[float, Packet]] = []
-        merged = heapq.merge(stream, cross, key=lambda item: item[0])
-        for arrival, packet in merged:
-            departure = queue.offer(packet, arrival)
-            if departure is None or packet.kind == PacketKind.CROSS:
-                continue
-            out.append((departure, packet))
-        return out
-
-    # ------------------------------------------------------------------
     # columnar fast path
-
-    def _coerce_cross(self, cross_per_hop) -> Dict[int, PacketBatch]:
-        """Per-hop cross traffic as batches (``None`` or ``[]``: none)."""
-        out: Dict[int, PacketBatch] = {}
-        for hop, cross in (cross_per_hop or {}).items():
-            empty = cross is None or (isinstance(cross, (list, tuple)) and not cross)
-            out[hop] = PacketBatch.empty() if empty else PacketBatch.coerce(cross)
-        return out
 
     def run_batch(
         self,
@@ -204,6 +232,7 @@ class SwitchChain:
         sender=None,
         receiver=None,
         duration: Optional[float] = None,
+        first_hop: Optional[Callable[[], FirstHop]] = None,
     ) -> ChainResult:
         """Run the chain on columnar packet batches.
 
@@ -218,90 +247,167 @@ class SwitchChain:
         and the receiver folds the final departure stream with
         identical estimates, tables, counters and observation-log events.
 
-        The fast path needs a batch-capable sender (or none) and receiver
-        (or none); anything else falls back to :meth:`run` with identical
-        numbers, and ``_fast_path_blocker``'s reason is counted under
+        The fast path needs plain tail-drop :class:`FifoQueue` hops, a
+        batch-capable sender (or none) and receiver (or none); anything
+        else falls back to :meth:`run` with identical numbers, and
+        ``_fast_path_blocker``'s reason is counted under
         ``batch.fallback``.
+
+        ``first_hop`` lets runs with no cross traffic at hop 0 share their
+        first hop: a zero-argument callable returning the
+        :class:`FirstHop` that :meth:`first_hop` computes for *regular* and
+        a fresh sender built like *sender* (a caller's memo).  It is
+        called only once the blocker admits the columnar path, so a run
+        that falls back never reads nor builds it; the run then scans the
+        later hops alone and leaves *sender* in the state the first hop
+        left the memo's sender.
         """
-        reg = PacketBatch.coerce(regular)
-        cross = self._coerce_cross(cross_per_hop)
-        cfg = self.config
-        unknown = set(cross) - set(range(cfg.n_hops))
-        if unknown:
-            raise ValueError(f"cross traffic for nonexistent hops: {sorted(unknown)}")
-        blocker = self._fast_path_blocker(sender, receiver, reg, cross)
-        if blocker is not None:
-            obs_metrics.fallback("chain.run_batch", blocker)
-            cross_pairs = {
-                hop: [(p.ts, p) for p in batch.to_packets()]
-                for hop, batch in cross.items()
-            }
-            return self.run(reg.to_packets(), cross_pairs, sender=sender,
-                            receiver=receiver, duration=duration)
-        obs_metrics.taken("chain.run_batch")
+        return _run_columnar(self, "chain.run_batch", regular, cross_per_hop,
+                             sender, receiver, duration, first_hop)
 
-        queues = [
-            FifoQueue(cfg.rates_bps[i], cfg.buffer_bytes, cfg.proc_delay, name=f"hop{i}")
-            for i in range(cfg.n_hops)
-        ]
-        result = ChainResult(queues, duration or 0.0)
-        result.regular_in = len(reg)
+    def first_hop(self, regular, sender=None) -> FirstHop:
+        """Run the first hop alone on the columnar path, with no cross
+        traffic (see :class:`FirstHop`).
 
-        stream, result.refs_injected = _hop(
-            _regular_stream(reg), cross.get(0), queues[0], sender)
-        for hop in range(1, cfg.n_hops):
-            stream, _ = _hop(stream, cross.get(hop), queues[hop])
-        time_s, size_s, kind_s, hidx_s, refslot_s, ref_objs = stream
+        For a caller that shares one first hop among runs through
+        :meth:`run_batch`'s ``first_hop``; *regular* and *sender* must be
+        ones that :meth:`run_batch`'s blocker admits.
+        """
+        return FirstHop(PacketBatch.coerce(regular), self.config.queue(0), sender)
 
-        result.regular_out = int(np.count_nonzero(kind_s == _REGULAR))
-        last = float(time_s[-1]) if len(time_s) else 0.0
-        if receiver is not None:
-            _observe(receiver, reg, time_s, kind_s, hidx_s, refslot_s, ref_objs)
-        if duration is None:
-            result.duration = max(last, max(q.stats.last_departure for q in queues))
-        return result
-
-    def _fast_path_blocker(self, sender, receiver, reg, cross) -> Optional[str]:
+    def _fast_path_blocker(self, queues, sender, receiver, reg: PacketBatch,
+                           cross: Dict[int, PacketBatch]) -> Optional[str]:
         """Why the run can't be driven columnar — ``None`` when it can.
 
         The reason string feeds the ``batch.fallback`` counter and the
-        ``--verbose`` once-per-sweep note.
+        ``--verbose`` once-per-sweep note, so a user can tell a nominal
+        fast-path run was actually falling back and why.
         """
-        return _component_blocker(sender, receiver, reg, cross.values())
+        if any(type(queue) is not FifoQueue for queue in queues):
+            return "custom-queue"
+        if sender is not None and not (
+            getattr(sender, "batch_capable", False)
+            and hasattr(sender, "fast_scan_state")
+        ):
+            return "sender-not-batch-capable"
+        if receiver is not None and not (
+            getattr(receiver, "batch_capable", False)
+            and hasattr(receiver, "observe_batch")
+        ):
+            return "receiver-not-batch-capable"
+        # the fast path hard-codes kinds: regular stream all REGULAR
+        # (references are injected, not replayed), cross streams all CROSS
+        # (anything else would reach the receiver)
+        if len(reg) and not np.all(reg.kind == _REGULAR):
+            return "mixed-regular-kinds"
+        for crs in cross.values():
+            if len(crs) and not np.all(crs.kind == _CROSS):
+                return "mixed-cross-kinds"
+        return None
+
+
+def _check_hops(cross_per_hop, n_hops: int) -> None:
+    unknown = set(cross_per_hop) - set(range(n_hops))
+    if unknown:
+        raise ValueError(f"cross traffic for nonexistent hops: {sorted(unknown)}")
+
+
+def _hop_objects(stream, cross, queue, result: ChainResult, first: bool,
+                 sender) -> List[Tuple[float, Packet]]:
+    """Offer one hop's merged arrivals; the surviving through-stream.
+
+    Counts the hop's arrivals and drops per kind into *result* (the last
+    hop's counts stay).  The *first* hop is the sender's interface.
+    """
+    arrivals = result.arrivals = dict.fromkeys(PacketKind, 0)
+    drops = result.drops = dict.fromkeys(PacketKind, 0)
+    out: List[Tuple[float, Packet]] = []
+    for arrival, packet in heapq.merge(stream, cross, key=lambda item: item[0]):
+        arrivals[packet.kind] += 1
+        departure = queue.offer(packet, arrival)
+        if departure is None:
+            drops[packet.kind] += 1
+            continue
+        if packet.kind == PacketKind.CROSS:
+            continue  # hop-local cross exits after its hop
+        if first:
+            packet.tap_time = arrival
+        out.append((departure, packet))
+        if not first or sender is None or not packet.is_regular:
+            continue
+        for ref in sender.on_regular(packet, arrival) or ():
+            result.refs_injected += 1
+            arrivals[ref.kind] += 1
+            ref_departure = queue.offer(ref, arrival)
+            if ref_departure is None:
+                drops[ref.kind] += 1
+            else:
+                out.append((ref_departure, ref))
+    if first and sender is not None:
+        out.sort(key=lambda item: item[0])  # refs interleave with regulars
+    return out
+
+
+def _run_columnar(chain: SwitchChain, site: str, regular, cross_per_hop,
+                  sender, receiver, duration: Optional[float],
+                  first_hop: Optional[Callable[[], FirstHop]]) -> ChainResult:
+    """:meth:`SwitchChain.run_batch`, counted under *site*.
+
+    Every line-topology driver's ``run_batch`` runs this, each under its
+    own name, so the ``batch.fastpath``/``batch.fallback`` counts name
+    the driver a run entered through.
+    """
+    cfg = chain.config
+    reg = PacketBatch.coerce(regular)
+    cross: Dict[int, PacketBatch] = {}
+    for hop, crs in (cross_per_hop or {}).items():
+        empty = crs is None or (isinstance(crs, (list, tuple)) and not crs)
+        cross[hop] = PacketBatch.empty() if empty else PacketBatch.coerce(crs)
+    _check_hops(cross, cfg.n_hops)
+    queues = [cfg.queue(hop) for hop in range(cfg.n_hops)]
+    blocker = chain._fast_path_blocker(queues, sender, receiver, reg, cross)
+    if blocker is not None:
+        obs_metrics.fallback(site, blocker)
+        cross_pairs = {hop: [(p.ts, p) for p in batch.to_packets()]
+                       for hop, batch in cross.items()}
+        return SwitchChain.run(chain, reg.to_packets(), cross_pairs, sender=sender,
+                               receiver=receiver, duration=duration)
+    obs_metrics.taken(site)
+
+    if first_hop is None:
+        first = FirstHop(reg, queues[0], sender, cross.get(0))
+    else:
+        if len(cross.get(0, ())):
+            raise ValueError("a shared first hop takes no cross traffic")
+        first = first_hop()
+        if sender is not None:
+            first.commit(sender)
+        queues[0] = first.queue
+    result = ChainResult(queues, duration or 0.0)
+    result.regular_in = len(reg)
+    result.refs_injected = first.refs_injected
+    stream, arrivals, drops = first.stream, first.arrivals, first.drops
+    for hop in range(1, cfg.n_hops):
+        stream, _, arrivals, drops = _hop(stream, cross.get(hop), queues[hop])
+    result.arrivals = {kind: int(arrivals[kind]) for kind in PacketKind}
+    result.drops = {kind: int(drops[kind]) for kind in PacketKind}
+    time_s, size_s, kind_s, hidx_s, refslot_s, ref_objs = stream
+
+    result.regular_out = int(np.count_nonzero(kind_s == _REGULAR))
+    if receiver is not None:
+        refs = [ref_objs[s] for s in refslot_s[refslot_s >= 0].tolist()]
+        receiver.observe_batch(time_s, kind_s, reg, hidx_s, None, refs)
+    if duration is None:
+        last = float(time_s[-1]) if len(time_s) else 0.0
+        result.duration = max(last, max(q.stats.last_departure for q in queues))
+    return result
 
 
 # ----------------------------------------------------------------------
-# columnar hops, shared with the two-switch pipeline's fast path.  A
-# stream is ``(time, size, kind, hidx, refslot, ref_objs)``: parallel
-# time-sorted arrays (``hidx`` indexes the regular batch, -1 elsewhere;
-# ``refslot`` indexes ``ref_objs``, -1 elsewhere) plus the reference
-# Packet objects it carries.
-
-
-def _component_blocker(sender, receiver, reg: PacketBatch,
-                       crosses: Iterable[PacketBatch]) -> Optional[str]:
-    """The fallback reason a sender, receiver or stream forces on a
-    pipeline or chain run — ``None`` when they can all be driven
-    columnar."""
-    if sender is not None and not (
-        getattr(sender, "batch_capable", False)
-        and hasattr(sender, "fast_scan_state")
-    ):
-        return "sender-not-batch-capable"
-    if receiver is not None and not (
-        getattr(receiver, "batch_capable", False)
-        and hasattr(receiver, "observe_batch")
-    ):
-        return "receiver-not-batch-capable"
-    # the fast path hard-codes kinds: regular stream all REGULAR
-    # (references are injected, not replayed), cross streams all CROSS
-    # (anything else would reach the receiver)
-    if len(reg) and not np.all(reg.kind == _REGULAR):
-        return "mixed-regular-kinds"
-    for crs in crosses:
-        if len(crs) and not np.all(crs.kind == _CROSS):
-            return "mixed-cross-kinds"
-    return None
+# columnar hops.  A stream is ``(time, size, kind, hidx, refslot,
+# ref_objs)``: parallel time-sorted arrays (``hidx`` indexes the regular
+# batch, -1 elsewhere; ``refslot`` indexes ``ref_objs``, -1 elsewhere) plus
+# the reference Packet objects it carries.
 
 
 def _regular_stream(reg: PacketBatch) -> tuple:
@@ -340,56 +446,37 @@ def _merge_with_cross(time_s, size_s, kind_s, hidx_s, refslot_s,
     return tuple(merged)
 
 
-def _offer(stream: tuple, crs: Optional[PacketBatch], queue: FifoQueue):
-    """Merge *stream* with a hop's cross columns and offer every merged
-    row to *queue*.
-
-    Returns the merged columns, the departures and the acceptance mask;
-    the references the queue dropped are flagged, as per-object offers
-    flag them.
-    """
-    *cols, ref_objs = stream
-    merged = _merge_with_cross(*cols, crs)
-    departures, accepted = queue.offer_batch(merged[0], merged[1])
-    if ref_objs:
-        refslot = merged[4]
-        for slot in refslot[(refslot >= 0) & ~accepted].tolist():
-            ref_objs[slot].dropped = True
-    return merged, departures, accepted
-
-
-def _observe(receiver, reg: PacketBatch, time, kind, hidx, refslot,
-             ref_objs: List[Packet]) -> None:
-    """Hand the receiver the stream's rows that reach it."""
-    refs = [ref_objs[s] for s in refslot[refslot >= 0].tolist()]
-    receiver.observe_batch(time, kind, reg, hidx, None, refs)
-
-
 def _hop(stream: tuple, crs: Optional[PacketBatch], queue: FifoQueue,
-         sender=None) -> Tuple[tuple, int]:
+         sender=None) -> Tuple[tuple, int, np.ndarray, np.ndarray]:
     """One columnar hop: merge with the hop's cross traffic, scan, and
     return the surviving through-stream (cross rows leave after their
-    hop) with the number of references *sender* built.
+    hop), the number of references *sender* built, and the hop's
+    arrivals and drops per kind.
 
     With a sender the hop runs the shared tapped scan — the regular rows
     in class 0, every other row untapped — and commits the sender's
     state at once; without one it is a plain ``offer_batch`` pass.
     Queue state and statistics end bitwise-identical to per-packet
-    offers.
+    offers.  References are never written: a shared first hop's stay as
+    they are.
     """
-    if sender is None:
-        merged, departures, accepted = _offer(stream, crs, queue)
-        size_m, kind_m, hidx_m, refslot_m = merged[1:]
-        keep = accepted & (kind_m != _CROSS)
-        return (departures[keep], size_m[keep], kind_m[keep], hidx_m[keep],
-                refslot_m[keep], stream[-1]), 0
     *cols, ref_objs = stream
     time_m, size_m, kind_m, hidx_m, refslot_m = _merge_with_cross(*cols, crs)
+    arrivals = np.bincount(kind_m, minlength=_KINDS)
+    if sender is None:
+        departures, accepted = queue.offer_batch(time_m, size_m)
+        drops = np.bincount(kind_m[~accepted], minlength=_KINDS)
+        keep = accepted & (kind_m != _CROSS)
+        return (departures[keep], size_m[keep], kind_m[keep], hidx_m[keep],
+                refslot_m[keep], ref_objs), 0, arrivals, drops
     scan = tapped_scan(queue, time_m, size_m,
                        np.where(kind_m == _REGULAR, 0, -2), sender)
     sender.fast_scan_commit(*scan.state)
     kind_a, hidx_a, refslot_a = scan.columns(kind_m, hidx_m, refslot_m,
                                              len(ref_objs))
+    arrivals[_REFERENCE] += scan.refs_built
+    drops = arrivals - np.bincount(kind_a, minlength=_KINDS)
     keep = kind_a != _CROSS
     return (scan.departures[keep], scan.sizes[keep], kind_a[keep],
-            hidx_a[keep], refslot_a[keep], ref_objs + scan.refs), scan.refs_built
+            hidx_a[keep], refslot_a[keep], ref_objs + scan.refs), \
+        scan.refs_built, arrivals, drops

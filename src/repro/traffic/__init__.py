@@ -1,5 +1,5 @@
-"""Workload substrate: synthetic traces, division, cross-traffic injection,
-and YAF-like flow metering."""
+"""Workload substrate: synthetic traces, cross-traffic injection, and
+YAF-like flow metering."""
 
 from .._exports import lazy_exports
 
@@ -15,7 +15,6 @@ _EXPORTS = {
     "DEFAULT_SIZE_MIX": "distributions",
     "LognormalGaps": "distributions",
     "PacketSizeMix": "distributions",
-    "TrafficDivider": "divider",
     "FlowMeter": "flowmeter",
     "FlowRecord": "flowmeter",
     "TraceConfig": "synthetic",

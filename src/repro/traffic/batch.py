@@ -5,10 +5,10 @@ A :class:`PacketBatch` holds one parallel numpy array per header/trace field
 :class:`~repro.net.packet.Packet` object per packet.  At the 10^5–10^6
 packets of the paper's headline experiments, the per-object representation
 costs more interpreter time in constructors and attribute loads than the
-actual queueing math; the columnar form is what the vectorized pipeline
-fast path (:meth:`repro.sim.pipeline.TwoSwitchPipeline.run_batch`) consumes
-directly, with *lazy* materialization back to ``Packet`` objects for the
-per-object reference path.
+actual queueing math; the columnar form is what the line-topology fast
+path (:meth:`repro.sim.chain.SwitchChain.run_batch`, which the two-switch
+pipeline runs too) consumes directly, with *lazy* materialization back to
+``Packet`` objects for the per-object reference path.
 
 A batch carries exactly the state a saved trace carries (the ``.npz``
 column set): measurement-only fields (``sender_id``, ``ref_timestamp``,

@@ -1,4 +1,4 @@
-"""Flow identification helpers.
+"""Flow identification helpers for the packet tests.
 
 A *flow* is the set of packets sharing a 5-tuple key, as in NetFlow/YAF.
 Per-flow latency measurement (the whole point of RLI over LDA) aggregates
@@ -11,9 +11,7 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, List, NamedTuple, Tuple
 
-from .packet import Packet
-
-__all__ = ["FlowKey", "flow_key_of", "group_by_flow", "count_flows"]
+from repro.net.packet import Packet
 
 
 class FlowKey(NamedTuple):
@@ -32,11 +30,6 @@ class FlowKey(NamedTuple):
     def reversed(self) -> "FlowKey":
         """The key of the opposite direction of the same conversation."""
         return FlowKey(self.dst, self.src, self.dport, self.sport, self.proto)
-
-
-def flow_key_of(packet: Packet) -> Tuple[int, int, int, int, int]:
-    """Return the raw 5-tuple of *packet* (cheaper than FlowKey.of)."""
-    return packet.flow_key
 
 
 def group_by_flow(packets: Iterable[Packet]) -> Dict[Tuple[int, int, int, int, int], List[Packet]]:

@@ -1,8 +1,9 @@
 """Force every simulation onto the per-object reference path (tests only).
 
 The columnar fast paths select themselves: ``TwoSwitchPipeline.run_batch``
-and ``SwitchChain.run_batch`` ask their ``_fast_path_blocker`` whether the
-scan applies, and the fat-tree deployments ask
+and ``SwitchChain.run_batch`` ask ``_fast_path_blocker`` (one method the
+pipeline inherits; it is patched on each class, so refusals count per
+site) whether the scan applies, and the fat-tree deployments ask
 :func:`repro.sim.fatpath.try_fast_path`.  :func:`reference_path` makes all
 three refuse, so every driver, job and CLI command runs its existing
 per-object fallback — the oracle each fast path is checked against.

@@ -2,19 +2,17 @@
 
 :func:`trace_route` replays a packet's forwarding decisions (LPM + ECMP
 hashing + local delivery) across a topology without simulating queues.  It
-yields exactly the switch sequence the event engine would produce, and is
-used by tests (path ground truth), by the reverse-ECMP classifier's sanity
-checks, and by the localization example to describe segments to operators.
+yields exactly the switch sequence the event engine would produce: the
+tests' path ground truth for the fat-tree builder and the reverse-ECMP
+classifier.
 """
 
 from __future__ import annotations
 
 from typing import List
 
-from ..net.packet import Packet
-from .switch import LOCAL_DELIVERY, Switch
-
-__all__ = ["trace_route", "RoutingError"]
+from repro.net.packet import Packet
+from repro.sim.switch import LOCAL_DELIVERY, Switch
 
 
 class RoutingError(Exception):

@@ -1,6 +1,7 @@
 """Batch/object equivalence: the columnar fast path must be bitwise-exact.
 
-The vectorized pipeline (``TwoSwitchPipeline.run_batch``) promises
+The vectorized pipeline (``TwoSwitchPipeline.run_batch``, the two-hop
+``SwitchChain``) promises
 **bitwise-identical** results to the per-object reference implementation
 — same float-op order (``max(t, free_at) + size/rate``), same merge
 stability, same flow-table contents *and dict insertion order*.  These tests pin that promise at every
@@ -25,7 +26,8 @@ from repro.core.receiver import RliReceiver
 from repro.core.sender import RefTemplate, RliSender
 from repro.net.addressing import Prefix, ip_to_int
 from repro.net.packet import Packet, PacketKind
-from repro.sim.pipeline import PipelineConfig, TwoSwitchPipeline
+from repro.sim.chain import ChainConfig
+from repro.sim.pipeline import TwoSwitchPipeline
 from repro.sim.queue import FifoQueue
 from repro.sim.red import RedQueue
 from repro.experiments.workloads import (PipelineWorkload, run_condition,
@@ -252,10 +254,8 @@ class TestPipelineProperty:
             model = UniformModel(cross_prob, seed=seed)
 
         def drive(batch):
-            cfg = PipelineConfig(rate1_bps=rate, rate2_bps=rate,
-                                 buffer1_bytes=buffer_bytes,
-                                 buffer2_bytes=buffer_bytes,
-                                 proc_delay=1e-6)
+            cfg = ChainConfig(n_hops=2, rate_bps=rate, buffer_bytes=buffer_bytes,
+                              proc_delay=1e-6)
             sender = make_sender(rate, scheme) if scheme else None
             receiver = RliReceiver(
                 demux=SingleSenderDemux(1, regular_prefixes=[REGULAR_PREFIX]))
@@ -271,10 +271,10 @@ class TestPipelineProperty:
 
         res_o, rx_o, tx_o = drive(batch=False)
         res_b, rx_b, tx_b = drive(batch=True)
-        assert queue_state(res_o.queue1) == queue_state(res_b.queue1)
-        assert queue_state(res_o.queue2) == queue_state(res_b.queue2)
-        assert res_o.arrivals2 == res_b.arrivals2
-        assert res_o.drops2 == res_b.drops2
+        assert queue_state(res_o.queues[0]) == queue_state(res_b.queues[0])
+        assert queue_state(res_o.queues[1]) == queue_state(res_b.queues[1])
+        assert res_o.arrivals == res_b.arrivals
+        assert res_o.drops == res_b.drops
         assert res_o.refs_injected == res_b.refs_injected
         assert res_o.duration == res_b.duration
         assert receiver_state(rx_o) == receiver_state(rx_b)
@@ -288,9 +288,8 @@ class TestPipelineProperty:
         rate = reg.total_bytes * 8.0 / (0.25 * 0.5)
 
         def drive(batch):
-            cfg = PipelineConfig(rate1_bps=rate, rate2_bps=rate,
-                                 buffer1_bytes=64 * 1024, buffer2_bytes=64 * 1024,
-                                 proc_delay=1e-6)
+            cfg = ChainConfig(n_hops=2, rate_bps=rate, buffer_bytes=64 * 1024,
+                              proc_delay=1e-6)
             receiver = RliReceiver(
                 demux=SingleSenderDemux(1, regular_prefixes=[REGULAR_PREFIX]),
                 collect_estimates=True)
@@ -374,11 +373,7 @@ class TestConditionEquivalence:
                               tiny_workload.make_receiver(observation_log=log))
             assert tee.batch_capable
             sender = tiny_workload.make_sender("adaptive")
-            pipeline = TwoSwitchPipeline(PipelineConfig(
-                rate1_bps=tiny_workload.rate_bps, rate2_bps=tiny_workload.rate_bps,
-                buffer1_bytes=tiny_workload.cfg.buffer_bytes,
-                buffer2_bytes=tiny_workload.cfg.buffer_bytes,
-                proc_delay=tiny_workload.cfg.proc_delay))
+            pipeline = TwoSwitchPipeline(tiny_workload.pipeline_config)
             cross_b = tiny_workload.cross_arrivals_batch("random", 0.67)
             if batch:
                 pipeline.run_batch(tiny_workload.regular, cross_b,
@@ -413,8 +408,8 @@ class TestConditionEquivalence:
                 classify=lambda packet: 0 if packet.sport % 2 else None)
             assert not sender.batch_capable
             receiver = tiny_workload.make_receiver()
-            pipeline = TwoSwitchPipeline(PipelineConfig(
-                rate1_bps=tiny_workload.rate_bps, rate2_bps=tiny_workload.rate_bps,
+            pipeline = TwoSwitchPipeline(ChainConfig(
+                n_hops=2, rate_bps=tiny_workload.rate_bps,
                 proc_delay=tiny_workload.cfg.proc_delay))
             if batch:
                 pipeline.run_batch(tiny_workload.regular,
@@ -494,6 +489,20 @@ class TestSharedSwitch1:
         assert forced["pipeline"] == len(grid)
         assert tiny_workload._switch1 == memo
         assert reference[0] == columnar
+
+    def test_downstream_drops_leave_the_shared_references_untouched(self):
+        reg, cross = build_traces(3, 600, 1200, 0.25, 1e-3)
+        rate = reg.total_bytes * 8.0 / (0.25 * 0.6)
+        pipeline = TwoSwitchPipeline(ChainConfig(
+            n_hops=2, rate_bps=rate, buffer_bytes=4 * 1024, proc_delay=1e-6))
+        first = pipeline.first_hop(reg, make_sender(rate, "adaptive"))
+        crs = UniformModel(0.9, seed=3).arrivals_batch(cross)
+        shared = pipeline.run_batch(reg, crs, sender=make_sender(rate, "adaptive"),
+                                    first_hop=lambda: first)
+        fresh = pipeline.run_batch(reg, crs, sender=make_sender(rate, "adaptive"))
+        assert shared.drops[PacketKind.REFERENCE] > 0
+        assert (shared.arrivals, shared.drops) == (fresh.arrivals, fresh.drops)
+        assert not any(ref.dropped for ref in first.stream[-1])
 
     def test_shared_arrays_are_read_only(self, tiny_workload):
         first = tiny_workload.switch1("adaptive", None)

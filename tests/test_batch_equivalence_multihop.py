@@ -647,10 +647,9 @@ class TestJobEquivalence:
             LocalizationJob, MeshJob, MultihopJob)
         from repro.experiments.workloads import run_condition
         from repro.runner.spec import JobSpec, SweepSpec, config_items
-        from repro.sim.pipeline import PipelineConfig
 
         callables = [run_condition, fig4.run_fig4ab, fig4.run_fig4c,
-                     fig5.run_fig5, PipelineConfig, ChainConfig, RlirMesh,
+                     fig5.run_fig5, ChainConfig, RlirMesh,
                      RlirDeployment]
         callables += [getattr(extensions, name) for name in extensions.__all__
                       if name.startswith("run_")]

@@ -5,6 +5,9 @@ import pytest
 from repro.net.addressing import ip_to_int
 from repro.net.packet import Packet, PacketKind
 from repro.sim.chain import ChainConfig, SwitchChain
+from repro.sim.queue import FifoQueue
+
+from packet_columns import batch_of
 
 
 def regular(ts, size=1000, sport=1):
@@ -40,7 +43,7 @@ class TestSwitchChain:
     def test_two_hop_chain_equals_pipeline(self):
         """A 2-hop chain with hop-1 cross traffic reproduces the
         TwoSwitchPipeline's semantics."""
-        from repro.sim.pipeline import PipelineConfig, TwoSwitchPipeline
+        from repro.sim.pipeline import TwoSwitchPipeline
 
         regs = [regular(i * 1e-4, sport=i) for i in range(200)]
         crs = [(i * 3e-4, cross(i * 3e-4)) for i in range(50)]
@@ -48,7 +51,7 @@ class TestSwitchChain:
         chain(n_hops=2).run([p.clone() for p in regs],
                             {1: [(t, p.clone()) for t, p in crs]},
                             receiver=rx_chain)
-        TwoSwitchPipeline(PipelineConfig(8e6, 8e6, None, None, 0.0)).run(
+        TwoSwitchPipeline(ChainConfig(2, 8e6, None, 0.0)).run(
             [p.clone() for p in regs], [(t, p.clone()) for t, p in crs],
             receiver=rx_pipe)
         assert [t for _, t in rx_chain.seen] == pytest.approx(
@@ -111,21 +114,44 @@ class TestSwitchChain:
             duration=0.1)
         assert result.utilization(1) == pytest.approx(2 * result.utilization(0))
 
-    def test_heterogeneous_rates(self):
-        cfg = ChainConfig(n_hops=2, rates_bps=[8e6, 4e6], buffer_bytes=None,
-                          proc_delay=0.0)
-        rx = Recorder()
-        SwitchChain(cfg).run([regular(0.0)], receiver=rx)
-        (_, arrival), = rx.seen
-        assert arrival == pytest.approx(1e-3 + 2e-3)
+    def test_last_hop_counts_per_kind(self):
+        """``arrivals``/``drops`` count the last hop only: switch 1's
+        drops are not in them, the last hop's cross traffic is."""
+        result = chain(n_hops=2, buffer_bytes=1500).run(
+            [regular(0.0, sport=i) for i in range(5)],
+            {1: [(0.5e-3, cross(0.5e-3)) for _ in range(3)]})
+        first = result.queues[0].stats
+        assert first.dropped > 0
+        assert result.arrivals[PacketKind.REGULAR] == first.accepted
+        assert result.arrivals[PacketKind.CROSS] == 3
+        assert result.drops[PacketKind.CROSS] > 0
+        last = result.queues[1].stats
+        assert sum(result.arrivals.values()) == last.arrivals
+        assert sum(result.drops.values()) == last.dropped
+
+    def test_queue_factory_names_each_switch(self):
+        made = []
+
+        def factory(rate_bps, buffer_bytes, proc_delay, name):
+            made.append(name)
+            return FifoQueue(rate_bps, buffer_bytes, proc_delay, name)
+
+        cfg = ChainConfig(n_hops=3, queue_factory=factory)
+        result = SwitchChain(cfg).run([regular(0.0)])
+        assert made == ["switch1", "switch2", "switch3"]
+        assert [q.name for q in result.queues] == made
 
     def test_validation(self):
         with pytest.raises(ValueError):
             ChainConfig(n_hops=0)
         with pytest.raises(ValueError):
-            ChainConfig(n_hops=2, rates_bps=[1e6])
-        with pytest.raises(ValueError):
             chain(n_hops=2).run([], {5: []})
+        # a shared first hop saw no cross traffic: hop-0 cross can't use one
+        line = chain(n_hops=2)
+        regs = batch_of([regular(0.0)])
+        with pytest.raises(ValueError):
+            line.run_batch(regs, {0: batch_of([cross(0.0)])},
+                           first_hop=lambda: line.first_hop(regs))
 
     def test_accuracy_degrades_gracefully_over_hops(self):
         """RLI across more hops still tracks per-flow truth (multi-queue

@@ -4,7 +4,7 @@ import pytest
 
 from repro.net.addressing import ip_to_int
 from repro.net.packet import Packet, PacketKind
-from repro.traffic.divider import TrafficDivider
+from traffic_divider import TrafficDivider
 from repro.net.addressing import Prefix
 from repro.traffic.batch import PacketBatch
 from repro.traffic.flowmeter import FlowMeter

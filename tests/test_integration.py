@@ -10,7 +10,8 @@ import pytest
 from repro.net.addressing import Prefix, ip_to_int
 from repro.net.packet import Packet, PacketKind
 from repro.sim.engine import Engine
-from repro.sim.pipeline import PipelineConfig, TwoSwitchPipeline
+from repro.sim.chain import ChainConfig
+from repro.sim.pipeline import TwoSwitchPipeline
 from repro.sim.switch import LOCAL_DELIVERY
 from repro.sim.topology import LinkParams, Topology
 
@@ -58,7 +59,7 @@ class TestDriverEquivalence:
             def observe(self, p, t):
                 pipe_rx.append((p.flow_key, t))
 
-        cfg = PipelineConfig(RATE, RATE, BUFFER, BUFFER, PROC)
+        cfg = ChainConfig(2, RATE, BUFFER, PROC)
         TwoSwitchPipeline(cfg).run(
             [p.clone() for p in regs],
             [(p.ts, p.clone()) for p in cross],
@@ -85,13 +86,13 @@ class TestDriverEquivalence:
     def test_drop_counts_agree(self):
         regs, cross = workload(n=1200, seed_spacing=0.4e-4)  # overload
 
-        cfg = PipelineConfig(RATE, RATE, BUFFER, BUFFER, PROC)
+        cfg = ChainConfig(2, RATE, BUFFER, PROC)
         result = TwoSwitchPipeline(cfg).run(
             [p.clone() for p in regs],
             [(p.ts, p.clone()) for p in cross],
         )
-        pipe_drops = (result.queue1.stats.dropped + result.drops2[PacketKind.REGULAR]
-                      + result.drops2[PacketKind.CROSS])
+        pipe_drops = (result.queues[0].stats.dropped + result.drops[PacketKind.REGULAR]
+                      + result.drops[PacketKind.CROSS])
 
         topo, a, b, c = build_equivalent_topology()
         engine = Engine()

@@ -1,7 +1,7 @@
 """Tests for the packet model and flow helpers."""
 
 from repro.net.addressing import ip_to_int
-from repro.net.flow import FlowKey, count_flows, group_by_flow
+from flow_groups import FlowKey, count_flows, group_by_flow
 from repro.net.packet import Packet, PacketKind
 
 

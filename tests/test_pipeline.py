@@ -1,10 +1,12 @@
-"""Tests for the two-switch pipeline (the paper's Figure-3 environment)."""
+"""Tests for the two-switch pipeline (the paper's Figure-3 environment):
+the two-hop chain with its cross traffic at switch 2."""
 
 import pytest
 
 from repro.net.addressing import ip_to_int
 from repro.net.packet import Packet, PacketKind
-from repro.sim.pipeline import PipelineConfig, TwoSwitchPipeline
+from repro.sim.chain import ChainConfig
+from repro.sim.pipeline import TwoSwitchPipeline
 
 
 def regular(ts, size=1000, sport=1):
@@ -17,8 +19,7 @@ def cross(ts, size=1000):
                   size=size, ts=ts, kind=PacketKind.CROSS)
 
 
-CFG = PipelineConfig(rate1_bps=8e6, rate2_bps=8e6, buffer1_bytes=None,
-                     buffer2_bytes=None, proc_delay=0.0)
+CFG = ChainConfig(n_hops=2, rate_bps=8e6, buffer_bytes=None, proc_delay=0.0)
 
 
 class RecordingReceiver:
@@ -55,7 +56,7 @@ class TestPipelineBasics:
         (_, arrival), = rx.seen
         # two transmissions of 1000B at 1 MB/s, no queueing
         assert arrival == pytest.approx(2e-3)
-        assert result.arrivals2[PacketKind.REGULAR] == 1
+        assert result.arrivals[PacketKind.REGULAR] == 1
 
     def test_tap_time_set_at_switch1(self):
         rx = RecordingReceiver()
@@ -72,7 +73,7 @@ class TestPipelineBasics:
         assert p.is_regular
         # regular reached switch2 at 1 ms; cross still serializing until 1.9 ms
         assert arrival == pytest.approx(1.9e-3 + 1e-3)
-        assert result.arrivals2[PacketKind.CROSS] == 1
+        assert result.arrivals[PacketKind.CROSS] == 1
 
     def test_sender_refs_follow_their_trigger(self):
         rx = RecordingReceiver()
@@ -88,31 +89,39 @@ class TestPipelineBasics:
         result = TwoSwitchPipeline(CFG).run(
             [regular(i * 0.01, sport=i) for i in range(10)], [], sender=sender)
         assert result.refs_injected == 5
-        assert result.arrivals2[PacketKind.REFERENCE] == 5
+        assert result.arrivals[PacketKind.REFERENCE] == 5
 
     def test_dropped_at_switch1_never_reaches_sender_tap(self):
-        cfg = PipelineConfig(rate1_bps=8e6, rate2_bps=8e6, buffer1_bytes=1500,
-                             buffer2_bytes=None, proc_delay=0.0)
+        cfg = ChainConfig(n_hops=2, rate_bps=8e6, buffer_bytes=1500,
+                          proc_delay=0.0)
         sender = CountingSender(1)
         # burst of 5 packets at t=0: only some fit in switch 1's buffer
-        TwoSwitchPipeline(cfg).run([regular(0.0, sport=i) for i in range(5)], [],
-                                   sender=sender)
+        result = TwoSwitchPipeline(cfg).run(
+            [regular(0.0, sport=i) for i in range(5)], [], sender=sender)
         assert sender.count < 5
+        assert result.queues[0].stats.dropped == 5 - sender.count
+        # switch 1 paces the survivors and their references: switch 2,
+        # with the same buffer, drops none of them
+        assert result.arrivals[PacketKind.REGULAR] == sender.count
+        assert result.arrivals[PacketKind.REFERENCE] > 0
+        assert sum(result.drops.values()) == 0
 
     def test_utilization_accounting(self):
         result = TwoSwitchPipeline(CFG).run(
             [regular(i * 0.01) for i in range(10)], [], duration=0.1)
         # 10 kB over 0.1 s at 1 MB/s = 10% on both switches
-        assert result.utilization1 == pytest.approx(0.1)
-        assert result.utilization2 == pytest.approx(0.1)
+        assert result.utilization(0) == pytest.approx(0.1)
+        assert result.utilization(1) == pytest.approx(0.1)
 
     def test_loss_rate_per_kind(self):
-        cfg = PipelineConfig(rate1_bps=8e6, rate2_bps=8e6, buffer1_bytes=None,
-                             buffer2_bytes=2000, proc_delay=0.0)
-        # regulars spaced out; a cross burst overflows switch 2
+        cfg = ChainConfig(n_hops=2, rate_bps=8e6, buffer_bytes=2000,
+                          proc_delay=0.0)
+        # regulars spaced out; a cross burst overflows switch 2 only
         burst = [(0.0, cross(0.0)) for _ in range(10)]
         result = TwoSwitchPipeline(cfg).run([regular(i * 0.05) for i in range(4)],
                                             burst)
+        assert result.queues[0].stats.dropped == 0
+        assert result.arrivals[PacketKind.REGULAR] == 4
         assert result.loss_rate(PacketKind.CROSS) > 0
         assert result.loss_rate(PacketKind.REGULAR) == 0.0
 

@@ -8,7 +8,8 @@ from repro.baselines.lda import Lda
 from repro.net.addressing import ip_to_int
 from repro.net.packet import Packet, PacketKind
 from repro.sim.engine import Engine
-from repro.sim.pipeline import PipelineConfig, TwoSwitchPipeline
+from repro.sim.chain import ChainConfig
+from repro.sim.pipeline import TwoSwitchPipeline
 from repro.sim.topology import FatTree, LinkParams
 
 
@@ -78,12 +79,12 @@ class TestPipelineConservation:
                     size=1500, kind=PacketKind.CROSS))
             for _ in range(n_cross)
         )
-        cfg = PipelineConfig(4e6, 4e6, 4000, 4000, 0.0)
+        cfg = ChainConfig(2, 4e6, 4000, 0.0)
         result = TwoSwitchPipeline(cfg).run(regs, cross)
-        survived_switch1 = result.queue1.stats.accepted
-        assert result.queue1.stats.arrivals == n_regular
-        assert result.arrivals2[PacketKind.REGULAR] == survived_switch1
-        assert result.arrivals2[PacketKind.CROSS] == n_cross
+        survived_switch1 = result.queues[0].stats.accepted
+        assert result.queues[0].stats.arrivals == n_regular
+        assert result.arrivals[PacketKind.REGULAR] == survived_switch1
+        assert result.arrivals[PacketKind.CROSS] == n_cross
 
 
 class TestLdaProperty:

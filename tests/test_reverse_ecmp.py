@@ -4,7 +4,7 @@ import pytest
 
 from repro.core.reverse_ecmp import ReverseEcmpClassifier
 from repro.net.packet import Packet
-from repro.sim.routing import trace_route
+from route_walk import trace_route
 
 
 def classifier_for(ft):

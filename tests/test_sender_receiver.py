@@ -210,14 +210,15 @@ class TestAdaptiveSenderBehavior:
         from repro.core.injection import AdaptiveInjection
 
         def run_with_cross(n_cross):
-            from repro.sim.pipeline import PipelineConfig, TwoSwitchPipeline
+            from repro.sim.chain import ChainConfig
+            from repro.sim.pipeline import TwoSwitchPipeline
 
             sender = RliSender(1, link_rate_bps=8e6, policy=AdaptiveInjection())
             regs = [regular(ts=i * 1e-3, sport=i) for i in range(200)]
             cross = [(i * 2e-4, Packet(src=9, dst=10, size=1500,
                                        ts=i * 2e-4, kind=PacketKind.CROSS))
                      for i in range(n_cross)]
-            TwoSwitchPipeline(PipelineConfig(8e6, 8e6, None, None, 0.0)).run(
+            TwoSwitchPipeline(ChainConfig(2, 8e6, None, 0.0)).run(
                 regs, cross, sender=sender)
             return sender.current_gap, sender.refs_injected
 

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.net.packet import Packet
-from repro.sim.routing import RoutingError, trace_route
+from route_walk import RoutingError, trace_route
 from repro.sim.topology import FatTree, LinkParams, Topology
 
 

@@ -1,4 +1,4 @@
-"""Traffic divider (paper Figure 3).
+"""Traffic divider (paper Figure 3), a test helper.
 
 "The simulator reads a packet trace and classifies packets as either regular
 traffic ones or cross traffic ones based on IP addresses."
@@ -6,7 +6,9 @@ traffic ones or cross traffic ones based on IP addresses."
 Given prefix sets describing the regular traffic's address space, the
 divider splits a merged trace into a regular trace and a cross trace with
 one prefix mask over the source-address column — the same test the RLIR
-receivers' batch demultiplexers apply for origin identification.
+receivers' batch demultiplexers apply for origin identification.  The
+studies draw their cross traffic from a model instead of splitting a
+trace, so only the flow-meter tests use it.
 """
 
 from __future__ import annotations
@@ -15,11 +17,9 @@ from typing import Iterable, Tuple
 
 import numpy as np
 
-from ..net.addressing import Prefix
-from ..net.packet import PacketKind
-from .trace import Trace
-
-__all__ = ["TrafficDivider"]
+from repro.net.addressing import Prefix
+from repro.net.packet import PacketKind
+from repro.traffic.trace import Trace
 
 
 class TrafficDivider:
