@@ -148,9 +148,9 @@ class FirstHop:
 
     def __init__(self, reg: PacketBatch, queue: FifoQueue, sender=None,
                  crs: Optional[PacketBatch] = None):
-        stream, self.refs_injected, self.arrivals, self.drops = _hop(
+        rows, keep, self.refs_injected, self.arrivals, self.drops = _hop(
             _regular_stream(reg), crs, queue, sender)
-        *cols, refs = stream
+        *cols, refs = _through(rows, keep)
         for col in cols:
             col.flags.writeable = False
         self.stream = (*cols, tuple(refs))
@@ -211,15 +211,13 @@ class SwitchChain:
             stream = _hop_objects(stream, cross_per_hop.get(hop, ()), queue,
                                   result, hop == 0, sender)
 
-        last = 0.0
         for arrival, packet in stream:
-            last = arrival
             if packet.is_regular:
                 result.regular_out += 1
             if receiver is not None:
                 receiver.observe(packet, arrival)
         if duration is None:
-            result.duration = max(last, max(q.stats.last_departure for q in queues))
+            result.duration = max(q.stats.last_departure for q in queues)
         return result
 
     # ------------------------------------------------------------------
@@ -386,20 +384,19 @@ def _run_columnar(chain: SwitchChain, site: str, regular, cross_per_hop,
     result = ChainResult(queues, duration or 0.0)
     result.regular_in = len(reg)
     result.refs_injected = first.refs_injected
-    stream, arrivals, drops = first.stream, first.arrivals, first.drops
+    rows, keep, arrivals, drops = first.stream, None, first.arrivals, first.drops
     for hop in range(1, cfg.n_hops):
-        stream, _, arrivals, drops = _hop(stream, cross.get(hop), queues[hop])
+        rows, keep, _, arrivals, drops = _hop(_through(rows, keep), cross.get(hop),
+                                              queues[hop])
     result.arrivals = {kind: int(arrivals[kind]) for kind in PacketKind}
     result.drops = {kind: int(drops[kind]) for kind in PacketKind}
-    time_s, size_s, kind_s, hidx_s, refslot_s, ref_objs = stream
-
-    result.regular_out = int(np.count_nonzero(kind_s == _REGULAR))
+    result.regular_out = int(arrivals[_REGULAR] - drops[_REGULAR])
     if receiver is not None:
+        time_s, _, kind_s, hidx_s, refslot_s, ref_objs = _through(rows, keep)
         refs = [ref_objs[s] for s in refslot_s[refslot_s >= 0].tolist()]
         receiver.observe_batch(time_s, kind_s, reg, hidx_s, None, refs)
     if duration is None:
-        last = float(time_s[-1]) if len(time_s) else 0.0
-        result.duration = max(last, max(q.stats.last_departure for q in queues))
+        result.duration = max(q.stats.last_departure for q in queues)
     return result
 
 
@@ -447,11 +444,13 @@ def _merge_with_cross(time_s, size_s, kind_s, hidx_s, refslot_s,
 
 
 def _hop(stream: tuple, crs: Optional[PacketBatch], queue: FifoQueue,
-         sender=None) -> Tuple[tuple, int, np.ndarray, np.ndarray]:
-    """One columnar hop: merge with the hop's cross traffic, scan, and
-    return the surviving through-stream (cross rows leave after their
-    hop), the number of references *sender* built, and the hop's
-    arrivals and drops per kind.
+         sender=None) -> Tuple[tuple, np.ndarray, int, np.ndarray, np.ndarray]:
+    """One columnar hop: merge with the hop's cross traffic and scan.
+
+    Returns the hop's output rows (a stream whose ``time`` is the
+    departure), the mask of the rows that go on (:func:`_through`; cross
+    rows leave after their hop), the number of references *sender* built,
+    and the hop's arrivals and drops per kind.
 
     With a sender the hop runs the shared tapped scan — the regular rows
     in class 0, every other row untapped — and commits the sender's
@@ -466,9 +465,8 @@ def _hop(stream: tuple, crs: Optional[PacketBatch], queue: FifoQueue,
     if sender is None:
         departures, accepted = queue.offer_batch(time_m, size_m)
         drops = np.bincount(kind_m[~accepted], minlength=_KINDS)
-        keep = accepted & (kind_m != _CROSS)
-        return (departures[keep], size_m[keep], kind_m[keep], hidx_m[keep],
-                refslot_m[keep], ref_objs), 0, arrivals, drops
+        return ((departures, size_m, kind_m, hidx_m, refslot_m, ref_objs),
+                accepted & (kind_m != _CROSS), 0, arrivals, drops)
     scan = tapped_scan(queue, time_m, size_m,
                        np.where(kind_m == _REGULAR, 0, -2), sender)
     sender.fast_scan_commit(*scan.state)
@@ -476,7 +474,16 @@ def _hop(stream: tuple, crs: Optional[PacketBatch], queue: FifoQueue,
                                              len(ref_objs))
     arrivals[_REFERENCE] += scan.refs_built
     drops = arrivals - np.bincount(kind_a, minlength=_KINDS)
-    keep = kind_a != _CROSS
-    return (scan.departures[keep], scan.sizes[keep], kind_a[keep],
-            hidx_a[keep], refslot_a[keep], ref_objs + scan.refs), \
-        scan.refs_built, arrivals, drops
+    return ((scan.departures, scan.sizes, kind_a, hidx_a, refslot_a,
+             ref_objs + scan.refs), kind_a != _CROSS, scan.refs_built,
+            arrivals, drops)
+
+
+def _through(rows: tuple, keep: Optional[np.ndarray]) -> tuple:
+    """The stream of a hop's output *rows* that go on to the next hop or
+    the receiver: those *keep* marks (all of them for ``None``).  Built
+    only where read, so a last hop no receiver reads is never sliced."""
+    if keep is None:
+        return rows
+    *cols, ref_objs = rows
+    return (*(col[keep] for col in cols), ref_objs)
