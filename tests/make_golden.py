@@ -25,6 +25,7 @@ GOLDEN_DIR = pathlib.Path(__file__).parent / "golden"
 GOLDEN_SCALE = 0.01
 GOLDEN_SEED = 7
 GOLDEN_FIG5_SEEDS = 2
+GOLDEN_MULTIHOP_HOPS = (1, 2, 3, 4, 8)
 
 
 def golden_config():
@@ -100,12 +101,29 @@ def compute_aqm():
     return {"scale": GOLDEN_SCALE, "seed": GOLDEN_SEED, "rows": rows}
 
 
+def compute_multihop():
+    """Multihop ablation rows: (chain length, median flow-mean relative
+    error, mean true latency), floats as ``float.hex``."""
+    from repro.experiments.extensions import run_multihop_ablation
+
+    return {
+        "scale": GOLDEN_SCALE,
+        "seed": GOLDEN_SEED,
+        "rows": [
+            {"n_hops": n_hops, "median_error": median.hex(),
+             "mean_true_latency": latency.hex()}
+            for n_hops, median, latency
+            in run_multihop_ablation(golden_config(), hops=GOLDEN_MULTIHOP_HOPS)
+        ],
+    }
+
+
 def main() -> int:
     from reference_path import reference_path
 
     GOLDEN_DIR.mkdir(exist_ok=True)
     for name, compute in (("fig4ab", compute_fig4ab), ("fig5", compute_fig5),
-                          ("aqm", compute_aqm)):
+                          ("aqm", compute_aqm), ("multihop", compute_multihop)):
         path = GOLDEN_DIR / f"{name}_scale{GOLDEN_SCALE}_seed{GOLDEN_SEED}.json"
         with reference_path():
             doc = compute()
