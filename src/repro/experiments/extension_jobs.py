@@ -35,6 +35,7 @@ it applies, and on the per-object reference where it does not — with
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Iterable, List, Optional, Tuple
 
 from ..core.obslog import ObservationColumns
@@ -90,37 +91,29 @@ def _multihop_log(config: ConfigItems, n_hops: int, utilization: float,
     (:meth:`~repro.sim.chain.SwitchChain.run_batch`): per-hop cross
     arrivals stay columns (``arrivals_batch``, same seeded selection) and
     the recorded log is **bitwise identical** to the per-object path's.
+    Hop h draws the same selection in every chain, so the chain continues
+    the workload's prefix of a shorter chain of this condition
+    (:meth:`~repro.experiments.workloads.PipelineWorkload.chain_prefix`)
+    and scans only the hops past it.
     """
-    from ..sim.chain import ChainConfig, SwitchChain
-    from ..traffic.crosstraffic import UniformModel, calibrate_selection_probability
+    from ..sim.chain import SwitchChain
+    from ..traffic.crosstraffic import UniformModel
     from .workloads import workload_for
 
     workload = workload_for(config)
-    cfg = workload.cfg
-    prob = calibrate_selection_probability(
-        workload.cross,
-        regular_bytes=workload.regular.total_bytes,
-        rate_bps=workload.rate_bps,
-        duration=cfg.duration,
-        target_utilization=utilization,
-    )
-    sender = workload.make_sender("static")
+    prob = workload.selection_probability(utilization)
     log = ObservationColumns()
-    receiver = workload.make_receiver(observation_log=log)
-    models = {
+    cross = {
         hop: UniformModel(prob, seed=derive_seed(run_seed, "multihop-cross", hop))
+        .arrivals_batch(workload.cross)
         for hop in range(n_hops)
     }
-    chain = SwitchChain(ChainConfig(
-        n_hops=n_hops,
-        rate_bps=workload.rate_bps,
-        buffer_bytes=cfg.buffer_bytes,
-        proc_delay=cfg.proc_delay,
-    ))
-    chain.run_batch(workload.regular,
-                    {hop: m.arrivals_batch(workload.cross)
-                     for hop, m in models.items()},
-                    sender=sender, receiver=receiver, duration=cfg.duration)
+    SwitchChain(workload.chain_config(n_hops)).run_batch(
+        workload.regular, cross, sender=workload.make_sender("static"),
+        receiver=workload.make_receiver(observation_log=log),
+        duration=workload.cfg.duration,
+        prefix=partial(workload.chain_prefix, ("static", utilization, run_seed),
+                       n_hops, cross, "static"))
     return log
 
 

@@ -22,7 +22,7 @@ from ..core.sender import RefTemplate, RliSender
 from ..net.addressing import Prefix, ip_to_int
 from ..net.packet import Packet, PacketKind
 from ..sim.clock import OffsetClock
-from ..sim.chain import ChainConfig, ChainResult, FirstHop
+from ..sim.chain import ChainConfig, ChainPrefix, ChainResult, SwitchChain
 from ..sim.pipeline import TwoSwitchPipeline
 from ..traffic.batch import BATCH_COLUMNS, PacketBatch
 from ..traffic.crosstraffic import (
@@ -102,19 +102,25 @@ class PipelineWorkload:
         # pick the link rate that puts the regular workload alone at the
         # paper's ~22% utilization operating point
         self.rate_bps = self.regular.total_bytes * 8.0 / (cfg.duration * cfg.base_utilization)
-        self.pipeline_config = ChainConfig(
-            n_hops=2,
-            rate_bps=self.rate_bps,
-            buffer_bytes=cfg.buffer_bytes,
-            proc_delay=cfg.proc_delay,
-        )
+        self.pipeline_config = self.chain_config(2)
         self.regular_prefix = Prefix.parse(f"{REGULAR_SRC_BASE}/16")
-        # the tail-drop Switch 1 per (scheme, static_n); see switch1()
-        self._switch1: Dict[Tuple[Optional[str], Optional[int]], FirstHop] = {}
+        # tail-drop chain prefixes by key, and the key of the one held
+        # prefix over cross traffic; see chain_prefix()
+        self._prefixes: Dict[Tuple, ChainPrefix] = {}
+        self._selection_key: Optional[Tuple] = None
         # the last cross selection drawn, as ((model, util, seed), batch)
         self._cross_batch: Optional[Tuple[Tuple[str, float, int], PacketBatch]] = None
 
     # ------------------------------------------------------------------
+
+    def chain_config(self, n_hops: int) -> ChainConfig:
+        """A tail-drop chain of *n_hops* of the workload's switches."""
+        return ChainConfig(
+            n_hops=n_hops,
+            rate_bps=self.rate_bps,
+            buffer_bytes=self.cfg.buffer_bytes,
+            proc_delay=self.cfg.proc_delay,
+        )
 
     def selection_probability(self, target_util: float) -> float:
         """Selection probability hitting *target_util* at Switch 2."""
@@ -182,24 +188,44 @@ class PipelineWorkload:
             templates={0: template},
         )
 
-    def switch1(self, scheme: Optional[str], static_n: Optional[int]) -> FirstHop:
-        """The tail-drop Switch 1 of every condition with this sender.
+    def chain_prefix(self, key: Tuple, depth: int, cross: Dict[int, PacketBatch],
+                     scheme: Optional[str], static_n: Optional[int] = None) -> ChainPrefix:
+        """The first *depth* tail-drop hops under *key*, whose hops take
+        *cross*, with a sender of *scheme* and *static_n*.
 
-        Switch 1 reads the regular trace, the workload's switch
-        parameters and the sender, and nothing else a condition sets, so
-        conditions that differ in load, cross model, run seed or
-        receiver share one :class:`~repro.sim.chain.FirstHop`: built
-        on first use, kept as long as the workload.  :func:`run_condition`
-        hands it to ``run_batch``, which reads it only for a run its
+        The workload's one memo of :class:`~repro.sim.chain.ChainPrefix`
+        values, read two ways:
+
+        * the pipeline's Switch 1 (depth 1, no *cross*) under ``(scheme,
+          static_n)``: it reads the regular trace, the workload's switch
+          parameters and the sender, and nothing else a condition sets,
+          so conditions that differ in load, cross model, run seed or
+          receiver share it; kept as long as the workload;
+        * a multihop chain's hops under ``(scheme, utilization,
+          run_seed)``, whose hop h takes the same cross selection in
+          every chain, so a longer chain continues a shorter one's
+          prefix.  A prefix over cross traffic serves one selection, so
+          the memo holds one: the last built, which continues the held
+          prefix when that one is shallower and evicts it otherwise.
+
+        Runs hand it to ``run_batch``, which reads it only for a run its
         blocker admits, so a per-object run never builds nor reads it.
         """
-        key = (scheme, static_n)
-        first = self._switch1.get(key)
-        if first is None:
-            sender = self.make_sender(scheme, static_n) if scheme is not None else None
-            first = TwoSwitchPipeline(self.pipeline_config).first_hop(self.regular, sender)
-            self._switch1[key] = first
-        return first
+        held = self._prefixes.get(key)
+        if held is not None and held.depth == depth:
+            return held
+        base = held if held is not None and held.depth < depth else None
+        if cross:
+            # never hold two selections' prefixes while building
+            self._prefixes.pop(self._selection_key, None)
+            self._selection_key = key
+        sender = None
+        if base is None and scheme is not None:
+            sender = self.make_sender(scheme, static_n)
+        built = SwitchChain(self.chain_config(depth)).prefix(
+            self.regular, cross, sender, base)
+        self._prefixes[key] = built
+        return built
 
     def make_receiver(
         self,
@@ -273,9 +299,10 @@ def run_condition(
     The condition runs through the columnar pipeline fast path; the
     pipeline falls back to the per-object path by itself where the fast
     path does not apply (e.g. RED queues), with bitwise-identical numbers.
-    On the fast path a tail-drop condition scans Switch 2 alone, on the
-    workload's shared :meth:`PipelineWorkload.switch1` for its scheme and
-    ``static_n``; a fallback run scans both switches with its own sender.
+    On the fast path a tail-drop condition scans Switch 2 alone, behind
+    the workload's shared Switch 1 for its scheme and ``static_n``
+    (:meth:`PipelineWorkload.chain_prefix`); a fallback run scans both
+    switches with its own sender.
     """
     if scheme is None:
         contradictory = [
@@ -306,7 +333,8 @@ def run_condition(
         receiver=receiver,
         duration=workload.cfg.duration,
         # an AQM swaps queue 1 too, so only tail-drop runs share Switch 1
-        first_hop=None if aqm is not None else partial(workload.switch1, scheme, static_n),
+        prefix=None if aqm is not None else partial(
+            workload.chain_prefix, (scheme, static_n), 1, {}, scheme, static_n),
     )
     if receiver is not None:
         receiver.finalize()
@@ -443,11 +471,12 @@ def summarize_condition(condition: ConditionResult, estimator: str = "linear",
 
 
 # per-process workload memo so repeated jobs in one worker share traces
-# and each workload's Switch 1 (PipelineWorkload.switch1); bounded FIFO: a
-# sweep touches one or two configs, so a handful of slots gives full reuse
-# without retaining workloads for every config a long-lived process ever
-# ran.  An evicted workload takes its Switch-1 values with it, and its
-# traces leave _trace_cache once no other workload uses them.
+# and each workload's chain prefixes (PipelineWorkload.chain_prefix);
+# bounded FIFO: a sweep touches one or two configs, so a handful of slots
+# gives full reuse without retaining workloads for every config a
+# long-lived process ever ran.  An evicted workload takes its prefixes
+# with it, and its traces leave _trace_cache once no other workload uses
+# them.
 _workload_cache: Dict[Tuple, PipelineWorkload] = {}
 _WORKLOAD_CACHE_SLOTS = 4
 

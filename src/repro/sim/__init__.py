@@ -10,8 +10,8 @@ from .._exports import lazy_exports
 
 _EXPORTS = {
     "ChainConfig": "chain",
+    "ChainPrefix": "chain",
     "ChainResult": "chain",
-    "FirstHop": "chain",
     "SwitchChain": "chain",
     "Clock": "clock",
     "DriftingClock": "clock",

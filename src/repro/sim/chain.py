@@ -53,7 +53,7 @@ from ..obs import metrics as obs_metrics
 from ..traffic.batch import PacketBatch
 from .queue import FifoQueue, tapped_scan
 
-__all__ = ["ChainConfig", "ChainResult", "FirstHop", "SwitchChain"]
+__all__ = ["ChainConfig", "ChainPrefix", "ChainResult", "SwitchChain"]
 
 _REGULAR = int(PacketKind.REGULAR)
 _REFERENCE = int(PacketKind.REFERENCE)
@@ -124,38 +124,59 @@ class ChainResult:
         return 1.0 - self.regular_out / self.regular_in if self.regular_in else 0.0
 
 
-class FirstHop:
-    """Everything that leaves a chain's first hop on the columnar path, as
-    a value.
+class ChainPrefix:
+    """Everything that leaves a chain's first ``depth`` hops on the columnar
+    path, as a value.
 
-    With no cross traffic at hop 0, the first hop sees the regular trace
-    alone: its departures, the references the sender injects, the queue's
-    statistics and the sender's final state depend only on that trace,
-    the chain's parameters and the sender.  Runs that differ downstream
-    (load, cross model, run seed, receiver) can share one value through
-    :meth:`SwitchChain.run_batch`'s ``first_hop``.  Sharing is exact
-    because nothing downstream writes it: the stream's arrays are
-    read-only, later hops and the receiver only read the references, and
-    :meth:`commit` copies the sender's state instead of handing the
-    sender out.
+    The first hops of a chain see the regular trace, their own cross
+    traffic and the sender, and nothing a later hop or the receiver sets.
+    Runs that share those inputs and differ downstream (the two-switch
+    pipeline's load, cross model, run seed or receiver behind a Switch 1
+    with no cross traffic; a longer chain behind the hops of a shorter one)
+    can share one value through :meth:`SwitchChain.run_batch`'s
+    ``prefix``, and a deeper prefix continues a shallower one
+    (:meth:`SwitchChain.prefix`).  Sharing is exact because nothing
+    downstream writes it: the stream's arrays are read-only, later hops and
+    the receiver only read the references, and :meth:`commit` copies the
+    sender's state instead of handing the sender out.
 
-    ``stream`` is the columnar stream of first-hop departures (see
-    :func:`_hop`); ``refs_injected`` counts the references the sender
-    built; ``arrivals``/``drops`` count the hop's packets per kind.
+    ``stream`` is the columnar through-stream of the last covered hop;
+    ``queues`` are the covered hops' queues with their final statistics;
+    ``refs_injected`` counts the references the sender built;
+    ``arrivals``/``drops`` count the last covered hop's packets per kind;
+    ``cross_rows`` holds each covered hop's cross row count.
     """
 
-    __slots__ = ("stream", "queue", "sender", "refs_injected", "arrivals", "drops")
-
-    def __init__(self, reg: PacketBatch, queue: FifoQueue, sender=None,
-                 crs: Optional[PacketBatch] = None):
-        rows, keep, self.refs_injected, self.arrivals, self.drops = _hop(
-            _regular_stream(reg), crs, queue, sender)
-        *cols, refs = _through(rows, keep)
-        for col in cols:
-            col.flags.writeable = False
-        self.stream = (*cols, tuple(refs))
-        self.queue = queue
+    def __init__(self, rows: tuple, keep: Optional[np.ndarray],
+                 queues: List[FifoQueue], sender, refs_injected: int, arrivals,
+                 drops, cross_rows: Tuple[int, ...]):
+        # the last hop's output rows and the mask of those that go on
+        # (None: all of them, as they are); see stream
+        self._rows = rows
+        self._keep = keep
+        self.queues = queues
         self.sender = sender
+        self.refs_injected = refs_injected
+        self.arrivals = arrivals
+        self.drops = drops
+        self.cross_rows = cross_rows
+
+    @property
+    def depth(self) -> int:
+        return len(self.queues)
+
+    @property
+    def stream(self) -> tuple:
+        """The rows that go on from the last covered hop (see :func:`_hop`):
+        read-only columns, the references as a tuple.  Sliced on first
+        read, so the last hop of a run no receiver reads is never sliced."""
+        if self._keep is not None:
+            *cols, refs = self._rows
+            cols = [col[self._keep] for col in cols]
+            for col in cols:
+                col.flags.writeable = False
+            self._rows, self._keep = (*cols, tuple(refs)), None
+        return self._rows
 
     def commit(self, sender) -> None:
         """Leave *sender*, built like this value's sender and not yet run,
@@ -230,7 +251,7 @@ class SwitchChain:
         sender=None,
         receiver=None,
         duration: Optional[float] = None,
-        first_hop: Optional[Callable[[], FirstHop]] = None,
+        prefix: Optional[Callable[[], ChainPrefix]] = None,
     ) -> ChainResult:
         """Run the chain on columnar packet batches.
 
@@ -251,27 +272,40 @@ class SwitchChain:
         ``_fast_path_blocker``'s reason is counted under
         ``batch.fallback``.
 
-        ``first_hop`` lets runs with no cross traffic at hop 0 share their
-        first hop: a zero-argument callable returning the
-        :class:`FirstHop` that :meth:`first_hop` computes for *regular* and
-        a fresh sender built like *sender* (a caller's memo).  It is
-        called only once the blocker admits the columnar path, so a run
-        that falls back never reads nor builds it; the run then scans the
-        later hops alone and leaves *sender* in the state the first hop
-        left the memo's sender.
+        ``prefix`` lets runs share their first hops: a zero-argument
+        callable returning a :class:`ChainPrefix` that :meth:`prefix`
+        built, over these first hops' cross traffic, for *regular* and a
+        fresh sender built like *sender* (a caller's memo).  It is called
+        only once the blocker admits the columnar path, so a run that
+        falls back never reads nor builds it; the run then scans the hops
+        past the prefix alone and leaves *sender* in the state the first
+        hop left the memo's sender.  A prefix deeper than the chain, or one
+        whose hops took a different number of cross rows than
+        *cross_per_hop* gives them, raises :class:`ValueError`.
         """
         return _run_columnar(self, "chain.run_batch", regular, cross_per_hop,
-                             sender, receiver, duration, first_hop)
+                             sender, receiver, duration, prefix)
 
-    def first_hop(self, regular, sender=None) -> FirstHop:
-        """Run the first hop alone on the columnar path, with no cross
-        traffic (see :class:`FirstHop`).
+    def prefix(self, regular, cross_per_hop=None, sender=None,
+               base: Optional[ChainPrefix] = None) -> ChainPrefix:
+        """Run this chain's hops on the columnar path with no receiver, as
+        a :class:`ChainPrefix` that runs of this or a longer chain share
+        through :meth:`run_batch`'s ``prefix``.
 
-        For a caller that shares one first hop among runs through
-        :meth:`run_batch`'s ``first_hop``; *regular* and *sender* must be
-        ones that :meth:`run_batch`'s blocker admits.
+        Continues *base*, a prefix of a shorter chain with the same hops,
+        or starts from *regular* with *sender* tapping the first hop.
+        *regular*, *cross_per_hop* and *sender* must be ones that
+        :meth:`run_batch`'s blocker admits.
         """
-        return FirstHop(PacketBatch.coerce(regular), self.config.queue(0), sender)
+        cfg = self.config
+        cross = _cross_batches(cross_per_hop)
+        _check_hops(cross, cfg.n_hops)
+        start = 0
+        if base is not None:
+            _check_prefix(base, cross, cfg.n_hops)
+            start = base.depth
+        return _extend(base, PacketBatch.coerce(regular), cross,
+                       [cfg.queue(hop) for hop in range(start, cfg.n_hops)], sender)
 
     def _fast_path_blocker(self, queues, sender, receiver, reg: PacketBatch,
                            cross: Dict[int, PacketBatch]) -> Optional[str]:
@@ -308,6 +342,28 @@ def _check_hops(cross_per_hop, n_hops: int) -> None:
     unknown = set(cross_per_hop) - set(range(n_hops))
     if unknown:
         raise ValueError(f"cross traffic for nonexistent hops: {sorted(unknown)}")
+
+
+def _check_prefix(prefix: ChainPrefix, cross: Dict[int, PacketBatch],
+                  n_hops: int) -> None:
+    """A chain of *n_hops* with *cross* can continue *prefix*: it is no
+    deeper, and each hop it covers took as many cross rows."""
+    if prefix.depth > n_hops:
+        raise ValueError(f"a {prefix.depth}-hop prefix of a {n_hops}-hop chain")
+    rows = tuple(len(cross.get(hop, ())) for hop in range(prefix.depth))
+    if rows != prefix.cross_rows:
+        raise ValueError(f"the prefix's hops took {prefix.cross_rows} cross rows, "
+                         f"the chain's take {rows}")
+
+
+def _cross_batches(cross_per_hop) -> Dict[int, PacketBatch]:
+    """``hop -> PacketBatch`` of *cross_per_hop*, an empty batch for a
+    hop given none."""
+    cross: Dict[int, PacketBatch] = {}
+    for hop, crs in (cross_per_hop or {}).items():
+        empty = crs is None or (isinstance(crs, (list, tuple)) and not crs)
+        cross[hop] = PacketBatch.empty() if empty else PacketBatch.coerce(crs)
+    return cross
 
 
 def _hop_objects(stream, cross, queue, result: ChainResult, first: bool,
@@ -348,7 +404,7 @@ def _hop_objects(stream, cross, queue, result: ChainResult, first: bool,
 
 def _run_columnar(chain: SwitchChain, site: str, regular, cross_per_hop,
                   sender, receiver, duration: Optional[float],
-                  first_hop: Optional[Callable[[], FirstHop]]) -> ChainResult:
+                  prefix: Optional[Callable[[], ChainPrefix]]) -> ChainResult:
     """:meth:`SwitchChain.run_batch`, counted under *site*.
 
     Every line-topology driver's ``run_batch`` runs this, each under its
@@ -357,10 +413,7 @@ def _run_columnar(chain: SwitchChain, site: str, regular, cross_per_hop,
     """
     cfg = chain.config
     reg = PacketBatch.coerce(regular)
-    cross: Dict[int, PacketBatch] = {}
-    for hop, crs in (cross_per_hop or {}).items():
-        empty = crs is None or (isinstance(crs, (list, tuple)) and not crs)
-        cross[hop] = PacketBatch.empty() if empty else PacketBatch.coerce(crs)
+    cross = _cross_batches(cross_per_hop)
     _check_hops(cross, cfg.n_hops)
     queues = [cfg.queue(hop) for hop in range(cfg.n_hops)]
     blocker = chain._fast_path_blocker(queues, sender, receiver, reg, cross)
@@ -372,32 +425,50 @@ def _run_columnar(chain: SwitchChain, site: str, regular, cross_per_hop,
                                receiver=receiver, duration=duration)
     obs_metrics.taken(site)
 
-    if first_hop is None:
-        first = FirstHop(reg, queues[0], sender, cross.get(0))
-    else:
-        if len(cross.get(0, ())):
-            raise ValueError("a shared first hop takes no cross traffic")
-        first = first_hop()
+    base = None
+    if prefix is not None:
+        base = prefix()
+        _check_prefix(base, cross, cfg.n_hops)
         if sender is not None:
-            first.commit(sender)
-        queues[0] = first.queue
-    result = ChainResult(queues, duration or 0.0)
+            base.commit(sender)
+        queues = queues[base.depth:]
+    done = _extend(base, reg, cross, queues, sender)
+    result = ChainResult(list(done.queues), duration or 0.0)
     result.regular_in = len(reg)
-    result.refs_injected = first.refs_injected
-    rows, keep, arrivals, drops = first.stream, None, first.arrivals, first.drops
-    for hop in range(1, cfg.n_hops):
-        rows, keep, _, arrivals, drops = _hop(_through(rows, keep), cross.get(hop),
-                                              queues[hop])
-    result.arrivals = {kind: int(arrivals[kind]) for kind in PacketKind}
-    result.drops = {kind: int(drops[kind]) for kind in PacketKind}
-    result.regular_out = int(arrivals[_REGULAR] - drops[_REGULAR])
+    result.refs_injected = done.refs_injected
+    result.arrivals = {kind: int(done.arrivals[kind]) for kind in PacketKind}
+    result.drops = {kind: int(done.drops[kind]) for kind in PacketKind}
+    result.regular_out = int(done.arrivals[_REGULAR] - done.drops[_REGULAR])
     if receiver is not None:
-        time_s, _, kind_s, hidx_s, refslot_s, ref_objs = _through(rows, keep)
+        time_s, _, kind_s, hidx_s, refslot_s, ref_objs = done.stream
         refs = [ref_objs[s] for s in refslot_s[refslot_s >= 0].tolist()]
         receiver.observe_batch(time_s, kind_s, reg, hidx_s, None, refs)
     if duration is None:
-        result.duration = max(q.stats.last_departure for q in queues)
+        result.duration = max(q.stats.last_departure for q in done.queues)
     return result
+
+
+def _extend(prefix: Optional[ChainPrefix], reg: PacketBatch,
+            cross: Dict[int, PacketBatch], queues: List[FifoQueue],
+            sender=None) -> ChainPrefix:
+    """*prefix* continued through *queues*, the chain's next hops.
+
+    With no *prefix* the chain starts from the regular stream of *reg*,
+    and *sender* taps its first hop; a prefix brings its own sender's
+    state.
+    """
+    if prefix is None:
+        prefix = ChainPrefix(_regular_stream(reg), None, [], sender, 0, None,
+                             None, ())
+    for queue in queues:
+        hop = prefix.depth
+        crs = cross.get(hop)
+        rows, keep, built, arrivals, drops = _hop(
+            prefix.stream, crs, queue, prefix.sender if hop == 0 else None)
+        prefix = ChainPrefix(rows, keep, [*prefix.queues, queue], prefix.sender,
+                             prefix.refs_injected + built, arrivals, drops,
+                             (*prefix.cross_rows, len(crs) if crs is not None else 0))
+    return prefix
 
 
 # ----------------------------------------------------------------------
@@ -448,15 +519,15 @@ def _hop(stream: tuple, crs: Optional[PacketBatch], queue: FifoQueue,
     """One columnar hop: merge with the hop's cross traffic and scan.
 
     Returns the hop's output rows (a stream whose ``time`` is the
-    departure), the mask of the rows that go on (:func:`_through`; cross
-    rows leave after their hop), the number of references *sender* built,
+    departure), the mask of the rows that go on (cross rows leave after
+    their hop), the number of references *sender* built,
     and the hop's arrivals and drops per kind.
 
     With a sender the hop runs the shared tapped scan — the regular rows
     in class 0, every other row untapped — and commits the sender's
     state at once; without one it is a plain ``offer_batch`` pass.
     Queue state and statistics end bitwise-identical to per-packet
-    offers.  References are never written: a shared first hop's stay as
+    offers.  References are never written: a shared prefix's stay as
     they are.
     """
     *cols, ref_objs = stream
@@ -477,13 +548,3 @@ def _hop(stream: tuple, crs: Optional[PacketBatch], queue: FifoQueue,
     return ((scan.departures, scan.sizes, kind_a, hidx_a, refslot_a,
              ref_objs + scan.refs), kind_a != _CROSS, scan.refs_built,
             arrivals, drops)
-
-
-def _through(rows: tuple, keep: Optional[np.ndarray]) -> tuple:
-    """The stream of a hop's output *rows* that go on to the next hop or
-    the receiver: those *keep* marks (all of them for ``None``).  Built
-    only where read, so a last hop no receiver reads is never sliced."""
-    if keep is None:
-        return rows
-    *cols, ref_objs = rows
-    return (*(col[keep] for col in cols), ref_objs)

@@ -278,14 +278,15 @@ class _Stream:
 class _Segment(NamedTuple):
     """A receiver's arrivals from one stream: the columns its merge and
     ``observe_batch`` read, with the ground-truth tap stamps as they stood
-    when the segment formed."""
+    when the segment formed.  ``prov`` and ``origin`` (the merge key) are
+    ``None`` on a segment that is never merged: a core's."""
 
     time: np.ndarray
     kind: np.ndarray
     hidx: np.ndarray
     refslot: np.ndarray
-    prov: np.ndarray
-    origin: np.ndarray
+    prov: Optional[np.ndarray]
+    origin: Optional[np.ndarray]
     taps: np.ndarray
 
 
@@ -491,13 +492,15 @@ class FatTreeFastPath:
             node: [] for node in self.receiver_taps
         }
 
-        def snapshot(node_id: int, stream: _Stream, taps=None) -> None:
+        def snapshot(node_id: int, stream: _Stream, taps=None,
+                     mergeable: bool = True) -> None:
             if taps is None:
                 taps = np.where(stream.hidx >= 0,
                                 tap_col[np.maximum(stream.hidx, 0)], np.nan)
             rx_segments[node_id].append(_Segment(
                 stream.time, stream.kind, stream.hidx, stream.refslot,
-                stream.prov, stream.origin, taps))
+                stream.prov if mergeable else None,
+                stream.origin if mergeable else None, taps))
 
         # ---- layer 1: edge switches (origination + uplink queues) ----
         edge_up_out: Dict[Tuple[int, int, int], _Stream] = {}
@@ -567,7 +570,9 @@ class FatTreeFastPath:
                 stream = _Stream.merge(pieces)
                 del pieces
                 if core.node_id in rx_segments:
-                    snapshot(core.node_id, stream)
+                    # a core's arrivals form here, once: its one segment
+                    # is never merged, so it keeps no merge key
+                    snapshot(core.node_id, stream, mergeable=False)
                 # references terminate here; regulars route down by pod
                 pods = np.where(stream.refslot < 0,
                                 dpod[np.maximum(stream.hidx, 0)], -1)

@@ -49,7 +49,7 @@ class TwoSwitchPipeline(SwitchChain):
 
     def run_batch(self, regular, cross=None, sender=None, receiver=None,
                   duration: Optional[float] = None,
-                  first_hop=None) -> ChainResult:
+                  prefix=None) -> ChainResult:
         """:meth:`SwitchChain.run_batch` with *cross* at Switch 2."""
         return _run_columnar(self, "pipeline.run_batch", regular, {1: cross},
-                             sender, receiver, duration, first_hop)
+                             sender, receiver, duration, prefix)

@@ -26,7 +26,7 @@ from repro.core.receiver import RliReceiver
 from repro.core.sender import RefTemplate, RliSender
 from repro.net.addressing import Prefix, ip_to_int
 from repro.net.packet import Packet, PacketKind
-from repro.sim.chain import ChainConfig
+from repro.sim.chain import ChainConfig, SwitchChain
 from repro.sim.pipeline import TwoSwitchPipeline
 from repro.sim.queue import FifoQueue
 from repro.sim.red import RedQueue
@@ -467,13 +467,13 @@ class TestSharedSwitch1:
                 want = condition_summary(PipelineWorkload(tiny_config), scheme,
                                          model, util, knobs)
             assert pickle.dumps(got) == pickle.dumps(want), (scheme, model, util, knobs)
-        assert len(shared._switch1) == len(
+        assert len(shared._prefixes) == len(
             {(scheme, knobs.get("static_n")) for scheme, _, _, knobs in grid})
 
     def test_reference_path_never_reads_a_used_workloads_switch1(
             self, tiny_workload, monkeypatch):
         columnar = condition_summary(tiny_workload, "static", "random", 0.93, {})
-        memo = dict(tiny_workload._switch1)
+        memo = dict(tiny_workload._prefixes)
 
         def unreadable(*args):
             raise AssertionError("a per-object run read the shared Switch 1")
@@ -481,32 +481,38 @@ class TestSharedSwitch1:
         grid = [("static", {}), (None, {}), ("adaptive", {}),
                 ("static", {"static_n": 17})]
         with reference_path() as forced:
-            monkeypatch.setattr(tiny_workload, "switch1", unreadable)
+            monkeypatch.setattr(tiny_workload, "chain_prefix", unreadable)
             reference = [condition_summary(tiny_workload, scheme, "random",
                                            0.93, knobs)
                          for scheme, knobs in grid]
             monkeypatch.undo()
         assert forced["pipeline"] == len(grid)
-        assert tiny_workload._switch1 == memo
+        assert tiny_workload._prefixes == memo
         assert reference[0] == columnar
 
     def test_downstream_drops_leave_the_shared_references_untouched(self):
         reg, cross = build_traces(3, 600, 1200, 0.25, 1e-3)
         rate = reg.total_bytes * 8.0 / (0.25 * 0.6)
-        pipeline = TwoSwitchPipeline(ChainConfig(
-            n_hops=2, rate_bps=rate, buffer_bytes=4 * 1024, proc_delay=1e-6))
-        first = pipeline.first_hop(reg, make_sender(rate, "adaptive"))
+        def config(n_hops):
+            return ChainConfig(n_hops=n_hops, rate_bps=rate, buffer_bytes=4 * 1024,
+                               proc_delay=1e-6)
+
+        pipeline = TwoSwitchPipeline(config(2))
+        first = SwitchChain(config(1)).prefix(reg, sender=make_sender(rate, "adaptive"))
         crs = UniformModel(0.9, seed=3).arrivals_batch(cross)
         shared = pipeline.run_batch(reg, crs, sender=make_sender(rate, "adaptive"),
-                                    first_hop=lambda: first)
+                                    prefix=lambda: first)
         fresh = pipeline.run_batch(reg, crs, sender=make_sender(rate, "adaptive"))
         assert shared.drops[PacketKind.REFERENCE] > 0
         assert (shared.arrivals, shared.drops) == (fresh.arrivals, fresh.drops)
         assert not any(ref.dropped for ref in first.stream[-1])
 
     def test_shared_arrays_are_read_only(self, tiny_workload):
-        first = tiny_workload.switch1("adaptive", None)
-        assert first is tiny_workload.switch1("adaptive", None)
+        def switch1():
+            return tiny_workload.chain_prefix(("adaptive", None), 1, {}, "adaptive")
+
+        first = switch1()
+        assert first is switch1()
         *columns, refs = first.stream
         assert refs and all(len(column) for column in columns)
         for column in columns:

@@ -663,3 +663,141 @@ class TestJobEquivalence:
                     MeshJob(PAIRS, 100),
                     JobSpec(frozen, "adaptive", "random", 0.67)):
             assert "batch" not in job.cache_token(), job
+
+
+# ----------------------------------------------------------------------
+# the multihop ablation's shared chain prefixes
+
+ABLATION_HOPS = (1, 2, 4, 8)
+ABLATION_KEY = ("static", 0.8, 0)  # run_multihop_ablation's defaults
+
+
+@pytest.fixture
+def fresh_workloads(monkeypatch):
+    """An empty workload memo for the test; returns the workload of a
+    config, built on first use."""
+    from repro.experiments import workloads
+    from repro.runner.spec import config_items
+
+    monkeypatch.setattr(workloads, "_workload_cache", {})
+    return lambda cfg: workloads.workload_for(config_items(cfg))
+
+
+def prefix_snapshot(prefix):
+    """Every value a prefix holds, copied, for comparing before and after."""
+    *columns, refs = prefix.stream
+    return ([column.copy() for column in columns],
+            [(id(ref), ref.ts, ref.size, ref.ref_timestamp, ref.tap_time,
+              ref.dropped) for ref in refs],
+            [queue_state(queue) for queue in prefix.queues],
+            prefix.refs_injected, prefix.arrivals.tolist(),
+            prefix.drops.tolist(), prefix.cross_rows,
+            sender_state(prefix.sender))
+
+
+def assert_snapshots_equal(got, want):
+    got_columns, *got_rest = got
+    want_columns, *want_rest = want
+    for a, b in zip(got_columns, want_columns, strict=True):
+        assert a.dtype == b.dtype and np.array_equal(a, b)
+    assert got_rest == want_rest
+
+
+class TestSharedChainPrefix:
+    """Hop h takes the same cross selection in every chain of the
+    ablation, so a longer chain continues the workload's prefix of a
+    shorter one; sharing must change no byte of any row, whatever order
+    the chains run in."""
+
+    def test_rows_match_in_any_order_and_alone(self, tiny_config,
+                                               fresh_workloads, monkeypatch):
+        from repro.experiments import workloads
+        from repro.experiments.extensions import run_multihop_ablation
+        from repro.sim.queue import FifoQueue
+
+        scans = []
+        offer_batch = FifoQueue.offer_batch
+
+        def counted(queue, *args):
+            scans.append(queue.name)
+            return offer_batch(queue, *args)
+
+        monkeypatch.setattr(FifoQueue, "offer_batch", counted)
+
+        def rows(hops):
+            workloads._workload_cache.clear()
+            return run_multihop_ablation(tiny_config, hops=hops)
+
+        ascending = rows(ABLATION_HOPS)
+        # hops 2..8 once each: every chain continues the last one
+        assert sorted(scans) == sorted(f"switch{h}" for h in range(2, 9))
+        descending = rows(ABLATION_HOPS[::-1])
+        alone = [rows((n_hops,))[0] for n_hops in ABLATION_HOPS]
+        assert ascending == alone == descending[::-1]
+
+    def test_longer_chains_leave_a_shared_prefix_untouched(self, tiny_config,
+                                                           fresh_workloads):
+        from repro.experiments.extension_jobs import MultihopJob
+        from repro.runner.spec import config_items
+
+        workload = fresh_workloads(tiny_config)
+        held = []
+        for n_hops in ABLATION_HOPS:
+            MultihopJob(config_items(tiny_config), n_hops, 0.8).run()
+            prefix = workload._prefixes[ABLATION_KEY]
+            assert prefix.depth == n_hops
+            held.append((prefix, prefix_snapshot(prefix)))
+        assert held[-1][0].queues[:1] == held[0][0].queues
+        for prefix, snapshot in held:
+            assert_snapshots_equal(prefix_snapshot(prefix), snapshot)
+
+    def test_the_memo_holds_one_multihop_prefix(self, tiny_config,
+                                                fresh_workloads):
+        from repro.experiments.extensions import run_multihop_ablation
+        from repro.experiments.workloads import run_condition
+
+        workload = fresh_workloads(tiny_config)
+        run_condition(workload, "static", "random", 0.67)
+        run_multihop_ablation(tiny_config, hops=(1, 2))
+        assert {key: p.depth for key, p in workload._prefixes.items()} == {
+            ("static", None): 1, ABLATION_KEY: 2}
+        # a shallower chain builds afresh and replaces the deeper prefix
+        run_multihop_ablation(tiny_config, hops=(1,))
+        assert workload._prefixes[ABLATION_KEY].depth == 1
+        # a new selection evicts the held prefix
+        run_multihop_ablation(tiny_config, hops=(2,), run_seed=1)
+        assert {key: p.depth for key, p in workload._prefixes.items()} == {
+            ("static", None): 1, ("static", 0.8, 1): 2}
+
+    def test_reference_path_never_builds_nor_reads_the_memo(
+            self, tiny_config, fresh_workloads):
+        from repro.experiments.extensions import run_multihop_ablation
+        from repro.experiments.workloads import PipelineWorkload
+
+        def unreadable(*args):
+            raise AssertionError("a per-object run read the prefix memo")
+
+        workload = fresh_workloads(tiny_config)
+        with reference_path() as forced, pytest.MonkeyPatch.context() as patch:
+            patch.setattr(PipelineWorkload, "chain_prefix", unreadable)
+            reference = run_multihop_ablation(tiny_config, hops=ABLATION_HOPS)
+        assert forced["chain"] == len(ABLATION_HOPS)
+        assert workload._prefixes == {}
+        assert reference == run_multihop_ablation(tiny_config, hops=ABLATION_HOPS)
+
+    def test_no_prefix_outlives_its_workload(self, tiny_config, fresh_workloads):
+        import gc
+        import weakref
+
+        from repro.experiments import workloads
+        from repro.experiments.extensions import run_multihop_ablation
+
+        workload = fresh_workloads(tiny_config)
+        workloads.run_condition(workload, "adaptive", "random", 0.67)
+        run_multihop_ablation(tiny_config, hops=(1, 2))
+        alive = [weakref.ref(prefix) for prefix in workload._prefixes.values()]
+        assert len(alive) == 2
+        del workload
+        workloads._workload_cache.clear()
+        gc.collect()
+        assert [ref() for ref in alive] == [None, None]

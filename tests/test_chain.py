@@ -146,12 +146,15 @@ class TestSwitchChain:
             ChainConfig(n_hops=0)
         with pytest.raises(ValueError):
             chain(n_hops=2).run([], {5: []})
-        # a shared first hop saw no cross traffic: hop-0 cross can't use one
+        # a prefix whose hops took other cross traffic can't be continued
         line = chain(n_hops=2)
         regs = batch_of([regular(0.0)])
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="cross rows"):
             line.run_batch(regs, {0: batch_of([cross(0.0)])},
-                           first_hop=lambda: line.first_hop(regs))
+                           prefix=lambda: chain(n_hops=1).prefix(regs))
+        # a prefix deeper than the chain can't be continued
+        with pytest.raises(ValueError, match="3-hop prefix of a 2-hop chain"):
+            line.run_batch(regs, prefix=lambda: chain(n_hops=3).prefix(regs))
 
     def test_accuracy_degrades_gracefully_over_hops(self):
         """RLI across more hops still tracks per-flow truth (multi-queue
@@ -176,3 +179,73 @@ class TestSwitchChain:
             receiver.finalize()
             join = flow_mean_errors(receiver.flow_estimated, receiver.flow_true)
             assert Ecdf(join.errors).median < 0.6
+
+
+def prefix_state(prefix):
+    """Every value a prefix holds, copied, for comparing before and after."""
+    *columns, refs = prefix.stream
+    return ([(column.dtype, column.tolist()) for column in columns],
+            [(id(ref), ref.ts, ref.size, ref.ref_timestamp, ref.tap_time)
+             for ref in refs],
+            [[getattr(queue.stats, name) for name in queue.stats.__slots__]
+             + [queue._free_at] for queue in prefix.queues],
+            prefix.refs_injected, prefix.arrivals.tolist(),
+            prefix.drops.tolist(), prefix.cross_rows)
+
+
+class TestChainPrefix:
+    """A chain's first hops as a value that longer chains continue."""
+
+    @staticmethod
+    def traffic(n_hops):
+        regs = batch_of([regular(i * 2e-4, sport=i % 7) for i in range(400)])
+        crs = {hop: batch_of([cross((i + 0.5 * hop) * 3e-4) for i in range(250)])
+               for hop in range(n_hops)}
+        return regs, crs
+
+    @staticmethod
+    def sender():
+        from repro.core.injection import StaticInjection
+        from repro.core.sender import RliSender
+
+        return RliSender(1, 8e6, StaticInjection(10))
+
+    def test_a_continued_prefix_equals_a_fresh_one(self):
+        regs, crs = self.traffic(4)
+        base = chain(n_hops=1, buffer_bytes=8000).prefix(regs, {0: crs[0]},
+                                                         self.sender())
+        before = prefix_state(base)
+        continued = chain(n_hops=4, buffer_bytes=8000).prefix(regs, crs, base=base)
+        fresh = chain(n_hops=4, buffer_bytes=8000).prefix(regs, crs, self.sender())
+        assert continued.depth == 4 and continued.queues[0] is base.queues[0]
+        assert continued.cross_rows == fresh.cross_rows == (250,) * 4
+        got, want = prefix_state(continued), prefix_state(fresh)
+        assert got[0] == want[0]  # the through-stream's columns
+        assert [r[1:] for r in got[1]] == [r[1:] for r in want[1]]
+        assert got[2:] == want[2:]
+        assert sum(want[4]) > 0 and sum(want[5]) > 0  # hop 4 dropped
+        assert prefix_state(base) == before
+
+    def test_a_run_from_a_prefix_leaves_it_untouched(self):
+        regs, crs = self.traffic(3)
+        line = chain(n_hops=3, buffer_bytes=8000)
+        base = chain(n_hops=2, buffer_bytes=8000).prefix(
+            regs, {0: crs[0], 1: crs[1]}, self.sender())
+        before = prefix_state(base)
+        sender = self.sender()
+        shared = line.run_batch(regs, crs, sender=sender, prefix=lambda: base)
+        fresh = line.run_batch(regs, crs, sender=self.sender())
+        assert (shared.arrivals, shared.drops, shared.refs_injected,
+                shared.regular_out) == (fresh.arrivals, fresh.drops,
+                                        fresh.refs_injected, fresh.regular_out)
+        assert sender.refs_injected == base.sender.refs_injected > 0
+        assert prefix_state(base) == before
+
+    def test_shared_arrays_are_read_only(self):
+        regs, crs = self.traffic(2)
+        prefix = chain(n_hops=2).prefix(regs, crs, self.sender())
+        *columns, refs = prefix.stream
+        for column in columns:
+            with pytest.raises(ValueError):
+                column[0] = column[-1]
+        assert isinstance(refs, tuple) and refs

@@ -48,8 +48,17 @@ def test_a_pipeline_condition_records_pipeline_spans_only(tracer, tiny_workload)
     assert "sim.chain" not in names
 
 
-def test_a_multihop_chain_records_chain_spans_only(tracer, tiny_config):
-    MultihopJob(config_items(tiny_config), 2, 0.8).run()
-    names = span_names(tracer)
-    assert {"sim.chain", "sim.queue", "core.observe"} <= names
-    assert "sim.pipeline" not in names
+def test_a_multihop_chain_records_chain_spans_only(tracer, tiny_config, monkeypatch):
+    """The 2-hop chain continues the 1-hop chain's prefix, which its
+    ``run_batch`` reads, so the chain span still books the work."""
+    from repro.experiments import workloads
+
+    monkeypatch.setattr(workloads, "_workload_cache", {})
+    for n_hops in (1, 2):
+        tracer.study = f"{n_hops}-hop"
+        MultihopJob(config_items(tiny_config), n_hops, 0.8).run()
+        names = {name for name, *_, study in tracer.spans if study == tracer.study}
+        assert {"sim.chain", "core.observe"} <= names
+        assert "sim.pipeline" not in names
+        assert tracer.self_times()[(tracer.study, "sim.chain")] > 0
+    assert "sim.queue" in names  # the 2-hop chain scanned its second hop
